@@ -47,6 +47,7 @@ from .sequences import (
     GcdMorphicReport,
     NonIntegralError,
     f_binomial,
+    f_binomial_rows,
     f_factorial,
     fibonacci,
     gaussian,
@@ -80,6 +81,7 @@ __all__ = [
     "catalan",
     "enumerate_maximal_chains",
     "f_binomial",
+    "f_binomial_rows",
     "f_factorial",
     "fibonacci",
     "gaussian",

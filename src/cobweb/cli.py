@@ -6,7 +6,9 @@ quantities), ``verify`` (oracle cross-check suites), ``export`` (OEIS
 b-file writer).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-Integers cross the output boundary as decimal strings at every magnitude.
+Integers cross the output boundary as decimal strings at every magnitude:
+the subcommand runs with Python's int-to-str digit limit lifted, while
+integers parsed from the command line keep the interpreter's default limit.
 The environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
 top-index scale guard for ``verify``.
 """
@@ -27,7 +29,8 @@ from .sequences import (
     SEQUENCE_NAMES,
     AdmissibilityError,
     NonIntegralError,
-    f_binomial,
+    f_binomial_rows,
+    f_binomials,
     make_sequence,
     seq_eval,
 )
@@ -102,10 +105,7 @@ def cmd_fbinom(args, parser) -> int:
     if args.rows < 0:
         parser.error(f"--rows must be >= 0, got {args.rows}")
     seq = _make_sequence(parser, args.seq, args.q)
-    triangle = [
-        [str(f_binomial(seq, n, k)) for k in range(n + 1)]
-        for n in range(args.rows + 1)
-    ]
+    triangle = [[str(x) for x in row] for row in f_binomial_rows(seq, args.rows)]
     _emit(
         "fbinom", _seq_params(args) | {"rows": str(args.rows)}, triangle, args.format
     )
@@ -204,7 +204,7 @@ def cmd_export(args, parser) -> int:
     if args.what == "bell":
         values = pnf_bell_sequence(seq, args.count)
     else:  # fbinom-diagonal: central column of the triangle
-        values = [f_binomial(seq, 2 * n, n) for n in range(1, args.count + 1)]
+        values = f_binomials(seq, [(2 * n, n) for n in range(1, args.count + 1)])
     lines = "".join(f"{i} {v}\n" for i, v in enumerate(values, start=1))
     try:
         with open(args.bfile, "w", encoding="ascii", newline="\n") as handle:
@@ -287,11 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # answers are printed whole, however long
     try:
         return args.handler(args, parser)
     except (AdmissibilityError, NonIntegralError) as exc:
         # the requested quantity does not exist for this sequence
         parser.error(str(exc))
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

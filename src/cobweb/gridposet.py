@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
+from .sequences import NonIntegralError
+
 
 class LayerIndex(NamedTuple):
     """An index pair (l, m) naming a layer; requires l < m."""
@@ -81,8 +83,12 @@ def grid_chain_count(k: int, n: int) -> int:
     """Number of maximal chains, via the ballot closed form."""
     _check_bounds(k, n)
     count, remainder = divmod((n - k) * comb(n + k - 1, k), n)
-    # ballot numbers are integers; a remainder would mean the formula is wrong
-    assert remainder == 0, (k, n)
+    if remainder:
+        # ballot numbers are integers; a remainder would mean the formula is wrong
+        raise NonIntegralError(
+            f"chains(k, n) at (k, n) = ({k}, {n}) is not an integer: "
+            f"the ballot form leaves remainder {remainder} after dividing by n = {n}"
+        )
     return count
 
 

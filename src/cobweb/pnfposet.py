@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import FSequence, f_binomial
+from .sequences import FSequence, f_binomial, f_binomial_rows, f_binomials
 
 POLICIES = ("include", "exclude")
 DEFAULT_POLICY = "include"
@@ -50,7 +50,8 @@ def pnf_whitney(n: int, k: int, seq: FSequence, policy: str = DEFAULT_POLICY) ->
 
 def pnf_whitney_vector(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> list[int]:
     """The full rank census [W_0, ..., W_maxrank]."""
-    return [pnf_whitney(n, k, seq, policy) for k in range(pnf_max_rank(n, policy) + 1)]
+    top = pnf_max_rank(n, policy)
+    return f_binomials(seq, [(n - k, k) for k in range(top + 1)])
 
 
 def pnf_stirling2(n: int, j: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:
@@ -77,10 +78,23 @@ def pnf_bell(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:
 def pnf_bell_sequence(
     seq: FSequence, count: int, policy: str = DEFAULT_POLICY
 ) -> list[int]:
-    """[B_1(F), ..., B_count(F)]."""
+    """[B_1(F), ..., B_count(F)].
+
+    Sums the triangle along its diagonals: entry (m choose k)_F is level k
+    of P(m + k, F).  Row m is kept only up to k = min(m, count - m), the
+    entries some B_n with n <= count needs; the boundary entry k = m is
+    dropped under the ``exclude`` policy.
+    """
     if count < 1:
         raise ValueError(f"sequence length must be >= 1, got {count}")
-    return [pnf_bell(n, seq, policy) for n in range(1, count + 1)]
+    _check_policy(policy)
+    bells = [0] * (count + 1)
+    for m, row in enumerate(f_binomial_rows(seq, count, diagonal=count)):
+        if policy == "exclude":
+            row = row[:m]
+        for k, entry in enumerate(row):
+            bells[m + k] += entry
+    return bells[1:]
 
 
 @dataclass(frozen=True)

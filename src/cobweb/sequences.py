@@ -18,15 +18,25 @@ The GCD-morphic shipped sequences have integral F-binomials throughout.
 counterexample is (n, m) = (2, 4) and its first non-integral F-binomial is
 (4 choose 2)_L = 84/9.
 
-Every function here is pure: no shared mutable state, safe to call from
-multiple threads, deterministic for equal inputs.
+All F-binomial arithmetic runs on one engine.  Each call builds its own
+value table of F_i, filled on first use of each index through ``seq_eval``
+(so admissibility is checked) and dropped when the call returns; a call
+therefore evaluates exactly the indices its entries need, never F_0, and
+each of them once.  ``f_binomial`` and ``f_binomials`` read entries from the
+table by the incremental product; ``f_binomial_rows`` yields whole rows by
+the recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
+step k of that product.  Both share one checked division step, so a
+non-integral entry raises the same error whichever path reaches it.
+
+Every function here is pure: no shared mutable state (no table outlives its
+call), safe to call from multiple threads, deterministic for equal inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class AdmissibilityError(ValueError):
@@ -95,6 +105,50 @@ def f_factorial(seq: FSequence, n: int) -> int:
     return result
 
 
+class _ValueTable(dict):
+    """F_i for one call: each index read through ``seq_eval`` on first use."""
+
+    def __init__(self, seq: FSequence) -> None:
+        super().__init__()
+        self.seq = seq
+
+    def __missing__(self, i: int) -> int:
+        value = self[i] = seq_eval(self.seq, i)
+        return value
+
+
+def _checked_step(values: _ValueTable, n: int, k: int, step: int, previous: int) -> int:
+    """Step ``step`` of the product for (n choose k)_F: (n choose step)_F.
+
+    Multiplies (n choose step-1)_F by F_{n-step+1} and divides by F_step.
+    The quotient is (n choose step)_F whenever that is an integer, so a
+    remainder means the sequence is not admissible for this triangle.
+    """
+    product = previous * values[n - step + 1]
+    divisor = values[step]
+    result, remainder = divmod(product, divisor)
+    if remainder:
+        raise NonIntegralError(
+            f"({n} choose {k})_F is not an integer for F = {values.seq.name}: "
+            f"step {step} leaves remainder {remainder} after dividing by "
+            f"F_{step} = {divisor}"
+        )
+    return result
+
+
+def _binomial(values: _ValueTable, n: int, k: int) -> int:
+    if n < 0:
+        raise ValueError(f"binomial upper index must be >= 0, got {n}")
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    result = 1
+    for step in range(1, k + 1):
+        result = _checked_step(values, n, k, step, result)
+    return result
+
+
 def f_binomial(seq: FSequence, n: int, k: int) -> int:
     """Return the exact F-binomial (n choose k)_F; 0 outside 0 <= k <= n.
 
@@ -103,24 +157,46 @@ def f_binomial(seq: FSequence, n: int, k: int) -> int:
     so for GCD-morphic sequences every division is exact; a remainder means
     the sequence is not admissible for this triangle and raises.
     """
-    if n < 0:
-        raise ValueError(f"binomial upper index must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    result = 1
-    for i in range(k):
-        result *= seq_eval(seq, n - i)
-        divisor = seq_eval(seq, i + 1)
-        result, remainder = divmod(result, divisor)
-        if remainder:
-            raise NonIntegralError(
-                f"({n} choose {k})_F is not an integer for F = {seq.name}: "
-                f"step {i + 1} leaves remainder {remainder} after dividing by "
-                f"F_{i + 1} = {divisor}"
-            )
-    return result
+    return _binomial(_ValueTable(seq), n, k)
+
+
+def f_binomials(seq: FSequence, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """[(n choose k)_F for (n, k) in pairs], from one value table.
+
+    Each entry costs k checked steps and no sequence evaluations beyond the
+    first use of each index, so scattered entries (a census, a diagonal)
+    never pay for the rows around them.  Entries are computed in order; the
+    first non-integral one raises exactly as ``f_binomial`` would.
+    """
+    values = _ValueTable(seq)
+    return [_binomial(values, n, k) for n, k in pairs]
+
+
+def f_binomial_rows(
+    seq: FSequence, last_row: int, diagonal: Optional[int] = None
+) -> Iterator[list[int]]:
+    """Yield the F-binomial triangle rows 0..last_row, one list per row.
+
+    Entry k of row n comes from entry k-1 by one checked step, so a row of
+    length n+1 costs n-1 multiplications and divisions.  With ``diagonal``
+    set, row n keeps only the entries with k <= diagonal - n (those that
+    sum into the diagonal sums up to that index); by default every row is
+    whole.  A row that cannot be completed raises before it is yielded.
+    """
+    if last_row < 0:
+        raise ValueError(f"last row must be >= 0, got {last_row}")
+    if diagonal is None:
+        diagonal = 2 * last_row
+    elif diagonal < last_row:
+        raise ValueError(f"diagonal must be >= last row {last_row}, got {diagonal}")
+    values = _ValueTable(seq)
+    for n in range(last_row + 1):
+        row = [1]
+        for k in range(1, min(n - 1, diagonal - n) + 1):
+            row.append(_checked_step(values, n, k, k, row[-1]))
+        if 0 < n <= diagonal - n:
+            row.append(1)
+        yield row
 
 
 def gcd_morphic_check(seq: FSequence, bound: int) -> GcdMorphicReport:

@@ -19,8 +19,12 @@ from typing import Callable, Optional
 from . import gridposet, oracle, pnfposet
 from .sequences import (
     FSequence,
+    NonIntegralError,
     f_binomial,
+    f_binomial_rows,
     f_factorial,
+    fibonacci,
+    gaussian,
     gcd_morphic_check,
     gcd_morphic_family,
     lucas,
@@ -296,39 +300,106 @@ def check_pnf_chain_products(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     return suite
 
 
+def _family_pascal_rows(step: Callable[[list[int], int, int], int]) -> list[list[int]]:
+    """Rows 0..FBINOM_BOUND built by an additive rule from the row above.
+
+    ``step(previous, n, k)`` gives interior entry k of row n; edges are 1.
+    """
+    rows = [[1]]
+    for n in range(1, FBINOM_BOUND + 1):
+        previous = rows[-1]
+        rows.append([1] + [step(previous, n, k) for k in range(1, n)] + [1])
+    return rows
+
+
 def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
-    """Symmetry, edge rows, factorial recurrence; Pascal specialization."""
+    """Symmetry, edge rows, factorial recurrence; row engine vs definitions.
+
+    The row engine is checked against per-entry products, against the
+    factorial-ratio definition, and (for fibonacci and gauss, always run)
+    against the additive Pascal-type rules of those families; a lucas row
+    generator must fail first at (4 choose 2).
+    """
     suite = SuiteResult("F-binomial algebra")
     for seq in seqs:
-        previous_factorial = 1
-        for n in range(FBINOM_BOUND + 1):
+        factorials = [1]
+        for n, row in enumerate(f_binomial_rows(seq, FBINOM_BOUND)):
+            entries = [f_binomial(seq, n, k) for k in range(n + 1)]
             suite.check(
                 "edge binomials are 1",
                 f"(F, n) = ({seq.name}, {n})",
                 (1, 1),
-                (f_binomial(seq, n, 0), f_binomial(seq, n, n)),
+                (entries[0], entries[n]),
             )
             for k in range(n + 1):
                 suite.check(
                     "binomial symmetry",
                     f"(F, n, k) = ({seq.name}, {n}, {k})",
-                    f_binomial(seq, n, n - k),
-                    f_binomial(seq, n, k),
+                    entries[n - k],
+                    entries[k],
                 )
             if n >= 1:
                 current = f_factorial(seq, n)
                 suite.check(
                     "factorial recurrence F_n! = F_{n-1}! * F_n",
                     f"(F, n) = ({seq.name}, {n})",
-                    previous_factorial * seq_eval(seq, n),
+                    factorials[-1] * seq_eval(seq, n),
                     current,
                 )
-                previous_factorial = current
+                factorials.append(current)
+            suite.check(
+                "row engine = per-entry F-binomials",
+                f"(F, n) = ({seq.name}, {n})",
+                entries,
+                row,
+            )
+            suite.check(
+                "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
+                f"(F, n) = ({seq.name}, {n})",
+                [
+                    divmod(factorials[n], factorials[k] * factorials[n - k])
+                    for k in range(n + 1)
+                ],
+                [(entry, 0) for entry in row],
+            )
+    fib = [0, 1]
+    while len(fib) <= FBINOM_BOUND + 1:
+        fib.append(fib[-1] + fib[-2])
+    fibonomial = _family_pascal_rows(
+        lambda prev, n, k: fib[k - 1] * prev[k] + fib[n - k + 1] * prev[k - 1]
+    )
+    for n, row in enumerate(f_binomial_rows(fibonacci(), FBINOM_BOUND)):
+        suite.check(
+            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
+            f"n = {n}",
+            fibonomial[n],
+            row,
+        )
+    for q in (2, 3):
+        gauss = _family_pascal_rows(
+            lambda prev, n, k: prev[k - 1] + q**k * prev[k]
+        )
+        for n, row in enumerate(f_binomial_rows(gaussian(q), FBINOM_BOUND)):
+            suite.check(
+                "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
+                f"(q, n) = ({q}, {n})",
+                gauss[n],
+                row,
+            )
+    completed, error = 0, "none"
+    try:
+        for _ in f_binomial_rows(lucas(), FBINOM_BOUND):
+            completed += 1
+    except NonIntegralError as exc:
+        error = str(exc).partition(" for F = ")[0]
+    suite.check(
+        "lucas rows fail first at (4 choose 2)",
+        f"(F, rows) = (lucas, 0..{FBINOM_BOUND})",
+        (4, "(4 choose 2)_F is not an integer"),
+        (completed, error),
+    )
     nat = make_sequence("naturals")
-    pascal = [[1]]
-    for n in range(1, 31):
-        row = [1] + [pascal[-1][k - 1] + pascal[-1][k] for k in range(1, n)] + [1]
-        pascal.append(row)
+    pascal = _family_pascal_rows(lambda prev, n, k: prev[k - 1] + prev[k])
     for n in range(31):
         suite.check(
             "naturals binomials = Pascal recurrence",

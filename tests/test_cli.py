@@ -85,6 +85,15 @@ class TestFbinomCommand:
         assert code == 2
         assert "not an integer" in err
 
+    def test_lucas_error_text_is_stable(self, capsys):
+        code, out, err = run_cli(["fbinom", "--seq", "lucas", "--rows", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: cobweb [-h] command ...\n"
+            "cobweb: error: (4 choose 2)_F is not an integer for F = lucas: "
+            "step 2 leaves remainder 1 after dividing by F_2 = 3\n"
+        )
+
 
 class TestGridCommand:
     def test_whitney(self, capsys):
@@ -145,6 +154,45 @@ class TestPnfCommand:
     def test_nonpositive_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(["pnf", "--seq", "fib", "--n", "0"], capsys)
         assert code == 2
+
+    def test_bell_beyond_the_int_to_str_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            ["pnf", "--seq", "fib", "--n", "450", "--show", "bell"], capsys
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        # independent value: fibonomial Pascal rule on the rows B_450 needs
+        fib = [0, 1]
+        while len(fib) < 452:
+            fib.append(fib[-1] + fib[-2])
+        rows = [[1]]
+        for m in range(1, 451):
+            prev = rows[-1] + [0]
+            width = min(m, 450 - m)
+            rows.append(
+                [1] + [fib[k - 1] * prev[k] + fib[m - k + 1] * prev[k - 1]
+                       for k in range(1, width + 1)]
+            )
+        expected = sum(rows[450 - k][k] for k in range(226))
+        digits = out.strip()
+        assert digits.isdigit() and len(digits) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert digits == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_is_restored_after_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, _ = run_cli(["fbinom", "--seq", "lucas", "--rows", "5"], capsys)
+        assert code == 2
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_command_line_integers_keep_the_digit_limit(self, capsys):
+        code, _, err = run_cli(["fbinom", "--seq", "fib", "--rows", "9" * 5000], capsys)
+        assert code == 2
+        assert "invalid int value" in err
 
 
 class TestVerifyCommand:

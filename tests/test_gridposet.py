@@ -19,6 +19,7 @@ from cobweb.gridposet import (
     grid_size,
     grid_whitney,
 )
+from cobweb.sequences import NonIntegralError
 
 
 def enumerate_pairs(k, n):
@@ -130,6 +131,12 @@ class TestChainCount:
     def test_always_positive_integer(self, n, data):
         k = data.draw(st.integers(min_value=0, max_value=n - 1))
         assert grid_chain_count(k, n) >= 1
+
+
+    def test_remainder_raises_even_under_optimization(self, monkeypatch):
+        monkeypatch.setattr("cobweb.gridposet.comb", lambda a, b: comb(a, b) + 1)
+        with pytest.raises(NonIntegralError, match=r"\(k, n\) = \(1, 4\)"):
+            grid_chain_count(1, 4)
 
 
 class TestCatalan:

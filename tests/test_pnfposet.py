@@ -13,7 +13,17 @@ from cobweb.pnfposet import (
     pnf_whitney,
     pnf_whitney_vector,
 )
-from cobweb.sequences import fibonacci, gaussian, naturals, ones, seq_eval
+from cobweb.sequences import (
+    AdmissibilityError,
+    FSequence,
+    NonIntegralError,
+    fibonacci,
+    gaussian,
+    lucas,
+    naturals,
+    ones,
+    seq_eval,
+)
 
 FIB = fibonacci()
 NAT = naturals()
@@ -157,6 +167,47 @@ class TestBellSequence:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             pnf_bell_sequence(NAT, 0)
+        with pytest.raises(ValueError):
+            pnf_bell_sequence(NAT, 5, "drop")
+
+    @pytest.mark.parametrize("policy", ["include", "exclude"])
+    def test_equals_bell_numbers_one_by_one(self, policy):
+        for seq in (FIB, NAT, ONES, gaussian(2), gaussian(3)):
+            for count in (1, 2, 3, 10, 25):
+                assert pnf_bell_sequence(seq, count, policy) == [
+                    pnf_bell(n, seq, policy) for n in range(1, count + 1)
+                ]
+
+    def test_naturals_to_60_are_shifted_fibonacci(self):
+        fib = [0, 1]
+        while len(fib) < 62:
+            fib.append(fib[-1] + fib[-2])
+        assert pnf_bell_sequence(NAT, 60) == fib[2:62]
+
+    def test_lucas_prefix_before_first_non_integral_entry(self):
+        # B_5 needs entries with m + k <= 5 only; (4 choose 2)_L first counts in B_6
+        assert pnf_bell_sequence(lucas(), 5) == [1, 2, 4, 6, 12]
+        with pytest.raises(NonIntegralError, match=r"^\(4 choose 2\)_F"):
+            pnf_bell_sequence(lucas(), 6)
+
+    def test_custom_sequences_evaluate_only_needed_indices(self):
+        def no_zero_index(n):
+            if n == 0:
+                raise RuntimeError("F_0 must never be read")
+            return n
+
+        nozero = FSequence("nozero", no_zero_index)
+        assert pnf_bell_sequence(nozero, 8) == pnf_bell_sequence(NAT, 8)
+        assert pnf_whitney_vector(9, nozero) == [1, 8, 21, 20, 5]
+        # B_1..B_10 never read F_10; the census of P(4, F) never reads F_2
+        bad10 = FSequence("bad10", lambda n: 0 if n >= 10 else n)
+        assert pnf_bell_sequence(bad10, 10) == pnf_bell_sequence(NAT, 10)
+        with pytest.raises(AdmissibilityError, match="F_10 = 0"):
+            pnf_bell_sequence(bad10, 11)
+        bad2 = FSequence("bad2", lambda n: 0 if n == 2 else n)
+        assert pnf_whitney_vector(4, bad2) == [1, 3, 1]
+        with pytest.raises(AdmissibilityError, match="F_2 = 0"):
+            pnf_whitney_vector(5, bad2)
 
 
 class TestPnFPoset:

@@ -12,6 +12,8 @@ from cobweb.sequences import (
     FSequence,
     NonIntegralError,
     f_binomial,
+    f_binomial_rows,
+    f_binomials,
     f_factorial,
     fibonacci,
     gaussian,
@@ -166,6 +168,108 @@ class TestFBinomial:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: f_binomial(seq, 30, 15), range(64)))
         assert len(set(results)) == 1
+
+
+def counting(name, value_at):
+    """A custom sequence that records every index it is asked for."""
+    asked = []
+
+    def value(n):
+        asked.append(n)
+        return value_at(n)
+
+    return FSequence(name, value), asked
+
+
+def no_zero_index(n):
+    if n == 0:
+        raise RuntimeError("F_0 must never be read")
+    return n
+
+
+LUCAS_4_2 = (
+    "(4 choose 2)_F is not an integer for F = lucas: step 2 leaves remainder 1 "
+    "after dividing by F_2 = 3"
+)
+
+
+class TestRowEngine:
+    @given(name=st.sampled_from(sorted(SHIPPED)), last_row=st.integers(0, 45))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_per_entry_binomials(self, name, last_row):
+        seq = SHIPPED[name]
+        rows = list(f_binomial_rows(seq, last_row))
+        assert rows == [
+            [f_binomial(seq, n, k) for k in range(n + 1)] for n in range(last_row + 1)
+        ]
+
+    @given(
+        name=st.sampled_from(sorted(SHIPPED)),
+        last_row=st.integers(0, 30),
+        extra=st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_keeps_row_prefixes(self, name, last_row, extra):
+        seq, diagonal = SHIPPED[name], last_row + extra
+        rows = list(f_binomial_rows(seq, last_row, diagonal=diagonal))
+        for n, row in enumerate(rows):
+            width = min(n, diagonal - n)
+            assert row == [f_binomial(seq, n, k) for k in range(width + 1)]
+
+    def test_entries_from_one_table(self):
+        seq = SHIPPED["gauss3"]
+        pairs = [(2 * n, n) for n in range(1, 20)] + [(7, -1), (3, 9), (0, 0)]
+        assert f_binomials(seq, pairs) == [f_binomial(seq, n, k) for n, k in pairs]
+        with pytest.raises(ValueError):
+            f_binomials(seq, [(3, 1), (-1, 0)])
+
+    def test_each_index_is_evaluated_once_per_call(self):
+        seq, asked = counting("counted", iterative_fib)
+        rows = list(f_binomial_rows(seq, 30))
+        assert asked == [2, 1] + list(range(3, 31))
+        asked.clear()
+        assert f_binomials(seq, [(2 * n, n) for n in range(1, 11)])[-1] == rows[20][10]
+        assert sorted(asked) == list(range(1, 21))
+
+    def test_rows_0_and_1_evaluate_nothing(self):
+        seq, asked = counting("counted", iterative_fib)
+        assert list(f_binomial_rows(seq, 1)) == [[1], [1, 1]]
+        assert asked == []
+
+    def test_f0_is_never_read(self):
+        seq = FSequence("nozero", no_zero_index)
+        assert list(f_binomial_rows(seq, 12)) == pascal_triangle(12)
+        assert f_binomials(seq, [(12, 6), (5, 0), (5, 5)]) == [924, 1, 1]
+        assert f_binomial(seq, 12, 6) == 924
+
+    def test_rows_stop_at_the_first_inadmissible_index(self):
+        seq = FSequence("bad10", lambda n: 0 if n >= 10 else n)
+        assert list(f_binomial_rows(seq, 9)) == pascal_triangle(9)
+        with pytest.raises(AdmissibilityError, match="F_10 = 0"):
+            list(f_binomial_rows(seq, 10))
+
+    def test_lucas_rows_fail_first_at_4_2(self):
+        rows = f_binomial_rows(lucas(), 40)
+        assert [next(rows) for _ in range(4)][3] == [1, 4, 4, 1]
+        with pytest.raises(NonIntegralError) as caught:
+            next(rows)
+        assert str(caught.value) == LUCAS_4_2
+        with pytest.raises(NonIntegralError) as caught:
+            f_binomial(lucas(), 4, 2)
+        assert str(caught.value) == LUCAS_4_2
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="last row"):
+            next(f_binomial_rows(SHIPPED["naturals"], -1))
+        with pytest.raises(ValueError, match="diagonal"):
+            next(f_binomial_rows(SHIPPED["naturals"], 5, diagonal=4))
+
+    def test_thread_safety_smoke(self):
+        seq = SHIPPED["fibonacci"]
+        expected = list(f_binomial_rows(seq, 40))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda _: list(f_binomial_rows(seq, 40)), range(32)))
+        assert all(result == expected for result in results)
 
 
 class TestGcdMorphicCheck:
