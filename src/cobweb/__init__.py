@@ -9,8 +9,6 @@ All arithmetic is exact.
 """
 
 from .gridposet import (
-    GridPoset,
-    LayerIndex,
     catalan,
     grid_bell,
     grid_chain_count,
@@ -32,7 +30,6 @@ from .oracle import (
 from .pnfposet import (
     DEFAULT_POLICY,
     POLICIES,
-    PnFPoset,
     pnf_bell,
     pnf_bell_sequence,
     pnf_max_rank,
@@ -69,12 +66,9 @@ __all__ = [
     "FSequence",
     "GcdCounterexample",
     "GcdMorphicReport",
-    "GridPoset",
     "HasseDiagram",
-    "LayerIndex",
     "NonIntegralError",
     "POLICIES",
-    "PnFPoset",
     "ScaleLimitError",
     "build_grid_hasse",
     "build_pnf_hasse",

@@ -112,24 +112,27 @@ def cmd_fbinom(args, parser) -> int:
     return 0
 
 
+# --show name -> the quantity's decimal cells; "all" shows every one, labeled
+GRID_QUANTITIES = {
+    "size": lambda k, n: [str(grid_size(k, n))],
+    "whitney": lambda k, n: [str(w) for w in grid_whitney(k, n)],
+    "bell": lambda k, n: [str(grid_bell(k, n))],
+    "chains": lambda k, n: [str(grid_chain_count(k, n))],
+}
+
+
 def cmd_grid(args, parser) -> int:
     try:
-        size = grid_size(args.k, args.n)
+        grid_size(args.k, args.n)  # bounds check: bad (k, n) is a usage error
     except ValueError as exc:
         parser.error(str(exc))
-    whitney = [str(w) for w in grid_whitney(args.k, args.n)]
-    quantities = {
-        "size": [str(size)],
-        "whitney": whitney,
-        "bell": [str(grid_bell(args.k, args.n))],
-        "chains": [str(grid_chain_count(args.k, args.n))],
-    }
     params = {"k": str(args.k), "n": str(args.n), "show": args.show}
     if args.show == "all":
-        labels = list(quantities)
-        _emit("grid", params, [quantities[name] for name in labels], args.format, labels)
+        labels = list(GRID_QUANTITIES)
+        values = [GRID_QUANTITIES[name](args.k, args.n) for name in labels]
+        _emit("grid", params, values, args.format, labels)
     else:
-        _emit("grid", params, quantities[args.show], args.format)
+        _emit("grid", params, GRID_QUANTITIES[args.show](args.k, args.n), args.format)
     return 0
 
 
@@ -192,8 +195,23 @@ def cmd_verify(args, parser) -> int:
                 f"expected {failure.expected}, got {failure.actual}\n"
             )
         sys.stdout.write(f"checks {cases}\nfailures {len(failures)}\n")
-    else:
-        _emit("verify", params, [str(cases), str(len(failures))], args.format)
+        return 1 if failures else 0
+    totals = [str(cases), str(len(failures))]
+    rows = [
+        [suite.name, str(suite.cases), str(len(suite.failures)), str(suite.skipped)]
+        for suite in suites
+    ]
+    if args.format == "json":
+        fields = ("name", "cases", "failed", "skipped")
+        doc = {
+            "object": "verify",
+            "params": params,
+            "values": totals,
+            "suites": [dict(zip(fields, row)) for row in rows],
+        }
+        sys.stdout.write(json.dumps(doc) + "\n")
+    else:  # csv: the totals row, then name,cases,failed,skipped per suite
+        _emit("verify", params, [totals, *rows], args.format)
     return 1 if failures else 0
 
 
@@ -248,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument(
         "--show",
-        choices=("size", "whitney", "bell", "chains", "all"),
+        choices=(*GRID_QUANTITIES, "all"),
         default="all",
     )
     _add_format_option(sub)

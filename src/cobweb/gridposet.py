@@ -4,7 +4,13 @@ Elements are pairs (l, m) with 0 <= l <= k and l < m <= n, ordered
 componentwise; the unique minimum is (0, 1) and the unique maximum (k, n).
 The poset is graded by rank(l, m) = l + m - 1, so its Whitney numbers (the
 rank census) and Bell-like number (their sum, which equals the size) have
-elementary closed forms.
+elementary closed forms.  Rank j holds the pairs with l + m = j + 1, i.e.
+max(0, j + 1 - n) <= l <= min(k, j // 2), so
+
+    W_j = max(0, min(k, j // 2) - max(0, j + 1 - n) + 1),  j = 0 .. k + n - 1,
+
+which costs O(k + n) and holds no elements in memory.  Only the oracle
+(``cobweb.oracle``) and the verification suites enumerate elements.
 
 Maximal chains are monotone staircase paths from (0, 1) to (k, n) inside
 the region l < m; their count is the ballot number
@@ -21,18 +27,9 @@ rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 from .sequences import NonIntegralError
-
-
-class LayerIndex(NamedTuple):
-    """An index pair (l, m) naming a layer; requires l < m."""
-
-    l: int
-    m: int
 
 
 def _check_bounds(k: int, n: int) -> None:
@@ -46,10 +43,10 @@ def grid_size(k: int, n: int) -> int:
     return (n - k) * (k + 1) + k * (k + 1) // 2
 
 
-def grid_elements(k: int, n: int) -> list[LayerIndex]:
+def grid_elements(k: int, n: int) -> list[tuple[int, int]]:
     """All elements of the poset in lexicographic order."""
     _check_bounds(k, n)
-    return [LayerIndex(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
+    return [(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
 
 
 def grid_leq(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -68,10 +65,9 @@ def grid_rank(a: tuple[int, int]) -> int:
 def grid_whitney(k: int, n: int) -> list[int]:
     """Rank census: entry j counts elements of rank j, for j = 0 .. k+n-1."""
     _check_bounds(k, n)
-    counts = [0] * (k + n)
-    for element in grid_elements(k, n):
-        counts[grid_rank(element)] += 1
-    return counts
+    return [
+        max(0, min(k, j // 2) - max(0, j + 1 - n) + 1) for j in range(k + n)
+    ]
 
 
 def grid_bell(k: int, n: int) -> int:
@@ -97,29 +93,3 @@ def catalan(i: int) -> int:
     if i < 0:
         raise ValueError(f"catalan index must be >= 0, got {i}")
     return comb(2 * i, i) // (i + 1)
-
-
-@dataclass(frozen=True)
-class GridPoset:
-    """The poset with top element (k, n), bundling the module operations."""
-
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_bounds(self.k, self.n)
-
-    def size(self) -> int:
-        return grid_size(self.k, self.n)
-
-    def elements(self) -> list[LayerIndex]:
-        return grid_elements(self.k, self.n)
-
-    def whitney(self) -> list[int]:
-        return grid_whitney(self.k, self.n)
-
-    def bell(self) -> int:
-        return grid_bell(self.k, self.n)
-
-    def chain_count(self) -> int:
-        return grid_chain_count(self.k, self.n)

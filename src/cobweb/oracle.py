@@ -59,13 +59,11 @@ class HasseDiagram:
         rank_of: Callable[[Vertex], int],
         successors_of: Callable[[Vertex], Sequence[Vertex]],
         minimal_vertices: tuple[Vertex, ...],
-        render: Callable[[Vertex], str],
     ):
         self.vertices = vertices
         self._rank_of = rank_of
         self._successors_of = successors_of
         self._minimals = minimal_vertices
-        self._render = render
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -86,19 +84,6 @@ class HasseDiagram:
         for vertex in self.vertices:
             for upper in self.successors(vertex):
                 yield vertex, upper
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(self.successors(v)) for v in self.vertices)
-
-    def render_vertex(self, vertex: Vertex) -> str:
-        return self._render(vertex)
-
-    def edge_dump(self) -> str:
-        """Plain-text debug dump: one "lower upper" pair per line."""
-        return "".join(
-            f"{self._render(a)} {self._render(b)}\n" for a, b in self.cover_edges()
-        )
 
 
 @dataclass(frozen=True)
@@ -149,7 +134,6 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
         rank_of=grid_rank,
         successors_of=lambda v: successors[v],
         minimal_vertices=minimals,
-        render=lambda v: f"({v[0]},{v[1]})",
     )
 
 
@@ -189,7 +173,6 @@ def build_pnf_hasse(
         rank_of=lambda v: v[0],
         successors_of=successors_of,
         minimal_vertices=tuple(levels[0]),
-        render=lambda v: f"({v[0]}#{v[1]})",
     )
 
 

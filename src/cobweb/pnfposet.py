@@ -20,8 +20,6 @@ B_n(F) is the total size, i.e. the diagonal F-binomial sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .sequences import FSequence, f_binomial, f_binomial_rows, f_binomials
 
 POLICIES = ("include", "exclude")
@@ -95,35 +93,3 @@ def pnf_bell_sequence(
         for k, entry in enumerate(row):
             bells[m + k] += entry
     return bells[1:]
-
-
-@dataclass(frozen=True)
-class PnFPoset:
-    """P(n, F) with its degenerate-layer policy, bundling the module operations."""
-
-    n: int
-    seq: FSequence
-    policy: str = DEFAULT_POLICY
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"poset degree must be >= 1, got {self.n}")
-        _check_policy(self.policy)
-
-    def max_rank(self) -> int:
-        return pnf_max_rank(self.n, self.policy)
-
-    def whitney(self, k: int) -> int:
-        return pnf_whitney(self.n, k, self.seq, self.policy)
-
-    def whitney_vector(self) -> list[int]:
-        return pnf_whitney_vector(self.n, self.seq, self.policy)
-
-    def stirling2(self, j: int) -> int:
-        return pnf_stirling2(self.n, j, self.seq, self.policy)
-
-    def bell(self) -> int:
-        return pnf_bell(self.n, self.seq, self.policy)
-
-    def level_sizes(self) -> list[int]:
-        return self.whitney_vector()

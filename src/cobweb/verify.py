@@ -78,7 +78,7 @@ class SuiteResult:
 
 
 def check_grid_counting(max_n: int) -> SuiteResult:
-    """Size closed form vs raw enumeration; Whitney census sums to the size."""
+    """Size and Whitney closed forms vs raw enumeration; Bell-like = size."""
     suite = SuiteResult("grid size and rank census")
     for n in range(2, max_n + 1):
         for k in range(n):
@@ -98,6 +98,15 @@ def check_grid_counting(max_n: int) -> SuiteResult:
                 gridposet.grid_elements(k, n),
             )
             whitney = gridposet.grid_whitney(k, n)
+            census = [0] * (k + n)
+            for l, m in enumerated:
+                census[l + m - 1] += 1
+            suite.check(
+                "Whitney closed form = rank census of the enumerated set",
+                f"(k, n) = ({k}, {n})",
+                census,
+                whitney,
+            )
             suite.check(
                 "sum of Whitney numbers = size",
                 f"(k, n) = ({k}, {n})",

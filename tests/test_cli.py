@@ -1,11 +1,15 @@
 """CLI contract: commands, formats, exit codes, round trips, b-files."""
 
+import csv
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cobweb import verify
 from cobweb.cli import main
 
 
@@ -123,6 +127,19 @@ class TestGridCommand:
         code, _, err = run_cli(["grid", "--k", "3", "--n", "2", "--show", "size"], capsys)
         assert code == 2
         assert "0 <= k < n" in err
+
+    @pytest.mark.parametrize("show", ["size", "whitney", "bell", "chains", "all"])
+    def test_large_grid_never_enumerates(self, show, capsys, monkeypatch):
+        def refuse(k, n):
+            raise AssertionError(f"grid_elements({k}, {n}) called")
+
+        monkeypatch.setattr("cobweb.gridposet.grid_elements", refuse)
+        code, out, _ = run_cli(
+            ["grid", "--k", "2000", "--n", "4000", "--show", show], capsys
+        )
+        assert code == 0
+        if show == "size":
+            assert out == "6003000\n"
 
 
 class TestPnfCommand:
@@ -348,6 +365,27 @@ class TestFormats:
         checks = next(l.split()[1] for l in table.splitlines() if l.startswith("checks"))
         failures = next(l.split()[1] for l in table.splitlines() if l.startswith("failures"))
         assert doc["values"] == [checks, failures]
+
+    def test_verify_skips_are_visible_in_every_format(self, capsys, monkeypatch):
+        suites = verify.run_verify(12)  # run the suites once, render three times
+        monkeypatch.setattr(verify, "run_verify", lambda max_n, tokens: suites)
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            code, outputs[fmt], _ = run_cli(
+                ["verify", "--max-n", "12", "--format", fmt], capsys
+            )
+            assert code == 0
+        table_skips = sum(
+            int(count) for count in re.findall(r"(\d+) skipped", outputs["table"])
+        )
+        assert table_skips > 0  # chain products beyond the chain guard
+        doc = json.loads(outputs["json"])
+        assert sum(int(suite["skipped"]) for suite in doc["suites"]) == table_skips
+        assert [suite["name"] for suite in doc["suites"]] == [s.name for s in suites]
+        totals, *rows = csv.reader(io.StringIO(outputs["csv"]))
+        assert totals == doc["values"]
+        assert sum(int(skipped) for *_, skipped in rows) == table_skips
+        assert rows == [list(suite.values()) for suite in doc["suites"]]
 
     def test_values_are_decimal_strings_at_any_magnitude(self, capsys):
         code, out, _ = run_cli(

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb.gridposet import (
-    GridPoset,
-    LayerIndex,
     catalan,
     grid_bell,
     grid_chain_count,
@@ -58,8 +56,6 @@ class TestSizeAndElements:
             grid_size(k, n)
         with pytest.raises(ValueError):
             grid_elements(k, n)
-        with pytest.raises(ValueError):
-            GridPoset(k, n)
 
 
 class TestOrderAndRank:
@@ -98,11 +94,15 @@ class TestWhitneyAndBell:
         assert grid_whitney(0, 3) == [1, 1, 1]
 
     def test_census_shape(self):
-        for n in range(2, 16):
+        for n in range(1, 41):
             for k in range(n):
                 whitney = grid_whitney(k, n)
                 assert len(whitney) == k + n  # ranks 0 .. k+n-1
                 assert all(w >= 1 for w in whitney)
+                census = [0] * (k + n)  # closed form vs an enumerated census
+                for l, m in enumerate_pairs(k, n):
+                    census[l + m - 1] += 1
+                assert whitney == census, (k, n)
 
     def test_bell_equals_size(self):
         assert grid_bell(2, 3) == 6
@@ -148,13 +148,3 @@ class TestCatalan:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             catalan(-1)
-
-
-class TestGridPoset:
-    def test_bundles_operations(self):
-        poset = GridPoset(2, 3)
-        assert poset.size() == 6
-        assert poset.whitney() == [1, 1, 2, 1, 1]
-        assert poset.bell() == 6
-        assert poset.chain_count() == 2
-        assert poset.elements()[0] == LayerIndex(0, 1)

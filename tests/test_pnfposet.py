@@ -5,7 +5,6 @@ import math
 import pytest
 
 from cobweb.pnfposet import (
-    PnFPoset,
     pnf_bell,
     pnf_bell_sequence,
     pnf_max_rank,
@@ -208,20 +207,3 @@ class TestBellSequence:
         assert pnf_whitney_vector(4, bad2) == [1, 3, 1]
         with pytest.raises(AdmissibilityError, match="F_2 = 0"):
             pnf_whitney_vector(5, bad2)
-
-
-class TestPnFPoset:
-    def test_bundles_operations(self):
-        poset = PnFPoset(6, FIB)
-        assert poset.max_rank() == 3
-        assert poset.whitney_vector() == [1, 5, 6, 1]
-        assert poset.level_sizes() == [1, 5, 6, 1]
-        assert poset.bell() == 13
-        assert poset.whitney(2) == 6
-        assert poset.stirling2(4) == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PnFPoset(0, FIB)
-        with pytest.raises(ValueError):
-            PnFPoset(3, FIB, "sometimes")

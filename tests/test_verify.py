@@ -15,6 +15,13 @@ def broken_chain_count(k, n):
     return quotient
 
 
+def off_by_one_whitney(k, n):
+    """The Whitney closed form with (j + 1) // 2 for j // 2: wrong from (1, 2)."""
+    return [
+        max(0, min(k, (j + 1) // 2) - max(0, j + 1 - n) + 1) for j in range(k + n)
+    ]
+
+
 class TestSuites:
     def test_all_green_at_desk_scale(self):
         suites = verify.run_verify(8)
@@ -51,6 +58,15 @@ class TestFaultInjection:
             broken_chain_count(0, 2)
         # ... and over-counts at (1, 2): 3 instead of the single chain
         assert broken_chain_count(1, 2) == 3
+
+    def test_wrong_whitney_closed_form_is_detected_at_1_2(self, monkeypatch):
+        monkeypatch.setattr("cobweb.gridposet.grid_whitney", off_by_one_whitney)
+        suite = verify.check_grid_counting(6)
+        assert suite.failures, "the wrong Whitney closed form must not verify"
+        first = suite.failures[0]
+        assert first.identity == "Whitney closed form = rank census of the enumerated set"
+        assert "(1, 2)" in first.inputs
+        assert (first.expected, first.actual) == ("[1, 1, 1]", "[1, 2, 1]")
 
     def test_failure_records_name_identity_and_values(self):
         suites = verify.run_verify(4, chain_closed_form=broken_chain_count)
