@@ -24,6 +24,7 @@ from .oracle import (
     ScaleLimitError,
     build_grid_hasse,
     build_pnf_hasse,
+    count_maximal_chains,
     enumerate_maximal_chains,
     rank_level_counts,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "build_grid_hasse",
     "build_pnf_hasse",
     "catalan",
+    "count_maximal_chains",
     "enumerate_maximal_chains",
     "f_binomial",
     "f_binomial_rows",

@@ -188,7 +188,7 @@ def cmd_verify(args, parser) -> int:
             line = f"{suite.name}: {suite.cases} checks, {len(suite.failures)} failed"
             if suite.skipped:
                 line += f", {suite.skipped} skipped (scale guard)"
-            sys.stdout.write(line + "\n")
+            sys.stdout.write(f"{line} in {suite.seconds:.2f} s\n")
         for failure in failures:
             sys.stdout.write(
                 f"FAIL {failure.identity} at {failure.inputs}: "
@@ -197,12 +197,19 @@ def cmd_verify(args, parser) -> int:
         sys.stdout.write(f"checks {cases}\nfailures {len(failures)}\n")
         return 1 if failures else 0
     totals = [str(cases), str(len(failures))]
+    # skipped stays the last field, where existing consumers read it
     rows = [
-        [suite.name, str(suite.cases), str(len(suite.failures)), str(suite.skipped)]
+        [
+            suite.name,
+            str(suite.cases),
+            str(len(suite.failures)),
+            f"{suite.seconds:.3f}",
+            str(suite.skipped),
+        ]
         for suite in suites
     ]
     if args.format == "json":
-        fields = ("name", "cases", "failed", "skipped")
+        fields = ("name", "cases", "failed", "seconds", "skipped")
         doc = {
             "object": "verify",
             "params": params,
@@ -210,7 +217,7 @@ def cmd_verify(args, parser) -> int:
             "suites": [dict(zip(fields, row)) for row in rows],
         }
         sys.stdout.write(json.dumps(doc) + "\n")
-    else:  # csv: the totals row, then name,cases,failed,skipped per suite
+    else:  # csv: the totals row, then name,cases,failed,seconds,skipped per suite
         _emit("verify", params, [totals, *rows], args.format)
     return 1 if failures else 0
 

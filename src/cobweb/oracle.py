@@ -5,16 +5,26 @@ It never reuses a closed form it is meant to validate:
 
 * grid diagrams take the componentwise order relation and compute cover
   edges by transitive reduction of the full relation, not from the
-  analytic staircase characterization;
-* maximal chains are enumerated one by one by depth-first traversal along
-  cover edges, never counted by formula;
-* rank censuses recount materialized vertices.
+  analytic staircase characterization.  The reduction runs on Python-int
+  bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
+  O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
+  gradedness, so the gradedness check stays meaningful;
+* layered level sizes come from raw sequence values through the
+  factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a checked
+  division, never from the F-binomial engine;
+* maximal chains are counted two ways along cover edges: one by one by
+  depth-first traversal (``enumerate_maximal_chains``), and by dynamic
+  programming over the vertices in descending rank
+  (``count_maximal_chains``), never by formula;
+* rank censuses recount every vertex.
 
-Layered diagrams (ordinal sums of antichains) keep their cover edges
-implicit: the edge set between consecutive levels is complete bipartite
-and can vastly outnumber the vertices (billions of pairs at the scales
-the vertex census still handles), so ``cover_edges`` is a deterministic
-lazy iteration rather than a stored list.
+Layered diagrams (ordinal sums of antichains) store only their level
+sizes.  Their vertices are streamed level by level on each iteration and
+their cover edges are the complete bipartite pairs between consecutive
+levels, built on demand, so memory stays O(levels) however many vertices
+a census walks (over a million for P(12, gauss2)); only a traversal along
+covers keeps the levels it visits.  Grid diagrams store
+their O(V) vertices and cover edges; the DP holds one entry per vertex.
 
 Scale guards keep exhaustive work bounded: diagram construction refuses
 top indices above ``DEFAULT_MAX_INDEX`` and vertex totals above
@@ -26,11 +36,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
-from .pnfposet import DEFAULT_POLICY, pnf_whitney_vector
-from .sequences import FSequence
+from .pnfposet import DEFAULT_POLICY, pnf_max_rank
+from .sequences import AdmissibilityError, FSequence, NonIntegralError
 
 Vertex = tuple[int, int]
 
@@ -46,8 +58,11 @@ class ScaleLimitError(RuntimeError):
 class HasseDiagram:
     """Vertices plus upper-cover structure of a finite graded poset.
 
-    ``vertices`` is an ordered (lexicographic) sequence of opaque labels;
-    ``rank_of`` is total on them; ``successors`` lists upper covers in
+    ``vertices`` is a sized iterable of opaque labels in lexicographic
+    order: a list for grid diagrams, a read-only stream regenerated from
+    the level sizes on every iteration for layered ones (``len`` is O(1)
+    either way).  ``rank_of`` is total on them and strictly increases
+    along every cover edge; ``successors`` lists upper covers in
     lexicographic order.  Cover edges are exposed as a deterministic
     iteration so layered diagrams never materialize complete bipartite
     edge sets.
@@ -55,21 +70,18 @@ class HasseDiagram:
 
     def __init__(
         self,
-        vertices: Sequence[Vertex],
+        vertices: Collection[Vertex],
         rank_of: Callable[[Vertex], int],
         successors_of: Callable[[Vertex], Sequence[Vertex]],
         minimal_vertices: tuple[Vertex, ...],
     ):
         self.vertices = vertices
-        self._rank_of = rank_of
+        self.rank_of = rank_of
         self._successors_of = successors_of
         self._minimals = minimal_vertices
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def rank_of(self, vertex: Vertex) -> int:
-        return self._rank_of(vertex)
 
     def successors(self, vertex: Vertex) -> Sequence[Vertex]:
         """Upper covers of ``vertex`` in lexicographic order."""
@@ -84,6 +96,29 @@ class HasseDiagram:
         for vertex in self.vertices:
             for upper in self.successors(vertex):
                 yield vertex, upper
+
+
+class _LayeredVertices:
+    """The (level, copy) vertices of a layered diagram, copies from 1.
+
+    Only the level sizes are stored; each iteration streams the tuples
+    level by level, so nothing per vertex outlives its use.
+    """
+
+    __slots__ = ("sizes", "_total")
+
+    def __init__(self, sizes: list[int]) -> None:
+        self.sizes = tuple(sizes)
+        self._total = sum(sizes)
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return chain.from_iterable(map(self.level, range(len(self.sizes))))
+
+    def level(self, k: int) -> Iterator[Vertex]:
+        return zip(repeat(k), range(1, self.sizes[k] + 1))
 
 
 @dataclass(frozen=True)
@@ -106,35 +141,70 @@ def _check_index(n: int, max_index: Optional[int], what: str) -> int:
     return limit
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDiagram:
     """Explicit Hasse diagram of the interval poset with top (k, n).
 
     Cover edges come from transitive reduction of the componentwise order,
     keeping this construction independent of any analytic description of
-    the covers.
+    the covers: with ``up(a)`` the bitset of elements strictly above
+    ``a``, the covers of ``a`` are ``up(a)`` minus everything strictly
+    above some element of ``up(a)``.
     """
     _check_index(n, max_index, "grid")
     elements = grid_elements(k, n)
-    less = {
-        (a, b)
+    up = [
+        sum(1 << j for j, b in enumerate(elements) if a != b and grid_leq(a, b))
         for a in elements
-        for b in elements
-        if a != b and grid_leq(a, b)
-    }
-    successors: dict[Vertex, list[Vertex]] = {v: [] for v in elements}
-    has_predecessor = set()
-    for a, b in sorted(less):
-        if any((a, c) in less and (c, b) in less for c in elements):
-            continue
-        successors[a].append(b)
-        has_predecessor.add(b)
-    minimals = tuple(v for v in elements if v not in has_predecessor)
+    ]
+    successors: dict[Vertex, list[Vertex]] = {}
+    covered = 0
+    for a, above in zip(elements, up):
+        beyond = 0
+        for j in _bits(above):
+            beyond |= up[j]
+        covers = above & ~beyond
+        successors[a] = [elements[j] for j in _bits(covers)]
+        covered |= covers
+    minimals = tuple(v for j, v in enumerate(elements) if not covered >> j & 1)
     return HasseDiagram(
         vertices=elements,
         rank_of=grid_rank,
-        successors_of=lambda v: successors[v],
+        successors_of=successors.__getitem__,
         minimal_vertices=minimals,
     )
+
+
+def _layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
+    """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from raw values."""
+    factorials = [1]
+    for i in range(1, n + 1):
+        value = seq.value_at(i)
+        if value < 1:
+            raise AdmissibilityError(
+                f"{seq.name}: F_{i} = {value} violates admissibility "
+                f"(F_n >= 1 for n >= 1)"
+            )
+        factorials.append(factorials[-1] * value)
+    sizes = []
+    for k in range(top + 1):
+        denominator = factorials[k] * factorials[n - 2 * k]
+        size, remainder = divmod(factorials[n - k], denominator)
+        if remainder:
+            raise NonIntegralError(
+                f"({n - k} choose {k})_F is not an integer for F = {seq.name}: "
+                f"F_{n - k}! leaves remainder {remainder} after dividing by "
+                f"F_{k}! F_{n - 2 * k}! = {denominator}"
+            )
+        sizes.append(size)
+    return sizes
 
 
 def build_pnf_hasse(
@@ -144,35 +214,41 @@ def build_pnf_hasse(
     max_index: Optional[int] = None,
     max_vertices: Optional[int] = None,
 ) -> HasseDiagram:
-    """Explicit diagram of P(n, F): levels of copies, complete covers between
+    """Streamed diagram of P(n, F): levels of copies, complete covers between
     consecutive levels.
 
-    Vertices are (level, copy) pairs with copies numbered from 1.  Level
-    sizes can be enormous for fast-growing F, so the total vertex count is
-    guarded (default ``DEFAULT_MAX_VERTICES``).
+    Vertices are (level, copy) pairs with copies numbered from 1, generated
+    from the level sizes on each iteration; the upper covers of a vertex
+    are the whole next level, built on its first request and kept for the
+    next, so a traversal holds the levels it visits and a census none.
+    Level sizes can be enormous for fast-growing F, so the total vertex
+    count, which bounds the time of a census, is guarded (default
+    ``DEFAULT_MAX_VERTICES``).
     """
     _check_index(n, max_index, "layered-poset")
     vertex_limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    sizes = pnf_whitney_vector(n, seq, policy)
-    total = sum(sizes)
-    if total > vertex_limit:
+    vertices = _LayeredVertices(_layer_sizes(n, seq, pnf_max_rank(n, policy)))
+    if len(vertices) > vertex_limit:
         raise ScaleLimitError(
-            f"P({n}, {seq.name}) has {total} elements, over the vertex guard "
-            f"{vertex_limit}; pass an explicit max_vertices to go further"
+            f"P({n}, {seq.name}) has {len(vertices)} elements, over the vertex "
+            f"guard {vertex_limit}; pass an explicit max_vertices to go further"
         )
-    levels = [[(k, i) for i in range(1, size + 1)] for k, size in enumerate(sizes)]
-    vertices = [vertex for level in levels for vertex in level]
-    empty: list[Vertex] = []
+    top = len(vertices.sizes) - 1
+    built: dict[int, list[Vertex]] = {}  # levels some successors() call asked for
 
     def successors_of(vertex: Vertex) -> Sequence[Vertex]:
-        nxt = vertex[0] + 1
-        return levels[nxt] if nxt < len(levels) else empty
+        level = vertex[0] + 1
+        if level > top:
+            return []
+        if level not in built:
+            built[level] = list(vertices.level(level))
+        return built[level]
 
     return HasseDiagram(
         vertices=vertices,
-        rank_of=lambda v: v[0],
+        rank_of=itemgetter(0),
         successors_of=successors_of,
-        minimal_vertices=tuple(levels[0]),
+        minimal_vertices=tuple(vertices.level(0)),
     )
 
 
@@ -215,8 +291,46 @@ def enumerate_maximal_chains(
     return ChainReport(count, min_len, max_len, min_len == max_len)
 
 
+def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
+    """Count maximal chains by dynamic programming over cover edges.
+
+    Vertices are visited in descending rank; each gets the number of
+    maximal chains starting at it and their shortest and longest lengths,
+    from those of its upper covers (a vertex without covers starts one
+    chain of one element).  The totals run over the minimal vertices.
+    Time is O(V log V + edges) and memory one entry per vertex, with no
+    chain guard; the result equals ``enumerate_maximal_chains`` wherever
+    that fits its guard.
+    """
+    def combined(stats: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+        """(count, shortest, longest) of the chains starting at any of ``stats``."""
+        return (
+            sum(count for count, _, _ in stats),
+            min(shortest for _, shortest, _ in stats),
+            max(longest for _, _, longest in stats),
+        )
+
+    above: dict[Vertex, tuple[int, int, int]] = {}
+    for vertex in sorted(diagram.vertices, key=diagram.rank_of, reverse=True):
+        try:
+            uppers = [above[upper] for upper in diagram.successors(vertex)]
+        except KeyError as missing:
+            raise ValueError(
+                f"rank does not increase along the cover {vertex} < {missing.args[0]}"
+            ) from None
+        if uppers:
+            count, shortest, longest = combined(uppers)
+            above[vertex] = (count, shortest + 1, longest + 1)
+        else:
+            above[vertex] = (1, 1, 1)
+    if not diagram.minimal_vertices:
+        return ChainReport(0, 0, 0, True)
+    count, shortest, longest = combined([above[v] for v in diagram.minimal_vertices])
+    return ChainReport(count, shortest, longest, shortest == longest)
+
+
 def rank_level_counts(diagram: HasseDiagram) -> list[int]:
     """Rank census: entry j counts vertices of rank j, densely from 0."""
-    census = Counter(diagram.rank_of(v) for v in diagram.vertices)
+    census = Counter(map(diagram.rank_of, diagram.vertices))
     top = max(census) if census else -1
     return [census.get(j, 0) for j in range(top + 1)]

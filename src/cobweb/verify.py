@@ -7,12 +7,24 @@ values.  Poset suites scale with ``max_n``; the pure-arithmetic suites
 (binomial algebra, GCD-morphism gate) always run at their full fixed
 bounds since they are instant.
 
-Chain enumerations that would blow the chain guard are reported as
-skipped, never as passed.
+A check the oracle cannot afford is reported as skipped, never as
+passed.  Three guards decide, each counted per input:
+
+* grid chains: the DP always runs, so the closed form and gradedness are
+  checked at every (k, n); only "DFS = DP" is skipped where the DFS would
+  pass ``oracle.DEFAULT_MAX_CHAINS`` chains (none up to ``max_n`` 12);
+* layered chain products: the whole case is skipped where the product of
+  level sizes passes ``oracle.DEFAULT_MAX_CHAINS`` (13 cases at the
+  default ``verify --max-n 12``);
+* layered census: the case is skipped where P(n, F) has more than
+  ``oracle.DEFAULT_MAX_VERTICES`` elements (gauss3 from n = 11 on).
+
+Every suite's wall time is kept in ``SuiteResult.seconds``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +76,7 @@ class SuiteResult:
     cases: int = 0
     skipped: int = 0
     failures: list[CheckFailure] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the whole suite, set by run_verify
 
     def check(self, identity: str, inputs: str, expected, actual) -> None:
         self.cases += 1
@@ -127,51 +140,63 @@ def check_grid_chains(
     closed_form: Optional[Callable[[int, int], int]] = None,
     max_chains: Optional[int] = None,
 ) -> SuiteResult:
-    """Exhaustive chain counts vs the closed form; gradedness; Catalan diagonal.
+    """Oracle chain counts vs the closed form; gradedness; Catalan diagonal.
 
-    ``closed_form`` is injectable (default: the ballot form) so a
-    deliberately wrong formula can be shown to fail; the verifier's own
-    fault-detection test relies on this seam.
+    At every (k, n) the DP chain report over cover edges is compared with
+    the closed form and with gradedness, and the exhaustive DFS, where it
+    fits the chain guard, must give the same report.  ``closed_form`` is
+    injectable (default: the ballot form) so a deliberately wrong formula
+    can be shown to fail; the verifier's own fault-detection test relies
+    on this seam.
     """
     if closed_form is None:
         closed_form = gridposet.grid_chain_count
     suite = SuiteResult("grid maximal chains vs oracle")
     for n in range(2, max_n + 1):
         for k in range(n):
+            inputs = f"(k, n) = ({k}, {n})"
             diagram = oracle.build_grid_hasse(k, n, max_index=max_n)
-            try:
-                report = oracle.enumerate_maximal_chains(diagram, max_chains=max_chains)
-            except oracle.ScaleLimitError:
-                suite.skipped += 1
-                continue
+            report = oracle.count_maximal_chains(diagram)
             try:
                 predicted = closed_form(k, n)
             except Exception as exc:  # a broken formula must surface as a failure
                 suite.fail(
                     "chain-count closed form evaluates",
-                    f"(k, n) = ({k}, {n})",
+                    inputs,
                     report.chain_count,
                     f"raised {type(exc).__name__}: {exc}",
                 )
-                continue
-            suite.check(
-                "chain-count closed form = exhaustive DFS count",
-                f"(k, n) = ({k}, {n})",
-                report.chain_count,
-                predicted,
-            )
+            else:
+                suite.check(
+                    "chain-count closed form = DP count over cover edges",
+                    inputs,
+                    report.chain_count,
+                    predicted,
+                )
             suite.check(
                 "all maximal chains have k+n elements",
-                f"(k, n) = ({k}, {n})",
+                inputs,
                 (k + n, k + n, True),
                 (report.min_length, report.max_length, report.graded),
             )
-            census = oracle.rank_level_counts(diagram)
+            try:
+                enumerated = oracle.enumerate_maximal_chains(
+                    diagram, max_chains=max_chains
+                )
+            except oracle.ScaleLimitError:
+                suite.skipped += 1
+            else:
+                suite.check(
+                    "exhaustive DFS chain report = DP chain report",
+                    inputs,
+                    report,
+                    enumerated,
+                )
             suite.check(
                 "oracle rank census = Whitney vector",
-                f"(k, n) = ({k}, {n})",
+                inputs,
                 gridposet.grid_whitney(k, n),
-                census,
+                oracle.rank_level_counts(diagram),
             )
     for n in range(1, max_n + 1):
         try:
@@ -223,7 +248,12 @@ def check_grid_order_laws(max_n: int) -> SuiteResult:
 
 
 def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Oracle rank censuses of the layered poset equal the F-binomial levels."""
+    """Oracle rank censuses of the layered poset equal the F-binomial levels.
+
+    The oracle takes its level sizes from factorial ratios of raw sequence
+    values and recounts every streamed vertex; the other side is the
+    F-binomial engine.
+    """
     suite = SuiteResult("layered poset census vs oracle")
     for seq in seqs:
         for n in range(1, max_n + 1):
@@ -447,6 +477,13 @@ def check_gcd_morphism() -> SuiteResult:
     return suite
 
 
+def _timed(check: Callable[..., SuiteResult], *args, **kwargs) -> SuiteResult:
+    start = time.perf_counter()
+    suite = check(*args, **kwargs)
+    suite.seconds = time.perf_counter() - start
+    return suite
+
+
 def run_verify(
     max_n: int,
     seq_tokens: Optional[list[str]] = None,
@@ -458,12 +495,12 @@ def run_verify(
     tokens = list(seq_tokens) if seq_tokens else list(DEFAULT_VERIFY_SEQS)
     seqs = [sequence_from_token(token) for token in tokens]
     return [
-        check_grid_counting(max_n),
-        check_grid_chains(max_n, closed_form=chain_closed_form),
-        check_grid_order_laws(max_n),
-        check_pnf_census(max_n, seqs),
-        check_pnf_identities(max_n, seqs),
-        check_pnf_chain_products(max_n, seqs),
-        check_fbinom_algebra(seqs),
-        check_gcd_morphism(),
+        _timed(check_grid_counting, max_n),
+        _timed(check_grid_chains, max_n, closed_form=chain_closed_form),
+        _timed(check_grid_order_laws, max_n),
+        _timed(check_pnf_census, max_n, seqs),
+        _timed(check_pnf_identities, max_n, seqs),
+        _timed(check_pnf_chain_products, max_n, seqs),
+        _timed(check_fbinom_algebra, seqs),
+        _timed(check_gcd_morphism),
     ]

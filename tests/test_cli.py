@@ -387,6 +387,24 @@ class TestFormats:
         assert sum(int(skipped) for *_, skipped in rows) == table_skips
         assert rows == [list(suite.values()) for suite in doc["suites"]]
 
+    def test_verify_reports_suite_seconds_in_every_format(self, capsys):
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            code, outputs[fmt], _ = run_cli(
+                ["verify", "--max-n", "6", "--format", fmt], capsys
+            )
+            assert code == 0
+        doc = json.loads(outputs["json"])
+        suite_lines = outputs["table"].splitlines()[: len(doc["suites"])]
+        assert all(re.search(r" in \d+\.\d\d s$", line) for line in suite_lines)
+        assert [list(suite) for suite in doc["suites"]] == [
+            ["name", "cases", "failed", "seconds", "skipped"]
+        ] * len(doc["suites"])
+        assert all(float(suite["seconds"]) >= 0 for suite in doc["suites"])
+        _, *rows = csv.reader(io.StringIO(outputs["csv"]))
+        assert [len(row) for row in rows] == [5] * len(doc["suites"])
+        assert all(float(row[3]) >= 0 for row in rows)
+
     def test_values_are_decimal_strings_at_any_magnitude(self, capsys):
         code, out, _ = run_cli(
             ["fbinom", "--seq", "fib", "--rows", "40", "--format", "json"], capsys

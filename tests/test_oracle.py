@@ -2,21 +2,63 @@
 
 import pytest
 
-from cobweb.gridposet import grid_chain_count, grid_elements, grid_leq, grid_size, grid_whitney
+from cobweb.gridposet import (
+    catalan,
+    grid_chain_count,
+    grid_elements,
+    grid_leq,
+    grid_rank,
+    grid_size,
+    grid_whitney,
+)
 from cobweb.oracle import (
+    DEFAULT_MAX_CHAINS,
     ChainReport,
+    HasseDiagram,
     ScaleLimitError,
     build_grid_hasse,
     build_pnf_hasse,
+    count_maximal_chains,
     enumerate_maximal_chains,
     rank_level_counts,
 )
-from cobweb.pnfposet import pnf_whitney_vector
-from cobweb.sequences import fibonacci, gaussian, naturals, ones
+from cobweb.pnfposet import POLICIES, pnf_whitney_vector
+from cobweb.sequences import (
+    FSequence,
+    NonIntegralError,
+    fibonacci,
+    gaussian,
+    lucas,
+    naturals,
+    ones,
+)
 
 FIB = fibonacci()
 NAT = naturals()
 ONES = ones()
+LAYERED_SEQS = (FIB, NAT, ONES, gaussian(2), gaussian(3))
+
+
+def cubic_cover_edges(k, n):
+    """Reference transitive reduction: a < b is a cover iff no c lies between."""
+    elements = grid_elements(k, n)
+    less = {(a, b) for a in elements for b in elements if a != b and grid_leq(a, b)}
+    return sorted(
+        (a, b)
+        for a, b in less
+        if not any((a, c) in less and (c, b) in less for c in elements)
+    )
+
+
+def with_extra_edge(diagram, lower, upper):
+    """The same vertices and ranks with one more (transitive) cover edge."""
+    def successors_of(vertex):
+        covers = list(diagram.successors(vertex))
+        return sorted(covers + [upper]) if vertex == lower else covers
+
+    return HasseDiagram(
+        diagram.vertices, diagram.rank_of, successors_of, diagram.minimal_vertices
+    )
 
 
 def reachable(diagram, start):
@@ -80,6 +122,13 @@ class TestGridHasse:
         for vertex in diagram.vertices:
             assert vertex not in reachable(diagram, vertex)
 
+    def test_bitset_covers_equal_cubic_reduction(self):
+        for n in range(1, 13):
+            for k in range(n):
+                diagram = build_grid_hasse(k, n)
+                assert list(diagram.cover_edges()) == cubic_cover_edges(k, n)
+                assert diagram.minimal_vertices == ((0, 1),)
+
     def test_scale_guard(self):
         with pytest.raises(ScaleLimitError, match="12"):
             build_grid_hasse(3, 13)
@@ -93,12 +142,12 @@ class TestPnfHasse:
 
     def test_single_vertex(self):
         diagram = build_pnf_hasse(1, FIB)
-        assert diagram.vertices == [(0, 1)]
+        assert list(diagram.vertices) == [(0, 1)]
         assert list(diagram.cover_edges()) == []
 
     def test_copies_numbered_from_one(self):
         diagram = build_pnf_hasse(4, NAT)
-        assert diagram.vertices == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1)]
+        assert list(diagram.vertices) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1)]
         assert diagram.minimal_vertices == ((0, 1),)
 
     def test_complete_bipartite_between_consecutive_levels(self):
@@ -125,6 +174,27 @@ class TestPnfHasse:
     def test_index_guard(self):
         with pytest.raises(ScaleLimitError):
             build_pnf_hasse(13, NAT)
+
+    def test_vertices_are_streamed_and_sized(self):
+        diagram = build_pnf_hasse(12, gaussian(2))
+        assert len(diagram) == len(diagram.vertices) == 1_167_789
+        assert not isinstance(diagram.vertices, (list, tuple))
+        small = build_pnf_hasse(6, FIB)  # levels 1, 5, 6, 1
+        expected = [(0, 1)] + [(1, i) for i in range(1, 6)]
+        expected += [(2, i) for i in range(1, 7)] + [(3, 1)]
+        assert list(small.vertices) == expected
+        assert list(small.vertices) == expected  # every iteration starts afresh
+        assert small.successors((1, 4)) == [(2, i) for i in range(1, 7)]
+        assert small.successors((3, 1)) == []
+
+    def test_non_integral_level_names_the_entry(self):
+        with pytest.raises(NonIntegralError, match=r"\(4 choose 2\)_F .* lucas"):
+            build_pnf_hasse(6, lucas())
+
+    def test_inadmissible_value_is_rejected(self):
+        zero_at_3 = FSequence("zero-at-3", lambda i: 0 if i == 3 else 1)
+        with pytest.raises(ValueError, match="F_3 = 0"):
+            build_pnf_hasse(4, zero_at_3)
 
     def test_vertex_guard(self):
         with pytest.raises(ScaleLimitError, match="vertex guard"):
@@ -161,6 +231,51 @@ class TestChainEnumeration:
     def test_chain_guard_trips(self):
         with pytest.raises(ScaleLimitError, match="chains"):
             enumerate_maximal_chains(build_grid_hasse(5, 6), max_chains=10)
+
+    def test_dp_equals_dfs_on_every_grid_to_12(self):
+        for n in range(1, 13):
+            for k in range(n):
+                diagram = build_grid_hasse(k, n)
+                assert count_maximal_chains(diagram) == enumerate_maximal_chains(diagram)
+
+    def test_dp_equals_dfs_on_layered_diagrams_under_the_chain_guard(self):
+        compared = 0
+        for seq in LAYERED_SEQS:
+            for policy in POLICIES:
+                for n in range(1, 13):
+                    product = 1
+                    for size in pnf_whitney_vector(n, seq, policy):
+                        product *= size
+                    if product > DEFAULT_MAX_CHAINS:
+                        continue
+                    diagram = build_pnf_hasse(n, seq, policy)
+                    report = count_maximal_chains(diagram)
+                    assert report == enumerate_maximal_chains(diagram)
+                    assert report.chain_count == product
+                    compared += 1
+        assert compared > 60
+
+    def test_dp_reaches_catalan_far_beyond_the_chain_guard(self):
+        for n in (30, 40):
+            report = count_maximal_chains(build_grid_hasse(n - 1, n, max_index=n))
+            assert report == ChainReport(catalan(n - 1), 2 * n - 1, 2 * n - 1, True)
+
+    def test_dp_reports_an_extra_transitive_edge_as_ungraded(self):
+        diagram = with_extra_edge(build_grid_hasse(1, 2), (0, 1), (1, 2))
+        assert count_maximal_chains(diagram) == ChainReport(2, 2, 3, False)
+        assert enumerate_maximal_chains(diagram) == ChainReport(2, 2, 3, False)
+        longer = with_extra_edge(build_grid_hasse(3, 5), (0, 2), (1, 3))
+        report = count_maximal_chains(longer)
+        assert not report.graded
+        assert report == enumerate_maximal_chains(longer)
+
+    def test_dp_rejects_a_rank_that_does_not_increase(self):
+        base = build_grid_hasse(2, 3)
+        flipped = HasseDiagram(
+            base.vertices, lambda v: -grid_rank(v), base.successors, base.minimal_vertices
+        )
+        with pytest.raises(ValueError, match="rank does not increase"):
+            count_maximal_chains(flipped)
 
     def test_product_rule_with_explicit_overrides(self):
         # the products exceed the default guard at the top of these ranges

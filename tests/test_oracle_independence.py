@@ -1,0 +1,42 @@
+"""The oracle must not reuse any closed form that ``verify`` checks against it."""
+
+import ast
+from pathlib import Path
+
+import cobweb.oracle
+
+CHECKED_CLOSED_FORMS = ("grid_size", "grid_whitney", "grid_bell", "grid_chain_count", "catalan")
+CHECKED_PREFIXES = ("pnf_whitney", "pnf_bell", "f_binomial")
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every imported, read or attribute-accessed name in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+            names.update(alias.asname for alias in node.names if alias.asname)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def is_checked_closed_form(name: str) -> bool:
+    return name in CHECKED_CLOSED_FORMS or name.startswith(CHECKED_PREFIXES)
+
+
+def test_oracle_uses_no_checked_closed_form():
+    path = Path(cobweb.oracle.__file__)
+    names = referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    assert "grid_leq" in names  # the walk does see the oracle's own imports
+    found = sorted(name for name in names if is_checked_closed_form(name))
+    assert found == [], f"oracle.py reuses closed forms it must check: {found}"
+
+
+def test_guard_recognises_every_listed_form():
+    for name in ("pnf_whitney_vector", "pnf_bell_sequence", "f_binomials", "catalan"):
+        assert is_checked_closed_form(name)
+    for name in ("grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval"):
+        assert not is_checked_closed_form(name)

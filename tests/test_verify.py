@@ -1,10 +1,12 @@
 """The verification suites themselves, including fault detection."""
 
+import tracemalloc
 from math import comb
 
 import pytest
 
 from cobweb import verify
+from cobweb.sequences import gaussian
 
 
 def broken_chain_count(k, n):
@@ -37,6 +39,25 @@ class TestSuites:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             verify.run_verify(1)
+
+    def test_default_scale_counts(self):
+        suites = {s.name: s for s in verify.run_verify(12)}
+        assert sum(s.cases for s in suites.values()) >= 5710
+        assert not any(s.failures for s in suites.values())
+        assert suites["grid maximal chains vs oracle"].skipped == 0
+        assert suites["layered poset chain products"].skipped == 13
+        assert all(s.seconds > 0 for s in suites.values())
+
+    def test_layered_census_runs_in_bounded_memory(self):
+        # P(12, gauss2) alone has 1,167,789 elements; none may be held at once
+        tracemalloc.start()
+        try:
+            suite = verify.check_pnf_census(12, [gaussian(2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert suite.cases == 24 and not suite.failures
+        assert peak < 8 * 2**20
 
     def test_skips_are_reported_not_passed(self):
         suites = {s.name: s for s in verify.run_verify(10)}
