@@ -9,7 +9,7 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
-* layered level sizes come from raw sequence values through the
+* layered level sizes come from ``seq_eval`` values through the
   factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a checked
   division, never from the F-binomial engine;
 * maximal chains are counted two ways along cover edges: one by one by
@@ -42,7 +42,7 @@ from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
 from .pnfposet import DEFAULT_POLICY, pnf_max_rank
-from .sequences import AdmissibilityError, FSequence, NonIntegralError
+from .sequences import FSequence, NonIntegralError, seq_eval
 
 Vertex = tuple[int, int]
 
@@ -55,6 +55,7 @@ class ScaleLimitError(RuntimeError):
     """Construction or enumeration would exceed a scale guard."""
 
 
+@dataclass(frozen=True, eq=False)
 class HasseDiagram:
     """Vertices plus upper-cover structure of a finite graded poset.
 
@@ -62,34 +63,19 @@ class HasseDiagram:
     order: a list for grid diagrams, a read-only stream regenerated from
     the level sizes on every iteration for layered ones (``len`` is O(1)
     either way).  ``rank_of`` is total on them and strictly increases
-    along every cover edge; ``successors`` lists upper covers in
-    lexicographic order.  Cover edges are exposed as a deterministic
-    iteration so layered diagrams never materialize complete bipartite
-    edge sets.
+    along every cover edge; ``successors(v)`` lists the upper covers of
+    ``v`` in lexicographic order.  Cover edges are exposed as a
+    deterministic iteration so layered diagrams never materialize complete
+    bipartite edge sets.
     """
 
-    def __init__(
-        self,
-        vertices: Collection[Vertex],
-        rank_of: Callable[[Vertex], int],
-        successors_of: Callable[[Vertex], Sequence[Vertex]],
-        minimal_vertices: tuple[Vertex, ...],
-    ):
-        self.vertices = vertices
-        self.rank_of = rank_of
-        self._successors_of = successors_of
-        self._minimals = minimal_vertices
+    vertices: Collection[Vertex]
+    rank_of: Callable[[Vertex], int]
+    successors: Callable[[Vertex], Sequence[Vertex]]
+    minimal_vertices: tuple[Vertex, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def successors(self, vertex: Vertex) -> Sequence[Vertex]:
-        """Upper covers of ``vertex`` in lexicographic order."""
-        return self._successors_of(vertex)
-
-    @property
-    def minimal_vertices(self) -> tuple[Vertex, ...]:
-        return self._minimals
 
     def cover_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         """All (lower, upper) cover pairs, lexicographic by lower then upper."""
@@ -177,22 +163,16 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     return HasseDiagram(
         vertices=elements,
         rank_of=grid_rank,
-        successors_of=successors.__getitem__,
+        successors=successors.__getitem__,
         minimal_vertices=minimals,
     )
 
 
 def _layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
-    """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from raw values."""
+    """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from F_1..F_n."""
     factorials = [1]
     for i in range(1, n + 1):
-        value = seq.value_at(i)
-        if value < 1:
-            raise AdmissibilityError(
-                f"{seq.name}: F_{i} = {value} violates admissibility "
-                f"(F_n >= 1 for n >= 1)"
-            )
-        factorials.append(factorials[-1] * value)
+        factorials.append(factorials[-1] * seq_eval(seq, i))
     sizes = []
     for k in range(top + 1):
         denominator = factorials[k] * factorials[n - 2 * k]
@@ -247,7 +227,7 @@ def build_pnf_hasse(
     return HasseDiagram(
         vertices=vertices,
         rank_of=itemgetter(0),
-        successors_of=successors_of,
+        successors=successors_of,
         minimal_vertices=tuple(vertices.level(0)),
     )
 

@@ -28,6 +28,12 @@ the recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
 step k of that product.  Both share one checked division step, so a
 non-integral entry raises the same error whichever path reaches it.
 
+The shipped sequences are listed once, in a CLI name -> factory registry.
+Each is spelled two ways, with the same result and errors: by name and
+base (``make_sequence("gauss", 2)``, the CLI's ``--seq gauss --q 2``) or
+by one spec, the name with gauss's base appended
+(``sequence_from_spec("gauss2")``, a ``verify --seq`` token).
+
 Every function here is pure: no shared mutable state (no table outlives its
 call), safe to call from multiple threads, deterministic for equal inputs.
 """
@@ -49,15 +55,10 @@ class NonIntegralError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FSequence:
-    """A named integer sequence n -> F_n supplied by a total callable.
-
-    ``claims_gcd_morphic`` records the expectation tests hold the sequence
-    to; it is never trusted by the arithmetic itself.
-    """
+    """A named integer sequence n -> F_n supplied by a total callable."""
 
     name: str
     value_at: Callable[[int], int] = field(repr=False)
-    claims_gcd_morphic: bool = False
 
     def __repr__(self) -> str:
         return f"FSequence({self.name!r})"
@@ -244,34 +245,43 @@ def _lucas_value(n: int) -> int:
 
 def fibonacci() -> FSequence:
     """F_1 = F_2 = 1, F_n = F_{n-1} + F_{n-2}; F_0 = 0."""
-    return FSequence("fibonacci", _fib_value, claims_gcd_morphic=True)
+    return FSequence("fibonacci", _fib_value)
 
 
 def naturals() -> FSequence:
     """F_n = n."""
-    return FSequence("naturals", lambda n: n, claims_gcd_morphic=True)
+    return FSequence("naturals", lambda n: n)
 
 
 def ones() -> FSequence:
     """F_n = 1 for all n."""
-    return FSequence("ones", lambda n: 1, claims_gcd_morphic=True)
+    return FSequence("ones", lambda n: 1)
 
 
 def gaussian(q: int) -> FSequence:
     """F_n = (q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) for integer q >= 2."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"gaussian base must be an integer >= 2, got {q!r}")
-    return FSequence(
-        f"gauss(q={q})", lambda n: (q**n - 1) // (q - 1), claims_gcd_morphic=True
-    )
+    return FSequence(f"gauss(q={q})", lambda n: (q**n - 1) // (q - 1))
 
 
 def lucas() -> FSequence:
     """L_0 = 2, L_1 = 1, L_n = L_{n-1} + L_{n-2}; not GCD-morphic."""
-    return FSequence("lucas", _lucas_value, claims_gcd_morphic=False)
+    return FSequence("lucas", _lucas_value)
 
 
-SEQUENCE_NAMES = ("fib", "naturals", "ones", "gauss", "lucas")
+# CLI name -> factory; gauss's factory takes the base q
+_FACTORIES = {
+    "fib": fibonacci,
+    "naturals": naturals,
+    "ones": ones,
+    "gauss": gaussian,
+    "lucas": lucas,
+}
+SEQUENCE_NAMES = tuple(_FACTORIES)
+
+# the shipped sequences expected to pass the GCD-morphism gate, as specs
+GCD_MORPHIC_SPECS = ("fib", "naturals", "ones", "gauss2", "gauss3")
 
 
 def make_sequence(name: str, q: Optional[int] = None) -> FSequence:
@@ -282,18 +292,24 @@ def make_sequence(name: str, q: Optional[int] = None) -> FSequence:
         return gaussian(q)
     if q is not None:
         raise ValueError(f"sequence {name!r} does not take a base parameter q")
-    factories = {
-        "fib": fibonacci,
-        "naturals": naturals,
-        "ones": ones,
-        "lucas": lucas,
-    }
-    if name not in factories:
+    if name not in _FACTORIES:
         known = ", ".join(SEQUENCE_NAMES)
         raise ValueError(f"unknown sequence {name!r} (known: {known})")
-    return factories[name]()
+    return _FACTORIES[name]()
+
+
+def sequence_from_spec(spec: str) -> FSequence:
+    """Build a shipped sequence from one spec: a CLI name, then gauss's base q.
+
+    Trailing decimal digits are the base, so ``"gauss2"`` is
+    ``make_sequence("gauss", 2)`` and ``"fib"`` is ``make_sequence("fib")``;
+    errors are those of ``make_sequence`` (``"fib2"`` takes no base).
+    """
+    name = spec.rstrip("0123456789")
+    base = spec[len(name):]
+    return make_sequence(name, int(base) if base else None)
 
 
 def gcd_morphic_family() -> list[FSequence]:
     """The shipped sequences expected to pass the GCD-morphism gate."""
-    return [fibonacci(), naturals(), ones(), gaussian(2), gaussian(3)]
+    return [sequence_from_spec(spec) for spec in GCD_MORPHIC_SPECS]

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 from . import gridposet, oracle, pnfposet
 from .sequences import (
+    GCD_MORPHIC_SPECS,
     FSequence,
     NonIntegralError,
     f_binomial,
@@ -42,14 +43,15 @@ from .sequences import (
     lucas,
     make_sequence,
     seq_eval,
+    sequence_from_spec,
 )
 
 FBINOM_BOUND = 40
 GCD_BOUND = 60
 ORDER_LAW_BOUND = 8
 
-# verify tokens: plain shipped names plus gauss with the base pre-bound
-VERIFY_SEQ_TOKENS = ("fib", "naturals", "ones", "gauss2", "gauss3")
+# verify tokens: the sequence specs of the GCD-morphic family
+VERIFY_SEQ_TOKENS = GCD_MORPHIC_SPECS
 DEFAULT_VERIFY_SEQS = ("fib", "naturals", "ones", "gauss2")
 
 
@@ -57,9 +59,7 @@ def sequence_from_token(token: str) -> FSequence:
     if token not in VERIFY_SEQ_TOKENS:
         known = ", ".join(VERIFY_SEQ_TOKENS)
         raise ValueError(f"unknown verify sequence {token!r} (known: {known})")
-    if token.startswith("gauss"):
-        return make_sequence("gauss", int(token[5:]))
-    return make_sequence(token)
+    return sequence_from_spec(token)
 
 
 @dataclass(frozen=True)
@@ -135,22 +135,13 @@ def check_grid_counting(max_n: int) -> SuiteResult:
     return suite
 
 
-def check_grid_chains(
-    max_n: int,
-    closed_form: Optional[Callable[[int, int], int]] = None,
-    max_chains: Optional[int] = None,
-) -> SuiteResult:
-    """Oracle chain counts vs the closed form; gradedness; Catalan diagonal.
+def check_grid_chains(max_n: int) -> SuiteResult:
+    """Oracle chain counts vs the ballot form; gradedness; Catalan diagonal.
 
     At every (k, n) the DP chain report over cover edges is compared with
     the closed form and with gradedness, and the exhaustive DFS, where it
-    fits the chain guard, must give the same report.  ``closed_form`` is
-    injectable (default: the ballot form) so a deliberately wrong formula
-    can be shown to fail; the verifier's own fault-detection test relies
-    on this seam.
+    fits the chain guard, must give the same report.
     """
-    if closed_form is None:
-        closed_form = gridposet.grid_chain_count
     suite = SuiteResult("grid maximal chains vs oracle")
     for n in range(2, max_n + 1):
         for k in range(n):
@@ -158,7 +149,7 @@ def check_grid_chains(
             diagram = oracle.build_grid_hasse(k, n, max_index=max_n)
             report = oracle.count_maximal_chains(diagram)
             try:
-                predicted = closed_form(k, n)
+                predicted = gridposet.grid_chain_count(k, n)
             except Exception as exc:  # a broken formula must surface as a failure
                 suite.fail(
                     "chain-count closed form evaluates",
@@ -180,9 +171,7 @@ def check_grid_chains(
                 (report.min_length, report.max_length, report.graded),
             )
             try:
-                enumerated = oracle.enumerate_maximal_chains(
-                    diagram, max_chains=max_chains
-                )
+                enumerated = oracle.enumerate_maximal_chains(diagram)
             except oracle.ScaleLimitError:
                 suite.skipped += 1
             else:
@@ -200,7 +189,7 @@ def check_grid_chains(
             )
     for n in range(1, max_n + 1):
         try:
-            diagonal = closed_form(n - 1, n)
+            diagonal = gridposet.grid_chain_count(n - 1, n)
         except Exception as exc:
             suite.fail(
                 "near-diagonal chain-count closed form evaluates",
@@ -278,9 +267,14 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
 
 
 def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Stirling/Whitney duality, policy step, Fibonacci specialization."""
+    """Stirling/Whitney duality, policy step, Fibonacci specialization.
+
+    The Bell sequence by diagonal row sums (``pnf_bell_sequence``) is
+    checked against per-n Bell numbers, each a sum of its own levels.
+    """
     suite = SuiteResult("layered poset identities")
     for seq in seqs:
+        bells = {policy: [] for policy in pnfposet.POLICIES}
         for n in range(1, max_n + 1):
             for j in range(-1, n + 2):
                 suite.check(
@@ -289,14 +283,20 @@ def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
                     pnfposet.pnf_whitney(n, n - j, seq),
                     pnfposet.pnf_stirling2(n, j, seq),
                 )
-            step = pnfposet.pnf_bell(n, seq, "include") - pnfposet.pnf_bell(
-                n, seq, "exclude"
-            )
+            for policy, values in bells.items():
+                values.append(pnfposet.pnf_bell(n, seq, policy))
             suite.check(
                 "including the degenerate level adds 1 for even n, 0 for odd",
                 f"(n, F) = ({n}, {seq.name})",
                 1 if n % 2 == 0 else 0,
-                step,
+                bells["include"][-1] - bells["exclude"][-1],
+            )
+        for policy, values in bells.items():
+            suite.check(
+                "Bell sequence by diagonal row sums = per-n Bell numbers",
+                f"(N, F, policy) = ({max_n}, {seq.name}, {policy})",
+                values,
+                pnfposet.pnf_bell_sequence(seq, max_n, policy),
             )
     fib_pair = [1, 1]  # Fib(1), Fib(2)
     nat = make_sequence("naturals")
@@ -484,11 +484,7 @@ def _timed(check: Callable[..., SuiteResult], *args, **kwargs) -> SuiteResult:
     return suite
 
 
-def run_verify(
-    max_n: int,
-    seq_tokens: Optional[list[str]] = None,
-    chain_closed_form: Optional[Callable[[int, int], int]] = None,
-) -> list[SuiteResult]:
+def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[SuiteResult]:
     """Run every suite; poset ranges scale with ``max_n``."""
     if max_n < 2:
         raise ValueError(f"verification scale must be >= 2, got {max_n}")
@@ -496,7 +492,7 @@ def run_verify(
     seqs = [sequence_from_token(token) for token in tokens]
     return [
         _timed(check_grid_counting, max_n),
-        _timed(check_grid_chains, max_n, closed_form=chain_closed_form),
+        _timed(check_grid_chains, max_n),
         _timed(check_grid_order_laws, max_n),
         _timed(check_pnf_census, max_n, seqs),
         _timed(check_pnf_identities, max_n, seqs),

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobweb import verify
 from cobweb.sequences import (
+    GCD_MORPHIC_SPECS,
+    SEQUENCE_NAMES,
     AdmissibilityError,
     FSequence,
     NonIntegralError,
@@ -24,6 +27,7 @@ from cobweb.sequences import (
     naturals,
     ones,
     seq_eval,
+    sequence_from_spec,
 )
 
 SHIPPED = {
@@ -291,9 +295,7 @@ class TestGcdMorphicCheck:
 
     def test_family_matches_claims(self):
         for seq in gcd_morphic_family():
-            assert seq.claims_gcd_morphic
             assert gcd_morphic_check(seq, 60).holds
-        assert not lucas().claims_gcd_morphic
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -320,3 +322,57 @@ class TestMakeSequence:
     def test_gauss_base_validation(self):
         with pytest.raises(ValueError):
             gaussian(1)
+
+    def test_names_survive_wrapped_module_functions(self, monkeypatch):
+        # a profiler or tracer may rebind every public function of the module
+        import inspect
+
+        from cobweb import sequences
+
+        for attr, obj in list(vars(sequences).items()):
+            if inspect.isfunction(obj) and not attr.startswith("_"):
+                monkeypatch.setattr(
+                    sequences, attr, lambda *a, _fn=obj, **kw: _fn(*a, **kw)
+                )
+        for name in SEQUENCE_NAMES:
+            q = 2 if name == "gauss" else None
+            assert seq_eval(sequences.make_sequence(name, q), 3) >= 1
+        assert sequences.sequence_from_spec("gauss3").name == "gauss(q=3)"
+
+
+class TestSequenceSpec:
+    # spec -> the same sequence in the flag spelling (--seq NAME [--q Q])
+    FLAGS = {
+        "fib": ("fib", None),
+        "naturals": ("naturals", None),
+        "ones": ("ones", None),
+        **{f"gauss{q}": ("gauss", q) for q in range(2, 6)},
+    }
+
+    @staticmethod
+    def fingerprint(seq):
+        return seq.name, [seq_eval(seq, i) for i in range(1, 21)]
+
+    def test_agrees_with_flag_spelling(self):
+        assert set(GCD_MORPHIC_SPECS) <= set(self.FLAGS)
+        for spec, (name, q) in self.FLAGS.items():
+            assert self.fingerprint(sequence_from_spec(spec)) == self.fingerprint(
+                make_sequence(name, q)
+            )
+
+    @pytest.mark.parametrize(
+        "spec, name, q",
+        [("gauss", "gauss", None), ("fib2", "fib", 2), ("tribonacci", "tribonacci", None)],
+    )
+    def test_raises_the_flag_spelling_errors(self, spec, name, q):
+        with pytest.raises(ValueError) as flag_error:
+            make_sequence(name, q)
+        with pytest.raises(ValueError) as spec_error:
+            sequence_from_spec(spec)
+        assert str(spec_error.value) == str(flag_error.value)
+
+    def test_gcd_morphic_family_is_the_parsed_verify_tokens(self):
+        parsed = [verify.sequence_from_token(t) for t in verify.VERIFY_SEQ_TOKENS]
+        assert list(map(self.fingerprint, gcd_morphic_family())) == list(
+            map(self.fingerprint, parsed)
+        )

@@ -1,12 +1,13 @@
 """The verification suites themselves, including fault detection."""
 
 import tracemalloc
+from itertools import islice
 from math import comb
 
 import pytest
 
-from cobweb import verify
-from cobweb.sequences import gaussian
+from cobweb import pnfposet, verify
+from cobweb.sequences import gaussian, naturals
 
 
 def broken_chain_count(k, n):
@@ -67,8 +68,9 @@ class TestSuites:
 
 
 class TestFaultInjection:
-    def test_broken_formula_is_detected_at_0_2(self):
-        suites = verify.run_verify(6, chain_closed_form=broken_chain_count)
+    def test_broken_formula_is_detected_at_0_2(self, monkeypatch):
+        monkeypatch.setattr("cobweb.gridposet.grid_chain_count", broken_chain_count)
+        suites = verify.run_verify(6)
         failures = [f for suite in suites for f in suite.failures]
         assert failures, "the wrong closed form must not verify"
         assert "(0, 2)" in failures[0].inputs
@@ -89,9 +91,28 @@ class TestFaultInjection:
         assert "(1, 2)" in first.inputs
         assert (first.expected, first.actual) == ("[1, 1, 1]", "[1, 2, 1]")
 
-    def test_failure_records_name_identity_and_values(self):
-        suites = verify.run_verify(4, chain_closed_form=broken_chain_count)
+    def test_failure_records_name_identity_and_values(self, monkeypatch):
+        monkeypatch.setattr("cobweb.gridposet.grid_chain_count", broken_chain_count)
+        suites = verify.run_verify(4)
         failure = next(f for suite in suites for f in suite.failures)
         assert failure.identity
         assert "(k, n)" in failure.inputs
         assert failure.expected and failure.actual
+
+    def test_bell_sequence_dropping_its_last_row_is_detected(self, monkeypatch):
+        rows = pnfposet.f_binomial_rows
+
+        def without_last_row(seq, last_row, diagonal=None):
+            return islice(rows(seq, last_row, diagonal), last_row)
+
+        monkeypatch.setattr("cobweb.pnfposet.f_binomial_rows", without_last_row)
+        suite = verify.check_pnf_identities(6, [naturals()])
+        identities = {f.identity for f in suite.failures}
+        assert identities == {"Bell sequence by diagonal row sums = per-n Bell numbers"}
+        first = suite.failures[0]
+        assert first.inputs == "(N, F, policy) = (6, naturals, include)"
+        assert (first.expected, first.actual) == (
+            "[1, 2, 3, 5, 8, 13]",
+            "[1, 2, 3, 5, 8, 12]",
+        )
+        assert len(suite.failures) == 2  # both policies
