@@ -34,7 +34,6 @@ from .pnfposet import (
     pnf_bell,
     pnf_bell_sequence,
     pnf_max_rank,
-    pnf_stirling2,
     pnf_whitney,
     pnf_whitney_vector,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "pnf_bell",
     "pnf_bell_sequence",
     "pnf_max_rank",
-    "pnf_stirling2",
     "pnf_whitney",
     "pnf_whitney_vector",
     "rank_level_counts",

@@ -13,8 +13,7 @@ k = n/2 is degenerate (it always has exactly one element, since
   the Bell-like numbers then satisfy B_n = Fib(n+1).
 * ``"exclude"``: drop it, so the top rank is ceil(n/2) - 1.
 
-Whitney numbers of P(n, F) are the level sizes; the Stirling-style view
-S(n, j, F) reads the same census at rank k = n - j; the Bell-like number
+Whitney numbers of P(n, F) are the level sizes; the Bell-like number
 B_n(F) is the total size, i.e. the diagonal F-binomial sum.
 """
 
@@ -50,14 +49,6 @@ def pnf_whitney_vector(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> 
     """The full rank census [W_0, ..., W_maxrank]."""
     top = pnf_max_rank(n, policy)
     return f_binomials(seq, [(n - k, k) for k in range(top + 1)])
-
-
-def pnf_stirling2(n: int, j: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:
-    """Stirling-style reading S(n, j, F) of the census, at rank k = n - j."""
-    k = n - j
-    if k < 0:
-        return 0
-    return pnf_whitney(n, k, seq, policy)
 
 
 def pnf_bell(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 
 class AdmissibilityError(ValueError):
-    """A sequence value violates F_n >= 1 for some queried index n >= 1."""
+    """A queried sequence value is not an int, or is below 1 at an index n >= 1."""
 
 
 class NonIntegralError(ArithmeticError):
@@ -85,10 +85,19 @@ class GcdMorphicReport:
 
 
 def seq_eval(seq: FSequence, n: int) -> int:
-    """Return F_n, enforcing admissibility at the queried index."""
+    """Return F_n, enforcing admissibility at the queried index.
+
+    F_n must be an ``int`` (exactly: a float, a ``Fraction`` or a ``bool``
+    is rejected, the last because ``True`` would print as a word, not 1)
+    and, for n >= 1, at least 1.
+    """
     if n < 0:
         raise ValueError(f"sequence index must be >= 0, got {n}")
     value = seq.value_at(n)
+    if type(value) is not int:
+        raise AdmissibilityError(
+            f"{seq.name}: F_{n} = {value!r} is a {type(value).__name__}, not an int"
+        )
     if n >= 1 and value < 1:
         raise AdmissibilityError(
             f"{seq.name}: F_{n} = {value} violates admissibility (F_n >= 1 for n >= 1)"

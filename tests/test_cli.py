@@ -247,6 +247,13 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--max-n", "6", "--seq", "lucas"], capsys)
         assert code == 2
 
+    def test_repeated_seq_token_is_usage_error(self, capsys):
+        argv = ["verify", "--max-n", "6", "--seq", "fib,fib,fib"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "'fib' is given more than once" in err
+
     def test_scale_limit_env_blocks_large_n(self, capsys, monkeypatch):
         monkeypatch.setenv("COBWEB_SCALE_LIMIT", "8")
         code, _, err = run_cli(["verify", "--max-n", "10"], capsys)

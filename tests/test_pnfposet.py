@@ -1,4 +1,4 @@
-"""Layered poset P(n, F): levels, Whitney/Stirling census, Bell-like numbers."""
+"""Layered poset P(n, F): levels, Whitney census, Bell-like numbers."""
 
 import math
 
@@ -8,7 +8,6 @@ from cobweb.pnfposet import (
     pnf_bell,
     pnf_bell_sequence,
     pnf_max_rank,
-    pnf_stirling2,
     pnf_whitney,
     pnf_whitney_vector,
 )
@@ -88,27 +87,6 @@ class TestWhitney:
     def test_excluded_boundary_is_zero(self):
         assert pnf_whitney(4, 2, NAT, "exclude") == 0
         assert pnf_whitney(4, 2, NAT, "include") == 1
-
-
-class TestStirling:
-    def test_examples(self):
-        assert pnf_stirling2(4, 3, NAT) == 3
-        assert pnf_stirling2(4, 1, NAT) == 0  # rank 3 exceeds the top level
-        assert pnf_stirling2(6, 4, FIB) == 6
-
-    def test_duality_with_whitney(self):
-        for seq in (FIB, NAT, ONES):
-            for n in range(1, 31):
-                for j in range(-2, n + 3):
-                    assert pnf_stirling2(n, j, seq) == pnf_whitney(n, n - j, seq)
-
-    def test_support_window(self):
-        # nonzero only for n - maxrank <= j <= n
-        for n in range(1, 21):
-            lo = n - pnf_max_rank(n, "include")
-            for j in range(0, n + 1):
-                value = pnf_stirling2(n, j, NAT)
-                assert (value > 0) == (lo <= j <= n)
 
 
 class TestBell:

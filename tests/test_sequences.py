@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import verify
+from cobweb.oracle import build_pnf_hasse
+from cobweb.pnfposet import pnf_bell
 from cobweb.sequences import (
     GCD_MORPHIC_SPECS,
     SEQUENCE_NAMES,
@@ -92,6 +94,29 @@ class TestSeqEval:
     def test_deterministic(self):
         seq = SHIPPED["fibonacci"]
         assert {seq_eval(seq, 30) for _ in range(5)} == {832040}
+
+    @pytest.mark.parametrize(
+        "seq, kind",
+        [
+            (FSequence("half", lambda n: 1.5 * n), "float"),
+            (FSequence("flag", lambda n: True), "bool"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda seq: f_binomial(seq, 6, 3),
+            lambda seq: pnf_bell(6, seq),
+            lambda seq: build_pnf_hasse(6, seq),
+        ],
+        ids=["f_binomial", "pnf_bell", "build_pnf_hasse"],
+    )
+    def test_non_int_value_rejected_naming_sequence_index_and_type(
+        self, seq, kind, compute
+    ):
+        message = rf"^{seq.name}: F_\d+ = .* is a {kind}, not an int$"
+        with pytest.raises(AdmissibilityError, match=message):
+            compute(seq)
 
 
 class TestFFactorial:

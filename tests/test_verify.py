@@ -41,9 +41,13 @@ class TestSuites:
         with pytest.raises(ValueError):
             verify.run_verify(1)
 
+    def test_repeated_sequence_token_is_rejected(self):
+        with pytest.raises(ValueError, match="'naturals' is given more than once"):
+            verify.run_verify(4, ["fib", "naturals", "gauss2", "naturals", "fib"])
+
     def test_default_scale_counts(self):
         suites = {s.name: s for s in verify.run_verify(12)}
-        assert sum(s.cases for s in suites.values()) >= 5710
+        assert sum(s.cases for s in suites.values()) == 4944
         assert not any(s.failures for s in suites.values())
         assert suites["grid maximal chains vs oracle"].skipped == 0
         assert suites["layered poset chain products"].skipped == 13
@@ -90,6 +94,26 @@ class TestFaultInjection:
         assert first.identity == "Whitney closed form = rank census of the enumerated set"
         assert "(1, 2)" in first.inputs
         assert (first.expected, first.actual) == ("[1, 1, 1]", "[1, 2, 1]")
+
+    def test_raising_chain_count_fails_every_check_it_feeds(self, monkeypatch):
+        healthy = verify.check_grid_chains(4)
+
+        def raising(k, n):
+            raise ArithmeticError(f"no chain count at ({k}, {n})")
+
+        monkeypatch.setattr("cobweb.gridposet.grid_chain_count", raising)
+        suite = verify.check_grid_chains(4)
+        assert suite.cases == healthy.cases
+        assert {f.identity for f in suite.failures} == {
+            "chain-count closed form = DP count over cover edges",
+            "near-diagonal chain count = Catalan number",
+        }
+        # 9 grid inputs 0 <= k < n <= 4, then the near-diagonal n = 1..4
+        assert len(suite.failures) == 9 + 4
+        assert all(f.actual.startswith("raised ") for f in suite.failures)
+        last = suite.failures[-1]
+        assert (last.inputs, last.expected) == ("n = 4", "5")
+        assert last.actual == "raised ArithmeticError: no chain count at (3, 4)"
 
     def test_failure_records_name_identity_and_values(self, monkeypatch):
         monkeypatch.setattr("cobweb.gridposet.grid_chain_count", broken_chain_count)
