@@ -14,12 +14,22 @@ k = n/2 is degenerate (it always has exactly one element, since
 * ``"exclude"``: drop it, so the top rank is ceil(n/2) - 1.
 
 Whitney numbers of P(n, F) are the level sizes; the Bell-like number
-B_n(F) is the total size, i.e. the diagonal F-binomial sum.
+B_n(F) is the total size, i.e. the diagonal F-binomial sum.  The census is
+one walk down that diagonal (``f_binomial_diagonal``): W_0 = 1 and
+W_1 = F_{n-1}/F_1, then
+
+    W_{k+1} = W_k * F_{n-2k} F_{n-2k-1} / (F_{k+1} F_{n-k}),
+
+about n/2 checked steps for the whole census, and F_n is never read.  On
+a remainder or an inadmissible value the walk answers by one product per
+level, so the shipped sequences, lucas included, give the same values and
+errors either way; a custom sequence that is non-integral only in a
+level's intermediate products gets that level's exact integer.
 """
 
 from __future__ import annotations
 
-from .sequences import FSequence, f_binomial, f_binomial_rows, f_binomials
+from .sequences import FSequence, f_binomial, f_binomial_diagonal, f_binomial_rows
 
 POLICIES = ("include", "exclude")
 DEFAULT_POLICY = "include"
@@ -46,9 +56,8 @@ def pnf_whitney(n: int, k: int, seq: FSequence, policy: str = DEFAULT_POLICY) ->
 
 
 def pnf_whitney_vector(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> list[int]:
-    """The full rank census [W_0, ..., W_maxrank]."""
-    top = pnf_max_rank(n, policy)
-    return f_binomials(seq, [(n - k, k) for k in range(top + 1)])
+    """The full rank census [W_0, ..., W_maxrank], one walk down the diagonal."""
+    return f_binomial_diagonal(seq, (n, 0), (-1, 1), pnf_max_rank(n, policy) + 1)
 
 
 def pnf_bell(n: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:

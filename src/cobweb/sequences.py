@@ -25,8 +25,12 @@ therefore evaluates exactly the indices its entries need, never F_0, and
 each of them once.  ``f_binomial`` and ``f_binomials`` read entries from the
 table by the incremental product; ``f_binomial_rows`` yields whole rows by
 the recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
-step k of that product.  Both share one checked division step, so a
-non-integral entry raises the same error whichever path reaches it.
+step k of that product.  ``f_binomial_diagonal`` walks a line of entries
+(the Whitney line of P(n, F), the central column) by the ratio of
+neighbours: about N steps for N entries instead of N^2/2.  All three share
+one checked multiply-and-divide step; a non-integral entry raises the same
+error whether the row engine or the per-entry product reaches it, and a
+walk that meets one answers by the per-entry product.
 
 The shipped sequences are listed once, in a CLI name -> factory registry.
 Each is spelled two ways, with the same result and errors: by name and
@@ -127,21 +131,30 @@ class _ValueTable(dict):
         return value
 
 
-def _checked_step(values: _ValueTable, n: int, k: int, step: int, previous: int) -> int:
-    """Step ``step`` of the product for (n choose k)_F: (n choose step)_F.
+def _checked_step(
+    values: _ValueTable,
+    n: int,
+    k: int,
+    step: int,
+    product: int,
+    divisor: int,
+    down: tuple[int, ...] = (),
+) -> int:
+    """Step ``step`` towards (n choose k)_F: ``product`` / ``divisor``, exactly.
 
-    Multiplies (n choose step-1)_F by F_{n-step+1} and divides by F_step.
-    The quotient is (n choose step)_F whenever that is an integer, so a
-    remainder means the sequence is not admissible for this triangle.
+    ``product`` is an F-binomial times sequence values and ``divisor`` the
+    product of F_j for j in ``down`` (by default F_step), together the
+    ratio to the next entry on the way to (n choose k)_F.  That entry is
+    the quotient whenever it is an integer, so a remainder means the
+    sequence is not admissible for this triangle.
     """
-    product = previous * values[n - step + 1]
-    divisor = values[step]
     result, remainder = divmod(product, divisor)
     if remainder:
+        divided_by = "*".join(f"F_{j}" for j in down or (step,))
         raise NonIntegralError(
             f"({n} choose {k})_F is not an integer for F = {values.seq.name}: "
             f"step {step} leaves remainder {remainder} after dividing by "
-            f"F_{step} = {divisor}"
+            f"{divided_by} = {divisor}"
         )
     return result
 
@@ -155,7 +168,9 @@ def _binomial(values: _ValueTable, n: int, k: int) -> int:
         return 1
     result = 1
     for step in range(1, k + 1):
-        result = _checked_step(values, n, k, step, result)
+        result = _checked_step(
+            values, n, k, step, result * values[n - step + 1], values[step]
+        )
     return result
 
 
@@ -182,6 +197,69 @@ def f_binomials(seq: FSequence, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [_binomial(values, n, k) for n, k in pairs]
 
 
+def _ratio_factors(n: int, k: int, next_n: int, next_k: int) -> tuple[tuple, tuple]:
+    """Indices up, down: (next_n choose next_k)_F = (n choose k)_F * F_up / F_down.
+
+    Telescoped from the factorial ratio: F_n! gains F_{n+1}..F_{next_n}
+    (or loses F_{next_n+1}..F_n), and likewise F_k! and F_{n-k}! in the
+    denominator.  For 0 <= k <= n and 0 <= next_k <= next_n no index is 0.
+    """
+    m, next_m = n - k, next_n - next_k
+    up = (
+        *range(n + 1, next_n + 1), *range(next_k + 1, k + 1), *range(next_m + 1, m + 1)
+    )
+    down = (
+        *range(next_n + 1, n + 1), *range(k + 1, next_k + 1), *range(m + 1, next_m + 1)
+    )
+    return up, down
+
+
+def f_binomial_diagonal(
+    seq: FSequence, start: tuple[int, int], step: tuple[int, int], count: int
+) -> list[int]:
+    """[(n choose k)_F for (n, k) = start + i * step, i = 0 .. count-1].
+
+    Neighbouring entries on a line differ by a ratio of a few sequence
+    values (``_ratio_factors``), so each entry costs one checked
+    multiply-and-divide instead of k: the Whitney line of P(n, F),
+    start (n, 0) and step (-1, 1), and the central column (2m choose m)_F,
+    start (2, 1) and step (2, 1), each take about ``count`` steps.  An
+    entry with k = 0 or k = n is 1 and reads no value, and the entry after
+    it is computed by the per-entry product, so the Whitney line starts
+    from (n-1 choose 1)_F = F_{n-1}/F_1 and never reads F_n.
+
+    If a step leaves a remainder or meets an inadmissible value, the whole
+    request is answered by ``f_binomials``: the same values, or the same
+    error naming the entry and the step.  A walk never forms the
+    intermediate products of its entries, so on a custom sequence whose
+    only non-integral F-binomials are such intermediates it returns the
+    exact integers where ``f_binomials`` raises.
+    """
+    if count < 0:
+        raise ValueError(f"diagonal length must be >= 0, got {count}")
+    (n, k), (dn, dk) = start, step
+    pairs = [(n + i * dn, k + i * dk) for i in range(count)]
+    values = _ValueTable(seq)
+    entries = []
+    previous = None  # the last entry, while it is interior (0 < k < n)
+    try:
+        for i, (n, k) in enumerate(pairs):
+            if previous and 0 < k < n:
+                up, down = _ratio_factors(*previous, n, k)
+                product, divisor = entries[-1], 1
+                for j in up:
+                    product *= values[j]
+                for j in down:
+                    divisor *= values[j]
+                entries.append(_checked_step(values, n, k, i, product, divisor, down))
+            else:
+                entries.append(_binomial(values, n, k))
+            previous = (n, k) if 0 < k < n else None
+    except (AdmissibilityError, NonIntegralError):
+        return f_binomials(seq, pairs)
+    return entries
+
+
 def f_binomial_rows(
     seq: FSequence, last_row: int, diagonal: Optional[int] = None
 ) -> Iterator[list[int]]:
@@ -203,7 +281,9 @@ def f_binomial_rows(
     for n in range(last_row + 1):
         row = [1]
         for k in range(1, min(n - 1, diagonal - n) + 1):
-            row.append(_checked_step(values, n, k, k, row[-1]))
+            row.append(
+                _checked_step(values, n, k, k, row[-1] * values[n - k + 1], values[k])
+            )
         if 0 < n <= diagonal - n:
             row.append(1)
         yield row

@@ -37,7 +37,9 @@ from .sequences import (
     FSequence,
     NonIntegralError,
     f_binomial,
+    f_binomial_diagonal,
     f_binomial_rows,
+    f_binomials,
     f_factorial,
     fibonacci,
     gaussian,
@@ -419,6 +421,59 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
     return suite
 
 
+def _outcome(compute: Callable[[], object]):
+    """``compute()``, or the type and text of the exception it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # a broken walk must surface as a failure, like check_call
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
+    """Diagonal walks vs per-entry F-binomials; lucas as the negative control.
+
+    The Whitney line of P(n, F) (``pnf_whitney_vector``, both policies) and
+    the central column (2m choose m)_F are walked by ratios of neighbouring
+    entries.  Each walk must give the per-entry products of the same
+    entries, or raise the same error with the same text; lucas runs with
+    the given sequences, and its central column walk must fail first at
+    (4 choose 2).
+    """
+    suite = SuiteResult("F-binomial diagonal walks")
+    for seq in [*seqs, lucas()]:
+        for n in range(1, max_n + 1):
+            for policy in pnfposet.POLICIES:
+                top = pnfposet.pnf_max_rank(n, policy)
+                levels = [(n - k, k) for k in range(top + 1)]
+                suite.check(
+                    "Whitney line walk = per-entry F-binomials",
+                    f"(n, F, policy) = ({n}, {seq.name}, {policy})",
+                    _outcome(lambda: f_binomials(seq, levels)),
+                    _outcome(lambda: pnfposet.pnf_whitney_vector(n, seq, policy)),
+                )
+        column = [(2 * m, m) for m in range(1, max_n + 1)]
+        suite.check(
+            "central column walk = per-entry F-binomials",
+            f"(F, count) = ({seq.name}, {max_n})",
+            _outcome(lambda: f_binomials(seq, column)),
+            _outcome(lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n)),
+        )
+    first_raise = None
+    for count in range(1, max_n + 1):
+        try:
+            f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)
+        except NonIntegralError as exc:
+            first_raise = (count, str(exc).partition(" for F = ")[0])
+            break
+    suite.check(
+        "lucas central column walk fails first at (4 choose 2)",
+        f"(F, count) = (lucas, 1..{max_n})",
+        (2, "(4 choose 2)_F is not an integer"),
+        first_raise,
+    )
+    return suite
+
+
 def check_gcd_morphism() -> SuiteResult:
     """The shipped GCD-morphic family passes at the fixed bound; lucas fails."""
     suite = SuiteResult("GCD-morphism gate")
@@ -465,5 +520,6 @@ def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[Suite
         _timed(check_pnf_identities, max_n, seqs),
         _timed(check_pnf_chain_products, max_n, seqs),
         _timed(check_fbinom_algebra, seqs),
+        _timed(check_fbinom_diagonals, max_n, seqs),
         _timed(check_gcd_morphism),
     ]

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from cobweb import verify
-from cobweb.cli import main
+from cobweb.cli import GRID_CENSUS_LIMIT, main
 
 
 def run_cli(argv, capsys):
@@ -141,6 +141,34 @@ class TestGridCommand:
         if show == "size":
             assert out == "6003000\n"
 
+    @pytest.mark.parametrize("show", ["whitney", "bell", "all"])
+    def test_census_over_the_limit_is_usage_error(self, show, capsys):
+        k, n = 1, GRID_CENSUS_LIMIT
+        argv = ["grid", "--k", str(k), "--n", str(n), "--show", show]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"k + n = {k + n}" in err
+        assert f"limit of {GRID_CENSUS_LIMIT}" in err
+
+    def test_census_at_the_limit_is_answered(self, capsys):
+        k, n = 1, GRID_CENSUS_LIMIT - 1
+        argv = ["grid", "--k", str(k), "--n", str(n), "--show", "bell"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == f"{2 * n - 1}\n"
+
+    def test_size_and_chains_have_no_limit(self, capsys):
+        code, out, _ = run_cli(
+            ["grid", "--k", "100000000", "--n", "200000000", "--show", "size"], capsys
+        )
+        assert (code, out) == (0, "15000000150000000\n")
+        code, out, _ = run_cli(
+            ["grid", "--k", "1", "--n", str(10 * GRID_CENSUS_LIMIT), "--show", "chains"],
+            capsys,
+        )
+        assert (code, out) == (0, f"{10 * GRID_CENSUS_LIMIT - 1}\n")
+
 
 class TestPnfCommand:
     def test_bell(self, capsys):
@@ -253,6 +281,13 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "'fib' is given more than once" in err
+
+    def test_empty_seq_is_usage_error_naming_the_empty_token(self, capsys):
+        for tokens in ("", "fib,,naturals"):
+            code, out, err = run_cli(["verify", "--max-n", "6", "--seq", tokens], capsys)
+            assert code == 2
+            assert out == ""
+            assert "unknown verify sequence ''" in err
 
     def test_scale_limit_env_blocks_large_n(self, capsys, monkeypatch):
         monkeypatch.setenv("COBWEB_SCALE_LIMIT", "8")

@@ -36,7 +36,11 @@ def test_oracle_uses_no_checked_closed_form():
 
 
 def test_guard_recognises_every_listed_form():
-    for name in ("pnf_whitney_vector", "pnf_bell_sequence", "f_binomials", "catalan"):
+    checked = (
+        "pnf_whitney_vector", "pnf_bell_sequence", "f_binomials", "f_binomial_diagonal",
+        "catalan",
+    )
+    for name in checked:
         assert is_checked_closed_form(name)
     for name in ("grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval"):
         assert not is_checked_closed_form(name)

@@ -15,6 +15,7 @@ from cobweb.sequences import (
     AdmissibilityError,
     FSequence,
     NonIntegralError,
+    f_binomials,
     fibonacci,
     gaussian,
     lucas,
@@ -185,3 +186,12 @@ class TestBellSequence:
         assert pnf_whitney_vector(4, bad2) == [1, 3, 1]
         with pytest.raises(AdmissibilityError, match="F_2 = 0"):
             pnf_whitney_vector(5, bad2)
+
+    def test_census_skips_non_integral_intermediate_products(self):
+        # F = 2, 1, 2, 1, ...: (4 choose 1)_F = 1/2, yet (4 choose 2)_F = 1
+        alternating = FSequence("alternating", lambda n: 2 if n % 2 else 1)
+        assert pnf_whitney_vector(6, alternating) == [
+            ratio_binomial(alternating, 6 - k, k) for k in range(4)
+        ] == [1, 1, 1, 1]
+        with pytest.raises(NonIntegralError, match=r"^\(4 choose 2\)_F .* step 1 "):
+            f_binomials(alternating, [(6 - k, k) for k in range(4)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cobweb import verify
 from cobweb.oracle import build_pnf_hasse
-from cobweb.pnfposet import pnf_bell
+from cobweb.pnfposet import pnf_bell, pnf_max_rank
 from cobweb.sequences import (
     GCD_MORPHIC_SPECS,
     SEQUENCE_NAMES,
@@ -17,6 +17,7 @@ from cobweb.sequences import (
     FSequence,
     NonIntegralError,
     f_binomial,
+    f_binomial_diagonal,
     f_binomial_rows,
     f_binomials,
     f_factorial,
@@ -299,6 +300,105 @@ class TestRowEngine:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: list(f_binomial_rows(seq, 40)), range(32)))
         assert all(result == expected for result in results)
+
+
+def whitney_pairs(n, policy):
+    return [(n - k, k) for k in range(pnf_max_rank(n, policy) + 1)]
+
+
+def central_pairs(count):
+    return [(2 * m, m) for m in range(1, count + 1)]
+
+
+def outcome(compute):
+    """The value of ``compute()``, or the type and text of what it raised."""
+    try:
+        return compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestDiagonalWalk:
+    @given(
+        spec=st.sampled_from(GCD_MORPHIC_SPECS),
+        n=st.integers(1, 200),
+        count=st.integers(0, 200),
+        policy=st.sampled_from(("include", "exclude")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_walks_equal_per_entry_binomials(self, spec, n, count, policy):
+        seq = sequence_from_spec(spec)
+        pairs = whitney_pairs(n, policy)
+        assert f_binomial_diagonal(seq, (n, 0), (-1, 1), len(pairs)) == f_binomials(
+            seq, pairs
+        )
+        assert f_binomial_diagonal(seq, (2, 1), (2, 1), count) == f_binomials(
+            seq, central_pairs(count)
+        )
+
+    def test_lucas_walks_match_the_per_entry_path(self):
+        seq = lucas()
+        for n in range(1, 201):
+            for policy in ("include", "exclude"):
+                pairs = whitney_pairs(n, policy)
+                assert outcome(
+                    lambda: f_binomial_diagonal(seq, (n, 0), (-1, 1), len(pairs))
+                ) == outcome(lambda: f_binomials(seq, pairs)), (n, policy)
+        for count in range(1, 61):
+            assert outcome(
+                lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), count)
+            ) == outcome(lambda: f_binomials(seq, central_pairs(count))), count
+        with pytest.raises(NonIntegralError) as caught:
+            f_binomial_diagonal(seq, (2, 1), (2, 1), 2)
+        assert str(caught.value) == LUCAS_4_2
+
+    def test_lines_read_neither_f0_nor_fn(self):
+        for n in range(1, 40):
+            def no_zero_or_n(i, n=n):
+                if i in (0, n):
+                    raise RuntimeError(f"F_{i} must never be read")
+                return i
+
+            seq = FSequence("guarded", no_zero_or_n)
+            for policy in ("include", "exclude"):
+                pairs = whitney_pairs(n, policy)
+                assert f_binomial_diagonal(
+                    seq, (n, 0), (-1, 1), len(pairs)
+                ) == f_binomials(SHIPPED["naturals"], pairs)
+        # the central column up to (2N choose N) reads F_1..F_{2N} only
+        seq = FSequence("guarded", lambda i: i if 0 < i <= 40 else 1 // 0)
+        assert f_binomial_diagonal(seq, (2, 1), (2, 1), 20)[-1] == math.comb(40, 20)
+
+    def test_walks_evaluate_the_per_entry_indices_once(self):
+        for n in (1, 2, 7, 12, 13):
+            walked, walked_asked = counting("counted", iterative_fib)
+            direct, direct_asked = counting("counted", iterative_fib)
+            pairs = whitney_pairs(n, "include")
+            assert f_binomial_diagonal(walked, (n, 0), (-1, 1), len(pairs)) == (
+                f_binomials(direct, pairs)
+            )
+            assert sorted(walked_asked) == sorted(set(direct_asked))
+        seq, asked = counting("counted", iterative_fib)
+        f_binomial_diagonal(seq, (2, 1), (2, 1), 10)
+        assert sorted(asked) == list(range(1, 21))
+
+    def test_inadmissible_value_falls_back_to_the_per_entry_error(self):
+        bad10 = FSequence("bad10", lambda n: 0 if n >= 10 else n)
+        with pytest.raises(AdmissibilityError, match="F_10 = 0"):
+            f_binomial_diagonal(bad10, (2, 1), (2, 1), 5)
+        assert f_binomial_diagonal(bad10, (2, 1), (2, 1), 4) == [2, 6, 20, 70]
+
+    def test_general_lines_and_validation(self):
+        seq = SHIPPED["gauss2"]
+        lines = [((0, 0), (1, 0)), ((9, 0), (0, 1)), ((3, 5), (1, -1)), ((5, 2), (3, 2))]
+        for start, step in lines:
+            pairs = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(12)]
+            assert f_binomial_diagonal(seq, start, step, 12) == f_binomials(seq, pairs)
+        assert f_binomial_diagonal(seq, (4, 2), (1, 1), 0) == []
+        with pytest.raises(ValueError, match="diagonal length"):
+            f_binomial_diagonal(seq, (4, 2), (1, 1), -1)
+        with pytest.raises(ValueError, match="upper index"):
+            f_binomial_diagonal(seq, (1, 0), (-1, 0), 3)
 
 
 class TestGcdMorphicCheck:

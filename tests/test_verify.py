@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from cobweb import pnfposet, verify
-from cobweb.sequences import gaussian, naturals
+from cobweb import pnfposet, sequences, verify
+from cobweb.sequences import NonIntegralError, gaussian, naturals
 
 
 def broken_chain_count(k, n):
@@ -47,7 +47,7 @@ class TestSuites:
 
     def test_default_scale_counts(self):
         suites = {s.name: s for s in verify.run_verify(12)}
-        assert sum(s.cases for s in suites.values()) == 4944
+        assert sum(s.cases for s in suites.values()) == 5070
         assert not any(s.failures for s in suites.values())
         assert suites["grid maximal chains vs oracle"].skipped == 0
         assert suites["layered poset chain products"].skipped == 13
@@ -140,3 +140,45 @@ class TestFaultInjection:
             "[1, 2, 3, 5, 8, 12]",
         )
         assert len(suite.failures) == 2  # both policies
+
+    def test_walk_with_an_off_by_one_ratio_index_is_detected(self, monkeypatch):
+        ratio = sequences._ratio_factors
+
+        def numerators_one_too_high(n, k, next_n, next_k):
+            up, down = ratio(n, k, next_n, next_k)
+            return tuple(i + 1 for i in up), down
+
+        monkeypatch.setattr("cobweb.sequences._ratio_factors", numerators_one_too_high)
+        suite = verify.check_fbinom_diagonals(6, [naturals()])
+        assert suite.failures, "a walk with a wrong ratio must not verify"
+        first = suite.failures[0]
+        assert first.identity == "Whitney line walk = per-entry F-binomials"
+        assert first.inputs == "(n, F, policy) = (5, naturals, include)"
+        # (3 choose 2) from (4 choose 1): 4 * F_3 F_4 / (F_4 F_2) = 6, not 3
+        assert (first.expected, first.actual) == ("[1, 4, 3]", "[1, 4, 6]")
+
+    def test_walk_that_hides_the_lucas_error_is_detected(self, monkeypatch):
+        healthy = verify.check_fbinom_diagonals(8, [naturals()])
+        assert not healthy.failures
+        # naturals then lucas: 2 policies * 8 Whitney lines + 1 column each,
+        # and the check that the lucas column fails first at (4 choose 2)
+        assert healthy.cases == 2 * (2 * 8 + 1) + 1
+        walk = sequences.f_binomial_diagonal
+
+        def silent(seq, start, step, count):
+            try:
+                return walk(seq, start, step, count)
+            except NonIntegralError:
+                return []
+
+        monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", silent)
+        suite = verify.check_fbinom_diagonals(8, [naturals()])
+        assert [(f.identity, f.inputs) for f in suite.failures] == [
+            ("central column walk = per-entry F-binomials", "(F, count) = (lucas, 8)"),
+            (
+                "lucas central column walk fails first at (4 choose 2)",
+                "(F, count) = (lucas, 1..8)",
+            ),
+        ]
+        assert suite.failures[0].actual == "[]"
+        assert suite.failures[1].actual == "None"
