@@ -6,7 +6,21 @@ layered poset P(n, F) (an ordinal sum of antichains with F-binomial level
 sizes).  Closed forms for sizes, Whitney/Bell-like numbers and maximal
 chain counts are all validated against an embedded brute-force oracle.
 All arithmetic is exact.
+
+Importing the package runs only the closed-form modules.  The submodules
+``oracle`` and ``verify`` are registered lazily (``importlib.util.LazyLoader``):
+``cobweb.oracle`` and ``cobweb.verify`` are in ``sys.modules`` from the start,
+and a module's body runs on the first access to one of its attributes.  The
+oracle names in ``__all__`` resolve through the module ``__getattr__``, so
+``cobweb.build_grid_hasse`` or ``from cobweb import *`` loads the oracle
+then, and a command-line subcommand other than ``verify`` never does.
+Python 3.11's ``LazyLoader`` takes no lock for that first load, so a
+program that first uses the oracle from several threads at once should
+touch ``cobweb.oracle`` once before starting them.
 """
+
+import importlib.util
+import sys
 
 from .gridposet import (
     catalan,
@@ -17,16 +31,6 @@ from .gridposet import (
     grid_rank,
     grid_size,
     grid_whitney,
-)
-from .oracle import (
-    ChainReport,
-    HasseDiagram,
-    ScaleLimitError,
-    build_grid_hasse,
-    build_pnf_hasse,
-    count_maximal_chains,
-    enumerate_maximal_chains,
-    rank_level_counts,
 )
 from .pnfposet import (
     DEFAULT_POLICY,
@@ -58,6 +62,31 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy_submodule(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)  # defers the body to the first attribute access
+    return module
+
+
+oracle = _lazy_submodule("oracle")
+verify = _lazy_submodule("verify")
+
+
+def __getattr__(name: str):
+    # every name in __all__ that is not bound above is one of the oracle's
+    if name in __all__:
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AdmissibilityError",

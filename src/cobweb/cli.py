@@ -11,6 +11,11 @@ the subcommand runs with Python's int-to-str digit limit lifted, while
 integers parsed from the command line keep the interpreter's default limit.
 The environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
 top-index scale guard for ``verify``.
+
+Only ``verify`` runs the oracle and the verify suites.  ``oracle`` and
+``verify`` are bound here at import, but the package registers both lazily,
+so their bodies run on the first attribute read, inside ``cmd_verify``;
+the other subcommands start without loading them (or ``dataclasses``).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from . import oracle, verify
 from .gridposet import grid_bell, grid_chain_count, grid_size, grid_whitney
 from .pnfposet import POLICIES, pnf_bell, pnf_bell_sequence, pnf_whitney_vector
 from .sequences import (
+    GCD_MORPHIC_SPECS,
     SEQUENCE_NAMES,
     AdmissibilityError,
     NonIntegralError,
@@ -121,10 +127,12 @@ GRID_QUANTITIES = {
 }
 
 
-# Largest k + n for the --show values that build the rank census, a list of
-# k + n numbers (bell sums it).  At the limit, --show whitney takes about
-# 0.6 s and 64 MB of peak RSS; cost grows linearly beyond it (5.4 s and
-# 610 MB at 3*10^6, a MemoryError at 3*10^8).  size and chains hold no list.
+# Largest k + n for every --show value but size.  whitney, bell and all
+# build the rank census, a list of k + n numbers (bell sums it): at the
+# limit --show whitney takes about 0.6 s and 64 MB of peak RSS, and cost
+# grows linearly beyond it (5.4 s and 610 MB at 3*10^6, a MemoryError at
+# 3*10^8).  chains computes and prints comb(n + k - 1, k), superlinear in
+# k + n: 0.5-0.9 s at k + n = 300000, 7.5 s at 10^6.  size is O(1).
 GRID_CENSUS_LIMIT = 300_000
 
 
@@ -133,11 +141,10 @@ def cmd_grid(args, parser) -> int:
         grid_size(args.k, args.n)  # bounds check: bad (k, n) is a usage error
     except ValueError as exc:
         parser.error(str(exc))
-    if args.show in ("whitney", "bell", "all") and args.k + args.n > GRID_CENSUS_LIMIT:
+    if args.show != "size" and args.k + args.n > GRID_CENSUS_LIMIT:
         parser.error(
-            f"--show {args.show} builds the rank census of k + n = {args.k + args.n} "
-            f"ranks, over the limit of {GRID_CENSUS_LIMIT}; --show size and chains "
-            f"have no limit"
+            f"--show {args.show} takes k + n = {args.k + args.n}, over the limit "
+            f"of {GRID_CENSUS_LIMIT}; only --show size has no limit"
         )
     params = {"k": str(args.k), "n": str(args.n), "show": args.show}
     if args.show == "all":
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--seq",
         default=None,
-        help=f"comma-separated subset of {','.join(verify.VERIFY_SEQ_TOKENS)}",
+        help=f"comma-separated subset of {','.join(GCD_MORPHIC_SPECS)}",
     )
     _add_format_option(sub)
     sub.set_defaults(handler=cmd_verify)

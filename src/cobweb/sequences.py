@@ -44,7 +44,6 @@ call), safe to call from multiple threads, deterministic for equal inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -57,35 +56,87 @@ class NonIntegralError(ArithmeticError):
     """An F-binomial division left a remainder (non-admissible sequence)."""
 
 
-@dataclass(frozen=True)
-class FSequence:
+class _Record:
+    """Immutable fields in ``__slots__`` order, compared, hashed and shown as a tuple.
+
+    Behaves as a frozen dataclass without importing ``dataclasses`` (which
+    loads ``inspect`` and ``ast`` on every start of the CLI): ``==`` holds
+    only between instances of the same class with equal fields, assignment
+    and deletion raise ``AttributeError``, and ``copy`` rebuilds through the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FSequence(_Record):
     """A named integer sequence n -> F_n supplied by a total callable."""
 
-    name: str
-    value_at: Callable[[int], int] = field(repr=False)
+    __slots__ = ("name", "value_at")
+
+    def __init__(self, name: str, value_at: Callable[[int], int]) -> None:
+        super().__init__(name, value_at)
 
     def __repr__(self) -> str:
         return f"FSequence({self.name!r})"
 
 
-@dataclass(frozen=True)
-class GcdCounterexample:
+class GcdCounterexample(_Record):
     """Witness that gcd(F_n, F_m) != F_{gcd(n, m)}."""
 
-    n: int
-    m: int
-    index_gcd: int  # gcd(n, m)
-    value_gcd: int  # gcd(F_n, F_m)
-    value_at_index_gcd: int  # F_{gcd(n, m)}
+    __slots__ = ("n", "m", "index_gcd", "value_gcd", "value_at_index_gcd")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        index_gcd: int,  # gcd(n, m)
+        value_gcd: int,  # gcd(F_n, F_m)
+        value_at_index_gcd: int,  # F_{gcd(n, m)}
+    ) -> None:
+        super().__init__(n, m, index_gcd, value_gcd, value_at_index_gcd)
 
 
-@dataclass(frozen=True)
-class GcdMorphicReport:
+class GcdMorphicReport(_Record):
     """Outcome of an exhaustive GCD-morphism check up to ``checked_bound``."""
 
-    checked_bound: int
-    holds: bool
-    counterexample: Optional[GcdCounterexample] = None
+    __slots__ = ("checked_bound", "holds", "counterexample")
+
+    def __init__(
+        self,
+        checked_bound: int,
+        holds: bool,
+        counterexample: Optional[GcdCounterexample] = None,
+    ) -> None:
+        super().__init__(checked_bound, holds, counterexample)
 
 
 def seq_eval(seq: FSequence, n: int) -> int:

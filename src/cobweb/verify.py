@@ -55,14 +55,12 @@ FBINOM_BOUND = 40
 GCD_BOUND = 60
 ORDER_LAW_BOUND = 8
 
-# verify tokens: the sequence specs of the GCD-morphic family
-VERIFY_SEQ_TOKENS = GCD_MORPHIC_SPECS
 DEFAULT_VERIFY_SEQS = ("fib", "naturals", "ones", "gauss2")
 
 
 def sequence_from_token(token: str) -> FSequence:
-    if token not in VERIFY_SEQ_TOKENS:
-        known = ", ".join(VERIFY_SEQ_TOKENS)
+    if token not in GCD_MORPHIC_SPECS:
+        known = ", ".join(GCD_MORPHIC_SPECS)
         raise ValueError(f"unknown verify sequence {token!r} (known: {known})")
     return sequence_from_spec(token)
 

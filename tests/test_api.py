@@ -1,10 +1,31 @@
-"""The package namespace: ``__all__`` is exactly what a star import binds."""
+"""The package namespace: ``__all__`` is exactly what a star import binds,
+and a subcommand other than ``verify`` starts without the oracle."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import cobweb
 
+ORACLE_NAMES = {
+    "ChainReport",
+    "HasseDiagram",
+    "ScaleLimitError",
+    "build_grid_hasse",
+    "build_pnf_hasse",
+    "count_maximal_chains",
+    "enumerate_maximal_chains",
+    "rank_level_counts",
+}
+
 
 def test_all_has_no_duplicates():
-    assert len(cobweb.__all__) == len(set(cobweb.__all__))
+    assert len(cobweb.__all__) == len(set(cobweb.__all__)) == 40
+    assert ORACLE_NAMES <= set(cobweb.__all__)
 
 
 def test_every_exported_name_resolves():
@@ -17,3 +38,67 @@ def test_star_import_binds_exactly_all():
     exec("from cobweb import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(cobweb.__all__)
+    assert namespace["build_grid_hasse"] is cobweb.oracle.build_grid_hasse
+
+
+def test_dir_lists_every_exported_name():
+    assert set(cobweb.__all__) <= set(dir(cobweb))
+
+
+def test_unknown_attribute_error_names_it():
+    with pytest.raises(AttributeError, match="'cobweb' has no attribute 'no_such_name'"):
+        cobweb.no_such_name
+
+
+# Runs in a fresh interpreter: every subcommand but verify through
+# cli.main, then the lazily loaded oracle names and verify on first use.
+STARTUP_SCRIPT = """
+import json, sys
+from cobweb.cli import main
+
+bfile = sys.argv[1]
+for argv in [
+    ["seq", "--seq", "fib", "--count", "5"],
+    ["fbinom", "--seq", "gauss", "--q", "2", "--rows", "4", "--format", "csv"],
+    ["grid", "--k", "2", "--n", "5", "--format", "json"],
+    ["pnf", "--seq", "naturals", "--n", "6", "--show", "whitney"],
+    ["export", "--what", "bell", "--seq", "fib", "--count", "5", "--bfile", bfile],
+    ["export", "--what", "fbinom-diagonal", "--seq", "ones", "--count", "3", "--bfile", bfile],
+]:
+    if main(argv) != 0:
+        raise SystemExit(f"{argv} failed")
+report = {
+    "loaded": [name for name in ("dataclasses", "inspect") if name in sys.modules],
+    "registered": [name for name in ("cobweb.oracle", "cobweb.verify") if name in sys.modules],
+}
+import cobweb
+report["first_use"] = [
+    cobweb.build_grid_hasse(1, 3).__class__.__name__,
+    cobweb.oracle.ChainReport.__name__,
+]
+report["verify"] = main(["verify", "--max-n", "4"])
+print(json.dumps(report))
+"""
+
+
+def test_non_verify_subcommands_do_not_load_the_oracle(tmp_path):
+    src = Path(cobweb.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "bfile")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *outputs, last = proc.stdout.splitlines()
+    assert outputs[0] == "1 1 2 3 5"
+    assert "failures 0" in outputs
+    report = json.loads(last)
+    assert report == {
+        "loaded": [],
+        "registered": ["cobweb.oracle", "cobweb.verify"],
+        "first_use": ["HasseDiagram", "ChainReport"],
+        "verify": 0,
+    }

@@ -1,5 +1,6 @@
 """Sequence arithmetic: exact values, factorials, binomials, GCD-morphism."""
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,8 @@ from cobweb.sequences import (
     SEQUENCE_NAMES,
     AdmissibilityError,
     FSequence,
+    GcdCounterexample,
+    GcdMorphicReport,
     NonIntegralError,
     f_binomial,
     f_binomial_diagonal,
@@ -427,6 +430,90 @@ class TestGcdMorphicCheck:
             gcd_morphic_check(SHIPPED["ones"], 0)
 
 
+def _identity(n):
+    return n
+
+
+class TestRecordClasses:
+    """FSequence and the GCD reports behave as the frozen dataclasses they were."""
+
+    WITNESS = GcdCounterexample(2, 4, 2, 1, 3)
+    RECORDS = [
+        FSequence("id", _identity),
+        WITNESS,
+        GcdMorphicReport(10, False, WITNESS),
+        GcdMorphicReport(60, True),
+    ]
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert FSequence("id", _identity) == FSequence("id", _identity)
+        assert hash(FSequence("id", _identity)) == hash(FSequence("id", _identity))
+        assert FSequence("id", _identity) != FSequence("other", _identity)
+        assert FSequence("id", _identity) != FSequence("id", lambda n: n)
+        assert gaussian(2) != gaussian(2)  # each call makes a new callable
+        assert GcdCounterexample(2, 4, 2, 1, 3) == self.WITNESS
+        assert GcdCounterexample(2, 4, 2, 1, 1) != self.WITNESS
+        assert GcdMorphicReport(10, False, self.WITNESS) == GcdMorphicReport(
+            10, False, GcdCounterexample(2, 4, 2, 1, 3)
+        )
+        assert GcdMorphicReport(10, True) != GcdMorphicReport(10, False)
+        assert len({GcdMorphicReport(5, True), GcdMorphicReport(5, True, None)}) == 1
+
+    def test_equality_is_class_exact(self):
+        class Renamed(GcdMorphicReport):
+            __slots__ = ()
+
+        report = GcdMorphicReport(60, True)
+        assert report != Renamed(60, True)
+        assert report != (60, True, None)
+        assert self.WITNESS != GcdMorphicReport(2, 4, 2)
+        assert FSequence("id", _identity) != "id"
+
+    def test_repr(self):
+        assert repr(FSequence("id", _identity)) == "FSequence('id')"
+        assert repr(fibonacci()) == "FSequence('fibonacci')"
+        witness = "GcdCounterexample(n=2, m=4, index_gcd=2, value_gcd=1, value_at_index_gcd=3)"
+        assert repr(self.WITNESS) == witness
+        assert repr(gcd_morphic_check(lucas(), 10)) == (
+            f"GcdMorphicReport(checked_bound=10, holds=False, counterexample={witness})"
+        )
+        assert repr(GcdMorphicReport(60, True)) == (
+            "GcdMorphicReport(checked_bound=60, holds=True, counterexample=None)"
+        )
+
+    @pytest.mark.parametrize(
+        "record, name", zip(RECORDS, ["value_at", "m", "counterexample", "holds"])
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, record, name):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is before
+
+    def test_keyword_construction(self):
+        assert FSequence(name="id", value_at=_identity) == FSequence("id", _identity)
+        assert GcdCounterexample(
+            n=2, m=4, index_gcd=2, value_gcd=1, value_at_index_gcd=3
+        ) == self.WITNESS
+        report = GcdMorphicReport(checked_bound=60, holds=True)
+        assert report.counterexample is None
+        assert report == GcdMorphicReport(60, True, None)
+        with pytest.raises(TypeError):
+            GcdMorphicReport(60)
+        with pytest.raises(TypeError):
+            FSequence("id", _identity, "extra")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_copy(self, record):
+        for duplicate in (copy.copy(record), copy.deepcopy(record)):
+            assert duplicate == record and duplicate is not record
+            assert type(duplicate) is type(record)
+
+
 class TestMakeSequence:
     def test_cli_names(self):
         assert seq_eval(make_sequence("fib"), 6) == 8
@@ -497,7 +584,7 @@ class TestSequenceSpec:
         assert str(spec_error.value) == str(flag_error.value)
 
     def test_gcd_morphic_family_is_the_parsed_verify_tokens(self):
-        parsed = [verify.sequence_from_token(t) for t in verify.VERIFY_SEQ_TOKENS]
+        parsed = [verify.sequence_from_token(t) for t in GCD_MORPHIC_SPECS]
         assert list(map(self.fingerprint, gcd_morphic_family())) == list(
             map(self.fingerprint, parsed)
         )
