@@ -9,14 +9,14 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
-* layered level sizes come from ``seq_eval`` values through the
-  factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a checked
-  division, never from the F-binomial engine;
+* layered level sizes (``layer_sizes``) come from ``seq_eval`` values
+  through the factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a
+  checked division, never from the F-binomial engine;
 * maximal chains are counted two ways along cover edges: one by one by
   depth-first traversal (``enumerate_maximal_chains``), and by dynamic
   programming over the vertices in descending rank
   (``count_maximal_chains``), never by formula;
-* rank censuses recount every vertex.
+* rank censuses of grid diagrams recount every vertex.
 
 Layered diagrams (ordinal sums of antichains) store only their level
 sizes.  Their vertices are streamed level by level on each iteration and
@@ -168,7 +168,7 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     )
 
 
-def _layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
+def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
     """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from F_1..F_n."""
     factorials = [1]
     for i in range(1, n + 1):
@@ -207,7 +207,7 @@ def build_pnf_hasse(
     """
     _check_index(n, max_index, "layered-poset")
     vertex_limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    vertices = _LayeredVertices(_layer_sizes(n, seq, pnf_max_rank(n, policy)))
+    vertices = _LayeredVertices(layer_sizes(n, seq, pnf_max_rank(n, policy)))
     if len(vertices) > vertex_limit:
         raise ScaleLimitError(
             f"P({n}, {seq.name}) has {len(vertices)} elements, over the vertex "

@@ -1,26 +1,24 @@
 """Cross-checks of every closed form against the brute-force oracle.
 
 Each suite walks an input range and compares a closed form with an
-independently computed value.  Every identity is recorded one way: a
-mismatch, or an exception raised by a closed form under check (see
-``SuiteResult.check_call``), is a failure of that identity naming its
-inputs and both values.  Only identities that can fail on their own are
-checked: none compares a function with itself, a copy of itself, or a
+independently computed value.  Every identity is recorded one way, by
+``SuiteResult.check``: the closed form runs inside the check, and a
+mismatch, or an exception it raises, is a failure of that identity naming
+its inputs and both values.  Only identities that can fail on their own
+are checked: none compares a function with itself, a copy of itself, or a
 value another check already pins.  Poset suites scale with ``max_n``;
 the pure-arithmetic suites (binomial algebra, GCD-morphism gate) always
 run at their full fixed bounds since they are instant.
 
 A check the oracle cannot afford is reported as skipped, never as
-passed.  Three guards decide, each counted per input:
+passed.  Two guards decide, each counted per input:
 
 * grid chains: the DP always runs, so the closed form and gradedness are
   checked at every (k, n); only "DFS = DP" is skipped where the DFS would
   pass ``oracle.DEFAULT_MAX_CHAINS`` chains (none up to ``max_n`` 12);
 * layered chain products: the whole case is skipped where the product of
-  level sizes passes ``oracle.DEFAULT_MAX_CHAINS`` (13 cases at the
-  default ``verify --max-n 12``);
-* layered census: the case is skipped where P(n, F) has more than
-  ``oracle.DEFAULT_MAX_VERTICES`` elements (gauss3 from n = 11 on).
+  the oracle's level sizes passes ``oracle.DEFAULT_MAX_CHAINS`` (13 cases
+  at the default ``verify --max-n 12``).
 
 Every suite's wall time is kept in ``SuiteResult.seconds``.
 """
@@ -29,7 +27,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cache
+from math import prod
+from typing import Callable, Iterator, Optional
 
 from . import gridposet, oracle, pnfposet
 from .sequences import (
@@ -65,6 +65,21 @@ def sequence_from_token(token: str) -> FSequence:
     return sequence_from_spec(token)
 
 
+class _Raised(str):
+    """``raised <Type>: <message>`` for a computation that raised; shown unquoted."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _outcome(compute: Callable[[], object]):
+    """``compute()``, or the ``_Raised`` text of the exception it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # a broken closed form must surface as a failure
+        return _Raised(f"raised {type(exc).__name__}: {exc}")
+
+
 @dataclass(frozen=True)
 class CheckFailure:
     identity: str
@@ -81,53 +96,47 @@ class SuiteResult:
     failures: list[CheckFailure] = field(default_factory=list)
     seconds: float = 0.0  # wall time of the whole suite, set by run_verify
 
-    def check(self, identity: str, inputs: str, expected, actual) -> None:
+    def check(
+        self, identity: str, inputs: str, expected, compute: Callable[[], object]
+    ) -> None:
+        """Compare ``compute()``, the value under check, with the independent
+        ``expected``; if ``compute`` raises, the identity fails with what it
+        raised as the actual value."""
         self.cases += 1
+        actual = _outcome(compute)
         if expected != actual:
             self.failures.append(
                 CheckFailure(identity, inputs, repr(expected), repr(actual))
             )
 
-    def check_call(
-        self, identity: str, inputs: str, expected, compute: Callable[[], object]
-    ) -> None:
-        """``check`` the value of ``compute()``; if it raises, the identity fails."""
-        try:
-            actual = compute()
-        except Exception as exc:  # a broken closed form must surface as a failure
-            self.cases += 1
-            raised = f"raised {type(exc).__name__}: {exc}"
-            self.failures.append(CheckFailure(identity, inputs, repr(expected), raised))
-        else:
-            self.check(identity, inputs, expected, actual)
-
 
 def check_grid_counting(max_n: int) -> SuiteResult:
-    """Size and Whitney closed forms vs raw enumeration; Bell-like = size."""
+    """Size, Whitney and Bell-like closed forms vs raw enumeration."""
     suite = SuiteResult("grid size and rank census")
     for n in range(2, max_n + 1):
         for k in range(n):
+            inputs = f"(k, n) = ({k}, {n})"
             enumerated = gridposet.grid_elements(k, n)
             suite.check(
                 "grid size closed form = enumerated cardinality",
-                f"(k, n) = ({k}, {n})",
+                inputs,
                 len(enumerated),
-                gridposet.grid_size(k, n),
+                lambda: gridposet.grid_size(k, n),
             )
             census = [0] * (k + n)
             for l, m in enumerated:
                 census[l + m - 1] += 1
             suite.check(
                 "Whitney closed form = rank census of the enumerated set",
-                f"(k, n) = ({k}, {n})",
+                inputs,
                 census,
-                gridposet.grid_whitney(k, n),
+                lambda: gridposet.grid_whitney(k, n),
             )
             suite.check(
                 "Bell-like number = size",
-                f"(k, n) = ({k}, {n})",
-                gridposet.grid_size(k, n),
-                gridposet.grid_bell(k, n),
+                inputs,
+                len(enumerated),
+                lambda: gridposet.grid_bell(k, n),
             )
     return suite
 
@@ -145,7 +154,7 @@ def check_grid_chains(max_n: int) -> SuiteResult:
             inputs = f"(k, n) = ({k}, {n})"
             diagram = oracle.build_grid_hasse(k, n, max_index=max_n)
             report = oracle.count_maximal_chains(diagram)
-            suite.check_call(
+            suite.check(
                 "chain-count closed form = DP count over cover edges",
                 inputs,
                 report.chain_count,
@@ -155,7 +164,7 @@ def check_grid_chains(max_n: int) -> SuiteResult:
                 "all maximal chains have k+n elements",
                 inputs,
                 (k + n, k + n, True),
-                (report.min_length, report.max_length, report.graded),
+                lambda: (report.min_length, report.max_length, report.graded),
             )
             try:
                 enumerated = oracle.enumerate_maximal_chains(diagram)
@@ -166,16 +175,16 @@ def check_grid_chains(max_n: int) -> SuiteResult:
                     "exhaustive DFS chain report = DP chain report",
                     inputs,
                     report,
-                    enumerated,
+                    lambda: enumerated,
                 )
             suite.check(
                 "oracle rank census = Whitney vector",
                 inputs,
-                gridposet.grid_whitney(k, n),
                 oracle.rank_level_counts(diagram),
+                lambda: gridposet.grid_whitney(k, n),
             )
     for n in range(1, max_n + 1):
-        suite.check_call(
+        suite.check(
             "near-diagonal chain count = Catalan number",
             f"n = {n}",
             gridposet.catalan(n - 1),
@@ -187,58 +196,56 @@ def check_grid_chains(max_n: int) -> SuiteResult:
 def check_grid_order_laws(max_n: int) -> SuiteResult:
     """The componentwise relation is a partial order (exhaustive, small n)."""
     suite = SuiteResult("grid partial-order laws")
+    leq = gridposet.grid_leq
     for n in range(2, min(max_n, ORDER_LAW_BOUND) + 1):
         for k in range(n):
             elements = gridposet.grid_elements(k, n)
-            leq = gridposet.grid_leq
-            reflexive = all(leq(a, a) for a in elements)
-            antisymmetric = all(
-                not (leq(a, b) and leq(b, a))
-                for a in elements
-                for b in elements
-                if a != b
-            )
-            transitive = all(
-                not (leq(a, b) and leq(b, c)) or leq(a, c)
-                for a in elements
-                for b in elements
-                for c in elements
-            )
             suite.check(
                 "reflexive, antisymmetric, transitive",
                 f"(k, n) = ({k}, {n})",
                 (True, True, True),
-                (reflexive, antisymmetric, transitive),
+                lambda: (
+                    all(leq(a, a) for a in elements),
+                    all(
+                        not (leq(a, b) and leq(b, a))
+                        for a in elements
+                        for b in elements
+                        if a != b
+                    ),
+                    all(
+                        not (leq(a, b) and leq(b, c)) or leq(a, c)
+                        for a in elements
+                        for b in elements
+                        for c in elements
+                    ),
+                ),
             )
     return suite
 
 
 def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Oracle rank censuses of the layered poset equal the F-binomial levels.
+    """Oracle level sizes of the layered poset equal the F-binomial levels.
 
     The oracle takes its level sizes from factorial ratios of raw sequence
-    values and recounts every streamed vertex; the other side is the
-    F-binomial engine.
+    values (``oracle.layer_sizes``); the other sides are the F-binomial
+    walk and the Bell-like number, which must equal their sum.
     """
     suite = SuiteResult("layered poset census vs oracle")
     for seq in seqs:
         for n in range(1, max_n + 1):
-            try:
-                diagram = oracle.build_pnf_hasse(n, seq, max_index=max_n)
-            except oracle.ScaleLimitError:
-                suite.skipped += 1
-                continue
+            inputs = f"(n, F) = ({n}, {seq.name})"
+            sizes = oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n))
             suite.check(
                 "oracle rank census = F-binomial level sizes",
-                f"(n, F) = ({n}, {seq.name})",
-                pnfposet.pnf_whitney_vector(n, seq),
-                oracle.rank_level_counts(diagram),
+                inputs,
+                sizes,
+                lambda: pnfposet.pnf_whitney_vector(n, seq),
             )
             suite.check(
                 "Bell-like number = total size",
-                f"(n, F) = ({n}, {seq.name})",
-                len(diagram.vertices),
-                pnfposet.pnf_bell(n, seq),
+                inputs,
+                sum(sizes),
+                lambda: pnfposet.pnf_bell(n, seq),
             )
     return suite
 
@@ -247,26 +254,28 @@ def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     """Policy step, Fibonacci specialization, Bell sequence.
 
     The Bell sequence by diagonal row sums (``pnf_bell_sequence``) is
-    checked against per-n Bell numbers, each a sum of its own levels.
+    checked against per-n Bell numbers, each the sum of the oracle's level
+    sizes under the same policy.
     """
     suite = SuiteResult("layered poset identities")
     for seq in seqs:
-        bells = {policy: [] for policy in pnfposet.POLICIES}
         for n in range(1, max_n + 1):
-            for policy, values in bells.items():
-                values.append(pnfposet.pnf_bell(n, seq, policy))
             suite.check(
                 "including the degenerate level adds 1 for even n, 0 for odd",
                 f"(n, F) = ({n}, {seq.name})",
                 1 if n % 2 == 0 else 0,
-                bells["include"][-1] - bells["exclude"][-1],
+                lambda: pnfposet.pnf_bell(n, seq, "include")
+                - pnfposet.pnf_bell(n, seq, "exclude"),
             )
-        for policy, values in bells.items():
+        for policy in pnfposet.POLICIES:
             suite.check(
                 "Bell sequence by diagonal row sums = per-n Bell numbers",
                 f"(N, F, policy) = ({max_n}, {seq.name}, {policy})",
-                values,
-                pnfposet.pnf_bell_sequence(seq, max_n, policy),
+                [
+                    sum(oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n, policy)))
+                    for n in range(1, max_n + 1)
+                ],
+                lambda: pnfposet.pnf_bell_sequence(seq, max_n, policy),
             )
     fib_pair = [1, 1]  # Fib(1), Fib(2)
     nat = make_sequence("naturals")
@@ -275,7 +284,7 @@ def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
             "Bell-like numbers of naturals = shifted Fibonacci",
             f"n = {n}",
             fib_pair[-1],
-            pnfposet.pnf_bell(n, nat),
+            lambda: pnfposet.pnf_bell(n, nat),
         )
         fib_pair.append(fib_pair[-1] + fib_pair[-2])
     return suite
@@ -286,26 +295,20 @@ def check_pnf_chain_products(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     suite = SuiteResult("layered poset chain products")
     for seq in seqs:
         for n in range(1, max_n + 1):
-            product = 1
-            for size in pnfposet.pnf_whitney_vector(n, seq):
-                product *= size
-            if product > oracle.DEFAULT_MAX_CHAINS:
+            inputs = f"(n, F) = ({n}, {seq.name})"
+            sizes = oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n))
+            if prod(sizes) > oracle.DEFAULT_MAX_CHAINS:
                 suite.skipped += 1
                 continue
             diagram = oracle.build_pnf_hasse(n, seq, max_index=max_n)
             report = oracle.enumerate_maximal_chains(diagram)
             suite.check(
                 "chain count = product of level sizes",
-                f"(n, F) = ({n}, {seq.name})",
-                product,
+                inputs,
                 report.chain_count,
+                lambda: prod(pnfposet.pnf_whitney_vector(n, seq)),
             )
-            suite.check(
-                "layered poset is graded",
-                f"(n, F) = ({n}, {seq.name})",
-                True,
-                report.graded,
-            )
+            suite.check("layered poset is graded", inputs, True, lambda: report.graded)
     return suite
 
 
@@ -321,40 +324,51 @@ def _family_pascal_rows(step: Callable[[list[int], int, int], int]) -> list[list
     return rows
 
 
+def _engine_rows(seq: FSequence) -> Callable[[], list[list[int]]]:
+    """Rows 0..FBINOM_BOUND of the row engine, kept from the first call that
+    returns; a call that raises caches nothing, so each row's check fails."""
+    return cache(lambda: list(f_binomial_rows(seq, FBINOM_BOUND)))
+
+
+def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, str]]:
+    """(index, error text before " for F = ") of the first of ``results``,
+    numbered from ``first``, whose computation raises NonIntegralError."""
+    index = first
+    try:
+        for _ in results:
+            index += 1
+    except NonIntegralError as exc:
+        return index, str(exc).partition(" for F = ")[0]
+    return None
+
+
 def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
-    """Symmetry, factorial recurrence; row engine vs definitions.
+    """Factorials; row engine vs definitions.
 
     The row engine is checked against per-entry products, against the
-    factorial-ratio definition, and (for fibonacci and gauss, always run)
-    against the additive Pascal-type rules of those families; a lucas row
-    generator must fail first at (4 choose 2).
+    factorial-ratio definition from raw sequence values, and (for
+    fibonacci and gauss, always run) against the additive Pascal-type
+    rules of those families; a lucas row generator must fail first at
+    (4 choose 2).
     """
     suite = SuiteResult("F-binomial algebra")
     for seq in seqs:
+        rows = _engine_rows(seq)
         factorials = [1]
-        for n, row in enumerate(f_binomial_rows(seq, FBINOM_BOUND)):
-            entries = [f_binomial(seq, n, k) for k in range(n + 1)]
-            for k in range(n + 1):
-                suite.check(
-                    "binomial symmetry",
-                    f"(F, n, k) = ({seq.name}, {n}, {k})",
-                    entries[n - k],
-                    entries[k],
-                )
+        for n in range(FBINOM_BOUND + 1):
             if n >= 1:
-                current = f_factorial(seq, n)
+                factorials.append(factorials[-1] * seq_eval(seq, n))
                 suite.check(
                     "factorial recurrence F_n! = F_{n-1}! * F_n",
                     f"(F, n) = ({seq.name}, {n})",
-                    factorials[-1] * seq_eval(seq, n),
-                    current,
+                    factorials[n],
+                    lambda: f_factorial(seq, n),
                 )
-                factorials.append(current)
             suite.check(
                 "row engine = per-entry F-binomials",
                 f"(F, n) = ({seq.name}, {n})",
-                entries,
-                row,
+                _outcome(lambda: [f_binomial(seq, n, k) for k in range(n + 1)]),
+                lambda: rows()[n],
             )
             suite.check(
                 "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
@@ -363,7 +377,7 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
                     divmod(factorials[n], factorials[k] * factorials[n - k])
                     for k in range(n + 1)
                 ],
-                [(entry, 0) for entry in row],
+                lambda: [(entry, 0) for entry in rows()[n]],
             )
     fib = [0, 1]
     while len(fib) <= FBINOM_BOUND + 1:
@@ -371,35 +385,31 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
     fibonomial = _family_pascal_rows(
         lambda prev, n, k: fib[k - 1] * prev[k] + fib[n - k + 1] * prev[k - 1]
     )
-    for n, row in enumerate(f_binomial_rows(fibonacci(), FBINOM_BOUND)):
+    rows = _engine_rows(fibonacci())
+    for n in range(FBINOM_BOUND + 1):
         suite.check(
             "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
             f"n = {n}",
             fibonomial[n],
-            row,
+            lambda: rows()[n],
         )
     for q in (2, 3):
         gauss = _family_pascal_rows(
             lambda prev, n, k: prev[k - 1] + q**k * prev[k]
         )
-        for n, row in enumerate(f_binomial_rows(gaussian(q), FBINOM_BOUND)):
+        rows = _engine_rows(gaussian(q))
+        for n in range(FBINOM_BOUND + 1):
             suite.check(
                 "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
                 f"(q, n) = ({q}, {n})",
                 gauss[n],
-                row,
+                lambda: rows()[n],
             )
-    completed, error = 0, "none"
-    try:
-        for _ in f_binomial_rows(lucas(), FBINOM_BOUND):
-            completed += 1
-    except NonIntegralError as exc:
-        error = str(exc).partition(" for F = ")[0]
     suite.check(
         "lucas rows fail first at (4 choose 2)",
         f"(F, rows) = (lucas, 0..{FBINOM_BOUND})",
         (4, "(4 choose 2)_F is not an integer"),
-        (completed, error),
+        lambda: _first_non_integral(f_binomial_rows(lucas(), FBINOM_BOUND), 0),
     )
     nat = make_sequence("naturals")
     pascal = _family_pascal_rows(lambda prev, n, k: prev[k - 1] + prev[k])
@@ -408,23 +418,9 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
             "naturals binomials = Pascal recurrence",
             f"n = {n}",
             pascal[n],
-            [f_binomial(nat, n, k) for k in range(n + 1)],
-        )
-        suite.check(
-            "Pascal row sum = 2^n",
-            f"n = {n}",
-            2**n,
-            sum(f_binomial(nat, n, k) for k in range(n + 1)),
+            lambda: [f_binomial(nat, n, k) for k in range(n + 1)],
         )
     return suite
-
-
-def _outcome(compute: Callable[[], object]):
-    """``compute()``, or the type and text of the exception it raised."""
-    try:
-        return compute()
-    except Exception as exc:  # a broken walk must surface as a failure, like check_call
-        return f"raised {type(exc).__name__}: {exc}"
 
 
 def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
@@ -447,27 +443,24 @@ def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
                     "Whitney line walk = per-entry F-binomials",
                     f"(n, F, policy) = ({n}, {seq.name}, {policy})",
                     _outcome(lambda: f_binomials(seq, levels)),
-                    _outcome(lambda: pnfposet.pnf_whitney_vector(n, seq, policy)),
+                    lambda: pnfposet.pnf_whitney_vector(n, seq, policy),
                 )
         column = [(2 * m, m) for m in range(1, max_n + 1)]
         suite.check(
             "central column walk = per-entry F-binomials",
             f"(F, count) = ({seq.name}, {max_n})",
             _outcome(lambda: f_binomials(seq, column)),
-            _outcome(lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n)),
+            lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n),
         )
-    first_raise = None
-    for count in range(1, max_n + 1):
-        try:
-            f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)
-        except NonIntegralError as exc:
-            first_raise = (count, str(exc).partition(" for F = ")[0])
-            break
+    walks = (
+        f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)
+        for count in range(1, max_n + 1)
+    )
     suite.check(
         "lucas central column walk fails first at (4 choose 2)",
         f"(F, count) = (lucas, 1..{max_n})",
         (2, "(4 choose 2)_F is not an integer"),
-        first_raise,
+        lambda: _first_non_integral(walks, 1),
     )
     return suite
 
@@ -476,20 +469,23 @@ def check_gcd_morphism() -> SuiteResult:
     """The shipped GCD-morphic family passes at the fixed bound; lucas fails."""
     suite = SuiteResult("GCD-morphism gate")
     for seq in gcd_morphic_family():
-        report = gcd_morphic_check(seq, GCD_BOUND)
         suite.check(
             "sequence is GCD-morphic up to the bound",
             f"(F, N) = ({seq.name}, {GCD_BOUND})",
             True,
-            report.holds,
+            lambda: gcd_morphic_check(seq, GCD_BOUND).holds,
         )
-    negative = gcd_morphic_check(lucas(), GCD_BOUND)
-    witness = negative.counterexample
+
+    def lucas_witness() -> tuple[bool, Optional[int], Optional[int]]:
+        report = gcd_morphic_check(lucas(), GCD_BOUND)
+        witness = report.counterexample
+        return report.holds, witness and witness.n, witness and witness.m
+
     suite.check(
         "lucas fails with first counterexample (2, 4)",
         f"(F, N) = (lucas, {GCD_BOUND})",
         (False, 2, 4),
-        (negative.holds, witness.n if witness else None, witness.m if witness else None),
+        lucas_witness,
     )
     return suite
 

@@ -3,14 +3,19 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cobweb
 from cobweb import verify
 from cobweb.cli import GRID_CENSUS_LIMIT, main
+
+SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
 
 
 def run_cli(argv, capsys):
@@ -465,6 +470,7 @@ class TestEntryPoints:
             [sys.executable, "-m", "cobweb", "seq", "--seq", "fib", "--count", "5"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 0
         assert proc.stdout.split() == ["1", "1", "2", "3", "5"]

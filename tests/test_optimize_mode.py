@@ -1,6 +1,7 @@
 """Checks that must survive ``python -O``, which strips ``assert`` statements."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import cobweb
 
 LIBRARY = sorted(Path(cobweb.__file__).parent.glob("*.py"))
+
+SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
 
 
 def test_library_code_has_no_assert_statements():
@@ -26,6 +29,7 @@ def test_non_integral_triangle_fails_under_optimization():
         [sys.executable, "-O", "-m", "cobweb", "fbinom", "--seq", "lucas", "--rows", "5"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 2
     assert "not an integer" in proc.stderr

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from cobweb import pnfposet, sequences, verify
+from cobweb import cli, pnfposet, sequences, verify
 from cobweb.sequences import NonIntegralError, gaussian, naturals
 
 
@@ -16,6 +16,10 @@ def broken_chain_count(k, n):
     if remainder:
         raise ArithmeticError(f"non-integral chain count at ({k}, {n})")
     return quotient
+
+
+def boom(*args, **kwargs):
+    raise ArithmeticError("boom")
 
 
 def off_by_one_whitney(k, n):
@@ -47,22 +51,24 @@ class TestSuites:
 
     def test_default_scale_counts(self):
         suites = {s.name: s for s in verify.run_verify(12)}
-        assert sum(s.cases for s in suites.values()) == 5070
+        assert sum(s.cases for s in suites.values()) == 1595
         assert not any(s.failures for s in suites.values())
         assert suites["grid maximal chains vs oracle"].skipped == 0
         assert suites["layered poset chain products"].skipped == 13
         assert all(s.seconds > 0 for s in suites.values())
 
     def test_layered_census_runs_in_bounded_memory(self):
-        # P(12, gauss2) alone has 1,167,789 elements; none may be held at once
-        tracemalloc.start()
-        try:
-            suite = verify.check_pnf_census(12, [gaussian(2)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert suite.cases == 24 and not suite.failures
-        assert peak < 8 * 2**20
+        # P(12, gauss2) has 1,167,789 elements and P(12, gauss3) far more;
+        # none is held, and no vertex guard skips a census
+        for seq in (gaussian(2), gaussian(3)):
+            tracemalloc.start()
+            try:
+                suite = verify.check_pnf_census(12, [seq])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (suite.cases, suite.skipped, suite.failures) == (24, 0, [])
+            assert peak < 8 * 2**20
 
     def test_skips_are_reported_not_passed(self):
         suites = {s.name: s for s in verify.run_verify(10)}
@@ -182,3 +188,78 @@ class TestFaultInjection:
         ]
         assert suite.failures[0].actual == "[]"
         assert suite.failures[1].actual == "None"
+
+    @pytest.mark.parametrize(
+        "target, fed",
+        [
+            (
+                "cobweb.pnfposet.pnf_whitney_vector",
+                {
+                    "oracle rank census = F-binomial level sizes",
+                    "Bell-like number = total size",
+                    "including the degenerate level adds 1 for even n, 0 for odd",
+                    "Bell-like numbers of naturals = shifted Fibonacci",
+                    "chain count = product of level sizes",
+                    "Whitney line walk = per-entry F-binomials",
+                },
+            ),
+            (
+                "cobweb.gridposet.grid_whitney",
+                {
+                    "Whitney closed form = rank census of the enumerated set",
+                    "Bell-like number = size",
+                    "oracle rank census = Whitney vector",
+                },
+            ),
+        ],
+        ids=["pnf_whitney_vector", "grid_whitney"],
+    )
+    def test_raising_closed_form_fails_every_identity_it_feeds(
+        self, monkeypatch, capsys, target, fed
+    ):
+        monkeypatch.setattr(target, boom)
+        failures = [f for suite in verify.run_verify(6) for f in suite.failures]
+        assert {f.identity for f in failures} == fed
+        assert {f.actual for f in failures} == {"raised ArithmeticError: boom"}
+        assert cli.main(["verify", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\nFAIL ") == len(failures)
+        assert "got raised ArithmeticError: boom\n" in out
+
+    def test_off_by_one_step_fails_verify_not_the_command_line(self, monkeypatch, capsys):
+        step = sequences._checked_step
+
+        def off_by_one_at_5_2(values, n, k, *rest):
+            return step(values, n, k, *rest) + ((n, k) == (5, 2))
+
+        monkeypatch.setattr("cobweb.sequences._checked_step", off_by_one_at_5_2)
+        failures = [f for suite in verify.run_verify(6) for f in suite.failures]
+        raised = {f.identity for f in failures if f.actual.startswith("raised ")}
+        assert raised == {
+            "row engine = per-entry F-binomials",
+            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
+            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
+            "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
+        }
+        assert not any(f.actual.startswith("'") for f in failures)
+        assert cli.main(["verify", "--max-n", "6"]) == 1
+        captured = capsys.readouterr()
+        assert "got raised NonIntegralError: (5 choose 4)_F is not an integer" in captured.out
+        assert captured.err == ""
+
+    def test_raising_walk_renders_unquoted(self, monkeypatch):
+        monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", boom)
+        suite = verify.check_fbinom_diagonals(4, [naturals()])
+        assert [(f.identity, f.inputs) for f in suite.failures] == [
+            ("central column walk = per-entry F-binomials", "(F, count) = (naturals, 4)"),
+            ("central column walk = per-entry F-binomials", "(F, count) = (lucas, 4)"),
+            (
+                "lucas central column walk fails first at (4 choose 2)",
+                "(F, count) = (lucas, 1..4)",
+            ),
+        ]
+        assert {f.actual for f in suite.failures} == {"raised ArithmeticError: boom"}
+        # the per-entry side raises by design for lucas, rendered the same way
+        assert suite.failures[1].expected.startswith(
+            "raised NonIntegralError: (4 choose 2)_F is not an integer"
+        )
