@@ -6,6 +6,9 @@ quantities), ``verify`` (oracle cross-check suites), ``export`` (OEIS
 b-file writer).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+A handler rejects bad input by raising ``ValueError`` (or ``NonIntegralError``
+when the requested quantity does not exist for the sequence); ``main`` alone
+turns either into a usage error naming the cause, exit 2.
 Integers cross the output boundary as decimal strings at every magnitude:
 the subcommand runs with Python's int-to-str digit limit lifted, while
 integers parsed from the command line keep the interpreter's default limit.
@@ -33,7 +36,6 @@ from .pnfposet import POLICIES, pnf_bell, pnf_bell_sequence, pnf_whitney_vector
 from .sequences import (
     GCD_MORPHIC_SPECS,
     SEQUENCE_NAMES,
-    AdmissibilityError,
     NonIntegralError,
     f_binomial_diagonal,
     f_binomial_rows,
@@ -84,13 +86,6 @@ def _emit(
         sys.stdout.write(_table(rows, labels))
 
 
-def _make_sequence(parser: argparse.ArgumentParser, name: str, q: Optional[int]):
-    try:
-        return make_sequence(name, q)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _seq_params(args) -> dict[str, str]:
     params = {"seq": args.seq}
     if args.q is not None:
@@ -98,19 +93,19 @@ def _seq_params(args) -> dict[str, str]:
     return params
 
 
-def cmd_seq(args, parser) -> int:
+def cmd_seq(args) -> int:
     if args.count < 1:
-        parser.error(f"--count must be >= 1, got {args.count}")
-    seq = _make_sequence(parser, args.seq, args.q)
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    seq = make_sequence(args.seq, args.q)
     values = [str(seq_eval(seq, i)) for i in range(1, args.count + 1)]
     _emit("seq", _seq_params(args) | {"count": str(args.count)}, values, args.format)
     return 0
 
 
-def cmd_fbinom(args, parser) -> int:
+def cmd_fbinom(args) -> int:
     if args.rows < 0:
-        parser.error(f"--rows must be >= 0, got {args.rows}")
-    seq = _make_sequence(parser, args.seq, args.q)
+        raise ValueError(f"--rows must be >= 0, got {args.rows}")
+    seq = make_sequence(args.seq, args.q)
     triangle = [[str(x) for x in row] for row in f_binomial_rows(seq, args.rows)]
     _emit(
         "fbinom", _seq_params(args) | {"rows": str(args.rows)}, triangle, args.format
@@ -136,13 +131,10 @@ GRID_QUANTITIES = {
 GRID_CENSUS_LIMIT = 300_000
 
 
-def cmd_grid(args, parser) -> int:
-    try:
-        grid_size(args.k, args.n)  # bounds check: bad (k, n) is a usage error
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_grid(args) -> int:
+    grid_size(args.k, args.n)  # bounds check: bad (k, n) is a usage error
     if args.show != "size" and args.k + args.n > GRID_CENSUS_LIMIT:
-        parser.error(
+        raise ValueError(
             f"--show {args.show} takes k + n = {args.k + args.n}, over the limit "
             f"of {GRID_CENSUS_LIMIT}; only --show size has no limit"
         )
@@ -156,10 +148,10 @@ def cmd_grid(args, parser) -> int:
     return 0
 
 
-def cmd_pnf(args, parser) -> int:
+def cmd_pnf(args) -> int:
     if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
-    seq = _make_sequence(parser, args.seq, args.q)
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    seq = make_sequence(args.seq, args.q)
     params = _seq_params(args) | {
         "n": str(args.n),
         "show": args.show,
@@ -173,30 +165,28 @@ def cmd_pnf(args, parser) -> int:
     return 0
 
 
-def _scale_limit(parser) -> int:
+def _scale_limit() -> int:
     raw = os.environ.get("COBWEB_SCALE_LIMIT")
     if raw is None:
         return oracle.DEFAULT_MAX_INDEX
     try:
         return int(raw)
     except ValueError:
-        parser.error(f"COBWEB_SCALE_LIMIT must be an integer, got {raw!r}")
+        message = f"COBWEB_SCALE_LIMIT must be an integer, got {raw!r}"
+        raise ValueError(message) from None
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.max_n < 2:
-        parser.error(f"--max-n must be >= 2, got {args.max_n}")
-    limit = _scale_limit(parser)
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
+    limit = _scale_limit()
     if args.max_n > limit:
-        parser.error(
+        raise ValueError(
             f"--max-n {args.max_n} exceeds the scale guard {limit}; "
             f"set COBWEB_SCALE_LIMIT to go further"
         )
     tokens = args.seq.split(",") if args.seq is not None else None
-    try:
-        suites = verify.run_verify(args.max_n, tokens)
-    except ValueError as exc:
-        parser.error(str(exc))
+    suites = verify.run_verify(args.max_n, tokens)
     cases = sum(suite.cases for suite in suites)
     failures = [failure for suite in suites for failure in suite.failures]
     params = {
@@ -242,10 +232,10 @@ def cmd_verify(args, parser) -> int:
     return 1 if failures else 0
 
 
-def cmd_export(args, parser) -> int:
+def cmd_export(args) -> int:
     if args.count < 1:
-        parser.error(f"--count must be >= 1, got {args.count}")
-    seq = _make_sequence(parser, args.seq, args.q)
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    seq = make_sequence(args.seq, args.q)
     if args.what == "bell":
         values = pnf_bell_sequence(seq, args.count)
     else:  # fbinom-diagonal: central column of the triangle
@@ -335,9 +325,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # answers are printed whole, however long
     try:
-        return args.handler(args, parser)
-    except (AdmissibilityError, NonIntegralError) as exc:
-        # the requested quantity does not exist for this sequence
+        return args.handler(args)
+    except (ValueError, NonIntegralError) as exc:
         parser.error(str(exc))
     finally:
         sys.set_int_max_str_digits(digit_limit)

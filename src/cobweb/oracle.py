@@ -170,6 +170,8 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
 
 def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
     """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from F_1..F_n."""
+    if not 0 <= top <= n // 2:
+        raise ValueError(f"P({n}, {seq.name}) has levels 0..{n // 2}, not 0..{top}")
     factorials = [1]
     for i in range(1, n + 1):
         factorials.append(factorials[-1] * seq_eval(seq, i))
@@ -242,13 +244,13 @@ def enumerate_maximal_chains(
     lexicographic order, so any derived listing is reproducible.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
+    successors = diagram.successors
     count = 0
-    min_len: Optional[int] = None
-    max_len = 0
+    lengths: set[int] = set()
 
     def extend(vertex: Vertex, depth: int) -> None:
-        nonlocal count, min_len, max_len
-        uppers = diagram.successors(vertex)
+        nonlocal count
+        uppers = successors(vertex)
         if not uppers:
             count += 1
             if count > limit:
@@ -256,19 +258,16 @@ def enumerate_maximal_chains(
                     f"maximal-chain enumeration exceeded the guard of {limit} "
                     f"chains; pass an explicit max_chains to go further"
                 )
-            if min_len is None or depth < min_len:
-                min_len = depth
-            if depth > max_len:
-                max_len = depth
+            lengths.add(depth)
             return
         for upper in uppers:
             extend(upper, depth + 1)
 
     for minimal in diagram.minimal_vertices:
         extend(minimal, 1)
-    if min_len is None:  # no vertices at all; not produced by the builders
+    if not lengths:  # no vertices at all; not produced by the builders
         return ChainReport(0, 0, 0, True)
-    return ChainReport(count, min_len, max_len, min_len == max_len)
+    return ChainReport(count, min(lengths), max(lengths), len(lengths) == 1)
 
 
 def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:

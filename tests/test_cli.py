@@ -36,6 +36,28 @@ def numeric_tokens(text):
     return tokens
 
 
+SEQ_COMMANDS = ("seq", "fbinom", "pnf", "export")
+
+
+def seq_command(command, seq_options, tmp_path):
+    """argv for a --seq subcommand whose other options are valid."""
+    rest = {
+        "seq": ["--count", "4"],
+        "fbinom": ["--rows", "4"],
+        "pnf": ["--n", "4"],
+        "export": ["--what", "bell", "--count", "4", "--bfile", str(tmp_path / "b")],
+    }[command]
+    return [command, *seq_options, *rest]
+
+
+def usage_error(argv, capsys, tmp_path):
+    """Run argv, expecting exit 2 with nothing written; return the last stderr line."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert not any(tmp_path.iterdir())
+    return err.splitlines()[-1]
+
+
 class TestSeqCommand:
     def test_fibonacci_values(self, capsys):
         code, out, _ = run_cli(["seq", "--seq", "fib", "--count", "6"], capsys)
@@ -49,18 +71,30 @@ class TestSeqCommand:
         assert code == 0
         assert out.split() == ["1", "3", "7", "15"]
 
-    def test_gauss_without_q_is_usage_error(self, capsys):
-        code, _, err = run_cli(["seq", "--seq", "gauss", "--count", "4"], capsys)
-        assert code == 2
-        assert "q" in err
+    def test_gauss_without_q_is_usage_error(self, capsys, tmp_path):
+        expected = "cobweb: error: sequence 'gauss' requires the base parameter q"
+        for command in SEQ_COMMANDS:
+            argv = seq_command(command, ["--seq", "gauss"], tmp_path)
+            assert usage_error(argv, capsys, tmp_path) == expected, command
 
-    def test_q_with_other_sequence_is_usage_error(self, capsys):
-        code, _, _ = run_cli(["seq", "--seq", "fib", "--q", "2", "--count", "4"], capsys)
-        assert code == 2
+    def test_q_with_other_sequence_is_usage_error(self, capsys, tmp_path):
+        expected = "cobweb: error: sequence 'fib' does not take a base parameter q"
+        for command in SEQ_COMMANDS:
+            argv = seq_command(command, ["--seq", "fib", "--q", "2"], tmp_path)
+            assert usage_error(argv, capsys, tmp_path) == expected, command
 
-    def test_unknown_sequence_is_usage_error(self, capsys):
-        code, _, _ = run_cli(["seq", "--seq", "tribonacci", "--count", "4"], capsys)
-        assert code == 2
+    def test_gauss_base_below_2_is_usage_error(self, capsys, tmp_path):
+        expected = "cobweb: error: gaussian base must be an integer >= 2, got 1"
+        for command in SEQ_COMMANDS:
+            argv = seq_command(command, ["--seq", "gauss", "--q", "1"], tmp_path)
+            assert usage_error(argv, capsys, tmp_path) == expected, command
+
+    def test_unknown_sequence_is_usage_error(self, capsys, tmp_path):
+        for command in SEQ_COMMANDS:
+            argv = seq_command(command, ["--seq", "tribonacci"], tmp_path)
+            assert usage_error(argv, capsys, tmp_path).startswith(
+                f"cobweb {command}: error: argument --seq: invalid choice: 'tribonacci'"
+            )
 
     def test_nonpositive_count_is_usage_error(self, capsys):
         code, _, _ = run_cli(["seq", "--seq", "fib", "--count", "0"], capsys)
@@ -303,8 +337,11 @@ class TestVerifyCommand:
 
     def test_scale_limit_env_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("COBWEB_SCALE_LIMIT", "lots")
-        code, _, _ = run_cli(["verify", "--max-n", "10"], capsys)
+        code, _, err = run_cli(["verify", "--max-n", "10"], capsys)
         assert code == 2
+        assert err.splitlines()[-1] == (
+            "cobweb: error: COBWEB_SCALE_LIMIT must be an integer, got 'lots'"
+        )
 
 
 class TestExportCommand:

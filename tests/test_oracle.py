@@ -20,6 +20,7 @@ from cobweb.oracle import (
     build_pnf_hasse,
     count_maximal_chains,
     enumerate_maximal_chains,
+    layer_sizes,
     rank_level_counts,
 )
 from cobweb.pnfposet import POLICIES, pnf_whitney_vector
@@ -199,6 +200,16 @@ class TestPnfHasse:
     def test_vertex_guard(self):
         with pytest.raises(ScaleLimitError, match="vertex guard"):
             build_pnf_hasse(10, gaussian(2), max_vertices=100)
+
+    @pytest.mark.parametrize(
+        "n, seq, top",
+        [(4, ONES, 3), (5, NAT, 3), (4, NAT, -1)],
+        ids=["ones-above", "naturals-above", "negative"],
+    )
+    def test_layer_sizes_rejects_a_top_level_outside_the_poset(self, n, seq, top):
+        levels = rf"P\({n}, {seq.name}\) has levels 0\.\.{n // 2}, not 0\.\.{top}$"
+        with pytest.raises(ValueError, match=levels):
+            layer_sizes(n, seq, top)
 
 
 class TestChainEnumeration:
