@@ -23,7 +23,9 @@ sizes.  Their vertices are streamed level by level on each iteration and
 their cover edges are the complete bipartite pairs between consecutive
 levels, built on demand, so memory stays O(levels) however many vertices
 a census walks (over a million for P(12, gauss2)); only a traversal along
-covers keeps the levels it visits.  Grid diagrams store
+covers keeps the levels it visits.  ``verify`` builds no layered diagram:
+its layered suites read ``layer_sizes``, and only library callers and the
+tests walk layered covers.  Grid diagrams store
 their O(V) vertices and cover edges; the DP holds one entry per vertex.
 
 Scale guards keep exhaustive work bounded: diagram construction refuses

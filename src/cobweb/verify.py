@@ -11,14 +11,10 @@ the pure-arithmetic suites (binomial algebra, GCD-morphism gate) always
 run at their full fixed bounds since they are instant.
 
 A check the oracle cannot afford is reported as skipped, never as
-passed.  Two guards decide, each counted per input:
-
-* grid chains: the DP always runs, so the closed form and gradedness are
-  checked at every (k, n); only "DFS = DP" is skipped where the DFS would
-  pass ``oracle.DEFAULT_MAX_CHAINS`` chains (none up to ``max_n`` 12);
-* layered chain products: the whole case is skipped where the product of
-  the oracle's level sizes passes ``oracle.DEFAULT_MAX_CHAINS`` (13 cases
-  at the default ``verify --max-n 12``).
+passed.  One guard decides, counted per input: in the grid chain suite
+the DP always runs, so the closed form and gradedness are checked at
+every (k, n); only "DFS = DP" is skipped where the DFS would pass
+``oracle.DEFAULT_MAX_CHAINS`` chains (none up to ``max_n`` 12).
 
 Every suite's wall time is kept in ``SuiteResult.seconds``.
 """
@@ -28,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import prod
 from typing import Callable, Iterator, Optional
 
 from . import gridposet, oracle, pnfposet
@@ -290,28 +285,6 @@ def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     return suite
 
 
-def check_pnf_chain_products(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Chain count of an ordinal sum of antichains = product of level sizes."""
-    suite = SuiteResult("layered poset chain products")
-    for seq in seqs:
-        for n in range(1, max_n + 1):
-            inputs = f"(n, F) = ({n}, {seq.name})"
-            sizes = oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n))
-            if prod(sizes) > oracle.DEFAULT_MAX_CHAINS:
-                suite.skipped += 1
-                continue
-            diagram = oracle.build_pnf_hasse(n, seq, max_index=max_n)
-            report = oracle.enumerate_maximal_chains(diagram)
-            suite.check(
-                "chain count = product of level sizes",
-                inputs,
-                report.chain_count,
-                lambda: prod(pnfposet.pnf_whitney_vector(n, seq)),
-            )
-            suite.check("layered poset is graded", inputs, True, lambda: report.graded)
-    return suite
-
-
 def _family_pascal_rows(step: Callable[[list[int], int, int], int]) -> list[list[int]]:
     """Rows 0..FBINOM_BOUND built by an additive rule from the row above.
 
@@ -512,7 +485,6 @@ def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[Suite
         _timed(check_grid_order_laws, max_n),
         _timed(check_pnf_census, max_n, seqs),
         _timed(check_pnf_identities, max_n, seqs),
-        _timed(check_pnf_chain_products, max_n, seqs),
         _timed(check_fbinom_algebra, seqs),
         _timed(check_fbinom_diagonals, max_n, seqs),
         _timed(check_gcd_morphism),

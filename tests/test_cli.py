@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cobweb
-from cobweb import verify
+from cobweb import oracle, verify
 from cobweb.cli import GRID_CENSUS_LIMIT, main
 
 SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
@@ -452,6 +452,7 @@ class TestFormats:
         assert doc["values"] == [checks, failures]
 
     def test_verify_skips_are_visible_in_every_format(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_CHAINS", 1000)
         suites = verify.run_verify(12)  # run the suites once, render three times
         monkeypatch.setattr(verify, "run_verify", lambda max_n, tokens: suites)
         outputs = {}
@@ -463,7 +464,7 @@ class TestFormats:
         table_skips = sum(
             int(count) for count in re.findall(r"(\d+) skipped", outputs["table"])
         )
-        assert table_skips > 0  # chain products beyond the chain guard
+        assert table_skips > 0  # grid DFS beyond the lowered chain guard
         doc = json.loads(outputs["json"])
         assert sum(int(suite["skipped"]) for suite in doc["suites"]) == table_skips
         assert [suite["name"] for suite in doc["suites"]] == [s.name for s in suites]
