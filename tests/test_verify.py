@@ -3,10 +3,14 @@
 import tracemalloc
 from itertools import islice
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import cli, oracle, pnfposet, sequences, verify
+from cobweb.gridposet import grid_leq
 from cobweb.sequences import NonIntegralError, gaussian, naturals
 
 
@@ -27,6 +31,37 @@ def off_by_one_whitney(k, n):
     return [
         max(0, min(k, (j + 1) // 2) - max(0, j + 1 - n) + 1) for j in range(k + n)
     ]
+
+
+ORDER_LAWS = "reflexive, antisymmetric, transitive"
+
+
+def cubic_order_laws(elements, leq):
+    """Reference: the three partial-order laws over every element, pair and triple."""
+    return (
+        all(leq(a, a) for a in elements),
+        all(
+            not (leq(a, b) and leq(b, a))
+            for a in elements
+            for b in elements
+            if a != b
+        ),
+        all(
+            not (leq(a, b) and leq(b, c)) or leq(a, c)
+            for a in elements
+            for b in elements
+            for c in elements
+        ),
+    )
+
+
+@st.composite
+def relations(draw):
+    """A random relation on 1..6 elements, as (elements, related pairs)."""
+    elements = list(range(draw(st.integers(1, 6))))
+    element = st.sampled_from(elements)
+    pairs = draw(st.sets(st.tuples(element, element)))
+    return elements, pairs
 
 
 class TestSuites:
@@ -77,6 +112,18 @@ class TestSuites:
         assert not guarded.failures
         # a skip drops only "DFS = DP"; the DP checks still run at every input
         assert guarded.cases + guarded.skipped == full.cases
+
+
+    @given(relations())
+    @settings(max_examples=200, deadline=None)
+    def test_bitset_order_laws_equal_the_triple_loop(self, relation):
+        elements, pairs = relation
+
+        def leq(a, b):
+            return (a, b) in pairs
+
+        with mock.patch("cobweb.gridposet.grid_leq", leq):
+            assert verify._order_laws(elements) == cubic_order_laws(elements, leq)
 
 
 class TestFaultInjection:
@@ -264,3 +311,40 @@ class TestFaultInjection:
         assert suite.failures[1].expected.startswith(
             "raised NonIntegralError: (4 choose 2)_F is not an integer"
         )
+
+    @pytest.mark.parametrize(
+        "relation, laws, passing",
+        [
+            (
+                lambda a, b: a == b or (grid_leq(a, b) and sum(b) == sum(a) + 1),
+                (True, True, False),
+                ["(k, n) = (0, 2)"],  # the only input without a 3-element chain
+            ),
+            (lambda a, b: True, (True, False, True), []),
+            (lambda a, b: a != b and grid_leq(a, b), (False, True, True), []),
+        ],
+        ids=["covers-only", "all-pairs", "strict"],
+    )
+    def test_order_law_breach_is_detected(self, monkeypatch, relation, laws, passing):
+        healthy = verify.check_grid_order_laws(4)
+        monkeypatch.setattr("cobweb.gridposet.grid_leq", relation)
+        suite = verify.check_grid_order_laws(4)
+        assert suite.cases == healthy.cases == 9  # 0 <= k < n, 2 <= n <= 4
+        assert {f.identity for f in suite.failures} == {ORDER_LAWS}
+        assert {f.actual for f in suite.failures} == {repr(laws)}
+        assert len(suite.failures) == suite.cases - len(passing)
+        assert all(f.inputs not in passing for f in suite.failures)
+
+    def test_raising_order_relation_fails_verify_not_the_command_line(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("cobweb.gridposet.grid_leq", boom)
+        failures = [f for suite in verify.run_verify(4) for f in suite.failures]
+        assert {f.identity for f in failures} == {ORDER_LAWS}
+        assert {f.actual for f in failures} == {"raised ArithmeticError: boom"}
+        assert len(failures) == 9
+        assert cli.main(["verify", "--max-n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\nFAIL ") == len(failures)
+        assert "got raised ArithmeticError: boom\n" in captured.out
+        assert captured.err == ""
