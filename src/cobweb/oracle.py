@@ -13,11 +13,15 @@ It never reuses a closed form it is meant to validate:
   through the factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a
   checked division, never from the F-binomial engine;
 * maximal chains are counted two ways along cover edges: one by one by
-  a batched depth-first walk (``enumerate_maximal_chains``), which
-  extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
-  in O(depth * batch) memory and with no recursion limit, and by dynamic
-  programming over the vertices in descending rank
-  (``count_maximal_chains``), never by formula;
+  a batched depth-first walk (``enumerate_maximal_chains``), and by
+  dynamic programming over the vertices in descending rank
+  (``count_maximal_chains``), never by formula.  The walk holds each open
+  chain as the packed id of its last vertex in a ``bytes`` level and
+  extends up to ``_CHAIN_BATCH`` of them per step in one C ``join`` of
+  packed cover lists; a maximal vertex packs to a reserved all-ones
+  "sink" id, so finished chains are counted with ``bytes.count``.  It
+  keeps O(max_chains + depth * batch) ids of at most 8 bytes and has no
+  recursion limit;
 * rank censuses of grid diagrams recount every vertex.
 
 Layered diagrams (ordinal sums of antichains) store only their level
@@ -38,15 +42,16 @@ top indices above ``DEFAULT_MAX_INDEX`` and vertex totals above
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
 from .pnfposet import DEFAULT_POLICY, pnf_max_rank
-from .sequences import FSequence, NonIntegralError, seq_eval
+from .sequences import FSequence, NonIntegralError, _Record, seq_eval
 
 Vertex = tuple[int, int]
 
@@ -60,8 +65,7 @@ class ScaleLimitError(RuntimeError):
     """Construction or enumeration would exceed a scale guard."""
 
 
-@dataclass(frozen=True, eq=False)
-class HasseDiagram:
+class HasseDiagram(_Record):
     """Vertices plus upper-cover structure of a finite graded poset.
 
     ``vertices`` is a sized iterable of opaque labels in lexicographic
@@ -74,10 +78,18 @@ class HasseDiagram:
     bipartite edge sets.
     """
 
-    vertices: Collection[Vertex]
-    rank_of: Callable[[Vertex], int]
-    successors: Callable[[Vertex], Sequence[Vertex]]
-    minimal_vertices: tuple[Vertex, ...]
+    __slots__ = ("vertices", "rank_of", "successors", "minimal_vertices")
+    __eq__ = object.__eq__  # two diagrams are equal only if they are one
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        vertices: Collection[Vertex],
+        rank_of: Callable[[Vertex], int],
+        successors: Callable[[Vertex], Sequence[Vertex]],
+        minimal_vertices: tuple[Vertex, ...],
+    ) -> None:
+        super().__init__(vertices, rank_of, successors, minimal_vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -112,14 +124,19 @@ class _LayeredVertices:
         return zip(repeat(k), range(1, self.sizes[k] + 1))
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_Record):
     """Exhaustive maximal-chain statistics of one diagram."""
 
-    chain_count: int
-    min_length: int  # elements in the shortest maximal chain
-    max_length: int
-    graded: bool  # all maximal chains equally long
+    __slots__ = ("chain_count", "min_length", "max_length", "graded")
+
+    def __init__(
+        self,
+        chain_count: int,
+        min_length: int,  # elements in the shortest maximal chain
+        max_length: int,
+        graded: bool,  # all maximal chains equally long
+    ) -> None:
+        super().__init__(chain_count, min_length, max_length, graded)
 
 
 def _check_index(n: int, max_index: Optional[int], what: str) -> int:
@@ -239,6 +256,81 @@ def build_pnf_hasse(
     )
 
 
+def _chain_guard_error(limit: int) -> ScaleLimitError:
+    return ScaleLimitError(
+        f"maximal-chain enumeration exceeded the guard of {limit} chains; "
+        f"pass an explicit max_chains to go further"
+    )
+
+
+_ID_CODES = {array(code).itemsize: code for code in "BHILQ"}  # id width -> typecode
+
+
+class _PackedCovers(dict):
+    """Vertex id -> the ids of its upper covers packed into one ``bytes``,
+    or the sink for a maximal vertex; each entry is filled on its first
+    lookup, so ``successors`` runs once per vertex whose covers are asked.
+
+    Ids are 1, 2, 4 or 8 bytes wide, the narrowest that keeps every id of
+    a diagram of ``vertex_count`` vertices below ``0xFF << 8 * (width - 1)``,
+    and are handed out in the order vertices are first reached.  The sink
+    is the all-ones id.  No vertex id has its top byte, which is the last
+    byte of an id in the host's little-endian order, so the leftmost match
+    of the sink in a packed level is always a whole sink, and ``count`` and
+    ``replace`` see only sinks.  A successor list the diagram hands out
+    again (a layered level) is packed once.
+    """
+
+    def __init__(
+        self,
+        successors: Callable[[Vertex], Sequence[Vertex]],
+        vertex_count: int,
+        limit: int,
+    ) -> None:
+        super().__init__()
+        if sys.byteorder != "little":  # a sink could straddle two ids
+            raise NotImplementedError("packed chain ends need a little-endian host")
+        self.width = next(w for w in (1, 2, 4, 8) if vertex_count <= 0xFF << 8 * (w - 1))
+        self.code = _ID_CODES[self.width]
+        self.sink = b"\xff" * self.width
+        self.widest = 1  # at least the most ids any packed entry holds
+        self._successors = successors
+        self._vertex_count = vertex_count
+        self._limit = limit
+        self._ids: dict[Vertex, int] = {}
+        self._vertices: list[Vertex] = []  # by id
+        self._lists: dict[int, tuple[Sequence[Vertex], bytes]] = {}
+
+    def pack(self, vertices: Sequence[Vertex]) -> bytes:
+        """The ids of ``vertices``, new ones handed out in order, packed."""
+        ids = self._ids
+        for vertex in vertices:
+            if vertex not in ids:
+                ids[vertex] = len(self._vertices)
+                self._vertices.append(vertex)
+        if len(self._vertices) > self._vertex_count:
+            raise ValueError(
+                f"the covers reach more vertices than len(diagram) = {self._vertex_count}"
+            )
+        return array(self.code, map(ids.__getitem__, vertices)).tobytes()
+
+    def __missing__(self, vertex_id: int) -> bytes:
+        uppers = self._successors(self._vertices[vertex_id])
+        if len(uppers) > self._limit:  # these covers alone start too many chains
+            raise _chain_guard_error(self._limit)
+        if not uppers:
+            packed = self.sink
+        else:
+            # keyed by object identity; keeping the list keeps its id unique
+            seen = self._lists.get(id(uppers))
+            if seen is None:
+                seen = self._lists[id(uppers)] = (uppers, self.pack(uppers))
+                self.widest = max(self.widest, len(uppers))
+            packed = seen[1]
+        self[vertex_id] = packed
+        return packed
+
+
 def enumerate_maximal_chains(
     diagram: HasseDiagram, max_chains: Optional[int] = None
 ) -> ChainReport:
@@ -247,43 +339,57 @@ def enumerate_maximal_chains(
     Every chain starts at a minimal vertex and is extended one cover edge
     at a time until no upper cover remains; chains through a shared vertex
     are never merged, so each one is a separate step of the walk.  An open
-    chain is held only by its last vertex.  The walk keeps a stack of
-    (depth, iterator over open chain ends) entries and takes batches of
-    at most ``_CHAIN_BATCH`` ends from the top entry; a batch is extended
-    with C iterators (``map`` over ``successors``, ``filter``,
-    ``chain.from_iterable``), its ends without an upper cover count as
-    finished chains of that depth, and its extension is pushed as a new
-    entry.  Memory is O(depth * batch) references beyond the diagram, and
-    there is no recursion limit on the chain length.  Each open chain ends
-    in at least one maximal chain of its own, so the guard, finished plus
-    open chains above ``max_chains``, fires before the next batch is taken
-    exactly when the number of maximal chains exceeds the guard.
+    chain is held only by the id of its last vertex, packed with the ends
+    of its sibling chains in one ``bytes`` level (see ``_PackedCovers``).
+    The walk keeps a stack of (depth, level, offset) entries and takes
+    batches of at most ``_CHAIN_BATCH`` ids from the top entry.  A batch is
+    extended in one C pass, joining the packed cover lists of its ids; an
+    id without an upper cover packs to the sink, so ``count(sink)`` of the
+    joined level is the number of chains finished at that depth, and the
+    level without its sinks is pushed as the next entry.
+
+    Each open chain ends in at least one maximal chain of its own, so the
+    guard, finished plus open chains above ``max_chains``, fires before a
+    batch is joined exactly when the number of maximal chains exceeds the
+    guard.  It is first tested on the bound ``len(batch) * widest`` (the
+    longest packed list so far), and the exact width is counted only when
+    that bound passes the guard, so no level is built beyond it; a vertex
+    with more upper covers than the guard raises it before they are packed.
+
+    Memory is O(``max_chains`` + depth * ``_CHAIN_BATCH``) ids of at most
+    8 bytes on the stack, plus one packed cover list per vertex whose
+    covers were asked (a shared list once).  There is no recursion limit
+    on the chain length.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    successors = diagram.successors
+    packed = _PackedCovers(diagram.successors, len(diagram), limit)
+    width, sink = packed.width, packed.sink
     count = 0  # finished chains
     pending = len(diagram.minimal_vertices)  # open chains on the stack
     lengths: set[int] = set()
-    stack: list[tuple[int, Iterator[Vertex]]] = [(1, iter(diagram.minimal_vertices))]
+    minimals = memoryview(packed.pack(diagram.minimal_vertices)).cast(packed.code)
+    stack = [(1, minimals, 0)]
     while stack:
-        depth, chain_ends = stack[-1]
-        batch = list(islice(chain_ends, _CHAIN_BATCH))
-        if len(batch) < _CHAIN_BATCH:
-            stack.pop()
+        depth, ends, start = stack.pop()
+        batch = ends[start : start + _CHAIN_BATCH]
+        if start + _CHAIN_BATCH < len(ends):
+            stack.append((depth, ends, start + _CHAIN_BATCH))
         pending -= len(batch)
-        uppers = list(filter(None, map(successors, batch)))
-        if len(uppers) < len(batch):
-            count += len(batch) - len(uppers)
+        covers = list(map(packed.__getitem__, batch))
+        if count + pending + len(batch) * packed.widest > limit:
+            finished = covers.count(sink)
+            opened = sum(map(len, covers)) // width - finished
+            if count + finished + pending + opened > limit:
+                raise _chain_guard_error(limit)
+        level = b"".join(covers)
+        finished = level.count(sink)
+        if finished:
+            count += finished
             lengths.add(depth)
-        width = sum(map(len, uppers))
-        if count + pending + width > limit:
-            raise ScaleLimitError(
-                f"maximal-chain enumeration exceeded the guard of {limit} "
-                f"chains; pass an explicit max_chains to go further"
-            )
-        if width:
-            pending += width
-            stack.append((depth + 1, chain.from_iterable(uppers)))
+            level = level.replace(sink, b"")
+        if level:
+            pending += len(level) // width
+            stack.append((depth + 1, memoryview(level).cast(packed.code), 0))
     if not lengths:  # no vertices at all; not produced by the builders
         return ChainReport(0, 0, 0, True)
     return ChainReport(count, min(lengths), max(lengths), len(lengths) == 1)

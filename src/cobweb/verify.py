@@ -24,7 +24,6 @@ Every suite's wall time is kept in ``SuiteResult.seconds``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Optional
 
@@ -33,6 +32,7 @@ from .sequences import (
     GCD_MORPHIC_SPECS,
     FSequence,
     NonIntegralError,
+    _Record,
     f_binomial,
     f_binomial_diagonal,
     f_binomial_rows,
@@ -77,21 +77,22 @@ def _outcome(compute: Callable[[], object]):
         return _Raised(f"raised {type(exc).__name__}: {exc}")
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    identity: str
-    inputs: str
-    expected: str
-    actual: str
+class CheckFailure(_Record):
+    __slots__ = ("identity", "inputs", "expected", "actual")
+
+    def __init__(self, identity: str, inputs: str, expected: str, actual: str) -> None:
+        super().__init__(identity, inputs, expected, actual)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    skipped: int = 0
-    failures: list[CheckFailure] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the whole suite, set by run_verify
+    __slots__ = ("name", "cases", "skipped", "failures", "seconds")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.skipped = 0
+        self.failures: list[CheckFailure] = []
+        self.seconds = 0.0  # wall time of the whole suite, set by run_verify
 
     def check(
         self, identity: str, inputs: str, expected, compute: Callable[[], object]

@@ -1,8 +1,11 @@
 """The package namespace: ``__all__`` is exactly what a star import binds,
-and a subcommand other than ``verify`` starts without the oracle."""
+a subcommand other than ``verify`` starts without the oracle, and no
+command loads ``dataclasses``."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +80,9 @@ report["first_use"] = [
     cobweb.oracle.ChainReport.__name__,
 ]
 report["verify"] = main(["verify", "--max-n", "4"])
+report["loaded_by_verify"] = [
+    name for name in ("dataclasses", "inspect") if name in sys.modules
+]
 print(json.dumps(report))
 """
 
@@ -101,4 +107,40 @@ def test_non_verify_subcommands_do_not_load_the_oracle(tmp_path):
         "registered": ["cobweb.oracle", "cobweb.verify"],
         "first_use": ["HasseDiagram", "ChainReport"],
         "verify": 0,
+        "loaded_by_verify": [],
     }
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (
+            cobweb.ChainReport(2, 5, 5, True),
+            "ChainReport(chain_count=2, min_length=5, max_length=5, graded=True)",
+        ),
+        (
+            cobweb.verify.CheckFailure("law", "(k, n) = (1, 2)", "1", "2"),
+            "CheckFailure(identity='law', inputs='(k, n) = (1, 2)', expected='1', actual='2')",
+        ),
+    ],
+    ids=["ChainReport", "CheckFailure"],
+)
+def test_value_types_behave_as_frozen_dataclasses(value, text):
+    fields = [getattr(value, name) for name in type(value).__slots__]
+    twin = type(value)(*fields)
+    assert twin == value and twin is not value and hash(twin) == hash(value)
+    assert type(value)(*fields[:-1], "other") != value
+    assert value != tuple(fields)
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, type(value).__slots__[0], fields[0])
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and type(clone) is type(value)
+
+
+def test_hasse_diagrams_are_equal_only_to_themselves():
+    diagram, twin = cobweb.build_grid_hasse(1, 2), cobweb.build_grid_hasse(1, 2)
+    assert diagram == diagram and diagram != twin
+    assert len({diagram, twin, diagram}) == 2
+    with pytest.raises(AttributeError):
+        diagram.successors = twin.successors

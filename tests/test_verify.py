@@ -170,6 +170,31 @@ class TestFaultInjection:
         assert (last.inputs, last.expected) == ("n = 4", "5")
         assert last.actual == "raised ArithmeticError: no chain count at (3, 4)"
 
+    def test_walk_dp_mismatch_prints_the_reports_in_full(self, monkeypatch, capsys):
+        dp = oracle.count_maximal_chains
+
+        def one_chain_short(diagram):
+            report = dp(diagram)
+            return oracle.ChainReport(
+                report.chain_count + 1, report.min_length, report.max_length, report.graded
+            )
+
+        monkeypatch.setattr(oracle, "count_maximal_chains", one_chain_short)
+        assert cli.main(["verify", "--max-n", "2"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+            "FAIL chain-count closed form = DP count over cover edges at (k, n) = (0, 2): "
+            "expected 2, got 1",
+            "FAIL exhaustive DFS chain report = DP chain report at (k, n) = (0, 2): "
+            "expected ChainReport(chain_count=2, min_length=2, max_length=2, graded=True), "
+            "got ChainReport(chain_count=1, min_length=2, max_length=2, graded=True)",
+            "FAIL chain-count closed form = DP count over cover edges at (k, n) = (1, 2): "
+            "expected 2, got 1",
+            "FAIL exhaustive DFS chain report = DP chain report at (k, n) = (1, 2): "
+            "expected ChainReport(chain_count=2, min_length=3, max_length=3, graded=True), "
+            "got ChainReport(chain_count=1, min_length=3, max_length=3, graded=True)",
+        ]
+
     def test_failure_records_name_identity_and_values(self, monkeypatch):
         monkeypatch.setattr("cobweb.gridposet.grid_chain_count", broken_chain_count)
         suites = verify.run_verify(4)
