@@ -88,7 +88,7 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
+__all__ = [  # in ASCII sort order
     "AdmissibilityError",
     "ChainReport",
     "DEFAULT_POLICY",
@@ -100,7 +100,6 @@ __all__ = [
     "POLICIES",
     "ScaleLimitError",
     "build_grid_hasse",
-    "build_pnf_hasse",
     "catalan",
     "count_maximal_chains",
     "enumerate_maximal_chains",

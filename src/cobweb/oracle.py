@@ -11,7 +11,9 @@ It never reuses a closed form it is meant to validate:
   gradedness, so the gradedness check stays meaningful;
 * layered level sizes (``layer_sizes``) come from ``seq_eval`` values
   through the factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a
-  checked division, never from the F-binomial engine;
+  checked division, never from the F-binomial engine.  P(n, F) is an
+  ordinal sum of antichains, so its level sizes fix its covers, chains
+  and census, and no layered diagram is built;
 * maximal chains are counted two ways along cover edges: one by one by
   a batched depth-first walk (``enumerate_maximal_chains``), and by
   dynamic programming over the vertices in descending rank
@@ -24,19 +26,11 @@ It never reuses a closed form it is meant to validate:
   recursion limit;
 * rank censuses of grid diagrams recount every vertex.
 
-Layered diagrams (ordinal sums of antichains) store only their level
-sizes.  Their vertices are streamed level by level on each iteration and
-their cover edges are the complete bipartite pairs between consecutive
-levels, built on demand, so memory stays O(levels) however many vertices
-a census walks (over a million for P(12, gauss2)); only a traversal along
-covers keeps the levels it visits.  ``verify`` builds no layered diagram:
-its layered suites read ``layer_sizes``, and only library callers and the
-tests walk layered covers.  Grid diagrams store
-their O(V) vertices and cover edges; the DP holds one entry per vertex.
+Grid diagrams store their O(V) vertices and cover edges; the DP holds one
+entry per vertex.
 
 Scale guards keep exhaustive work bounded: diagram construction refuses
-top indices above ``DEFAULT_MAX_INDEX`` and vertex totals above
-``DEFAULT_MAX_VERTICES``; chain enumeration aborts beyond
+top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
 ``DEFAULT_MAX_CHAINS``.  Every guard takes an explicit override.
 """
 
@@ -45,18 +39,14 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from itertools import chain, repeat
-from operator import itemgetter
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
-from .pnfposet import DEFAULT_POLICY, pnf_max_rank
 from .sequences import FSequence, NonIntegralError, _Record, seq_eval
 
 Vertex = tuple[int, int]
 
 DEFAULT_MAX_INDEX = 12
-DEFAULT_MAX_VERTICES = 2_000_000
 DEFAULT_MAX_CHAINS = 100_000
 _CHAIN_BATCH = 512  # open chains extended per step of enumerate_maximal_chains
 
@@ -68,14 +58,10 @@ class ScaleLimitError(RuntimeError):
 class HasseDiagram(_Record):
     """Vertices plus upper-cover structure of a finite graded poset.
 
-    ``vertices`` is a sized iterable of opaque labels in lexicographic
-    order: a list for grid diagrams, a read-only stream regenerated from
-    the level sizes on every iteration for layered ones (``len`` is O(1)
-    either way).  ``rank_of`` is total on them and strictly increases
-    along every cover edge; ``successors(v)`` lists the upper covers of
-    ``v`` in lexicographic order.  Cover edges are exposed as a
-    deterministic iteration so layered diagrams never materialize complete
-    bipartite edge sets.
+    ``vertices`` is a sized collection of opaque labels in lexicographic
+    order (a list for grid diagrams).  ``rank_of`` is total on them and
+    strictly increases along every cover edge; ``successors(v)`` lists the
+    upper covers of ``v`` in lexicographic order.
     """
 
     __slots__ = ("vertices", "rank_of", "successors", "minimal_vertices")
@@ -101,29 +87,6 @@ class HasseDiagram(_Record):
                 yield vertex, upper
 
 
-class _LayeredVertices:
-    """The (level, copy) vertices of a layered diagram, copies from 1.
-
-    Only the level sizes are stored; each iteration streams the tuples
-    level by level, so nothing per vertex outlives its use.
-    """
-
-    __slots__ = ("sizes", "_total")
-
-    def __init__(self, sizes: list[int]) -> None:
-        self.sizes = tuple(sizes)
-        self._total = sum(sizes)
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return chain.from_iterable(map(self.level, range(len(self.sizes))))
-
-    def level(self, k: int) -> Iterator[Vertex]:
-        return zip(repeat(k), range(1, self.sizes[k] + 1))
-
-
 class ChainReport(_Record):
     """Exhaustive maximal-chain statistics of one diagram."""
 
@@ -137,16 +100,6 @@ class ChainReport(_Record):
         graded: bool,  # all maximal chains equally long
     ) -> None:
         super().__init__(chain_count, min_length, max_length, graded)
-
-
-def _check_index(n: int, max_index: Optional[int], what: str) -> int:
-    limit = DEFAULT_MAX_INDEX if max_index is None else max_index
-    if n > limit:
-        raise ScaleLimitError(
-            f"{what} enumeration is guarded at top index {limit} (asked {n}); "
-            f"pass an explicit max_index to go further"
-        )
-    return limit
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -166,7 +119,12 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     ``a``, the covers of ``a`` are ``up(a)`` minus everything strictly
     above some element of ``up(a)``.
     """
-    _check_index(n, max_index, "grid")
+    limit = DEFAULT_MAX_INDEX if max_index is None else max_index
+    if n > limit:
+        raise ScaleLimitError(
+            f"grid enumeration is guarded at top index {limit} (asked {n}); "
+            f"pass an explicit max_index to go further"
+        )
     elements = grid_elements(k, n)
     up = [
         sum(1 << j for j, b in enumerate(elements) if a != b and grid_leq(a, b))
@@ -211,51 +169,6 @@ def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
     return sizes
 
 
-def build_pnf_hasse(
-    n: int,
-    seq: FSequence,
-    policy: str = DEFAULT_POLICY,
-    max_index: Optional[int] = None,
-    max_vertices: Optional[int] = None,
-) -> HasseDiagram:
-    """Streamed diagram of P(n, F): levels of copies, complete covers between
-    consecutive levels.
-
-    Vertices are (level, copy) pairs with copies numbered from 1, generated
-    from the level sizes on each iteration; the upper covers of a vertex
-    are the whole next level, built on its first request and kept for the
-    next, so a traversal holds the levels it visits and a census none.
-    Level sizes can be enormous for fast-growing F, so the total vertex
-    count, which bounds the time of a census, is guarded (default
-    ``DEFAULT_MAX_VERTICES``).
-    """
-    _check_index(n, max_index, "layered-poset")
-    vertex_limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    vertices = _LayeredVertices(layer_sizes(n, seq, pnf_max_rank(n, policy)))
-    if len(vertices) > vertex_limit:
-        raise ScaleLimitError(
-            f"P({n}, {seq.name}) has {len(vertices)} elements, over the vertex "
-            f"guard {vertex_limit}; pass an explicit max_vertices to go further"
-        )
-    top = len(vertices.sizes) - 1
-    built: dict[int, list[Vertex]] = {}  # levels some successors() call asked for
-
-    def successors_of(vertex: Vertex) -> Sequence[Vertex]:
-        level = vertex[0] + 1
-        if level > top:
-            return []
-        if level not in built:
-            built[level] = list(vertices.level(level))
-        return built[level]
-
-    return HasseDiagram(
-        vertices=vertices,
-        rank_of=itemgetter(0),
-        successors=successors_of,
-        minimal_vertices=tuple(vertices.level(0)),
-    )
-
-
 def _chain_guard_error(limit: int) -> ScaleLimitError:
     return ScaleLimitError(
         f"maximal-chain enumeration exceeded the guard of {limit} chains; "
@@ -277,8 +190,7 @@ class _PackedCovers(dict):
     is the all-ones id.  No vertex id has its top byte, which is the last
     byte of an id in the host's little-endian order, so the leftmost match
     of the sink in a packed level is always a whole sink, and ``count`` and
-    ``replace`` see only sinks.  A successor list the diagram hands out
-    again (a layered level) is packed once.
+    ``replace`` see only sinks.
     """
 
     def __init__(
@@ -299,7 +211,6 @@ class _PackedCovers(dict):
         self._limit = limit
         self._ids: dict[Vertex, int] = {}
         self._vertices: list[Vertex] = []  # by id
-        self._lists: dict[int, tuple[Sequence[Vertex], bytes]] = {}
 
     def pack(self, vertices: Sequence[Vertex]) -> bytes:
         """The ids of ``vertices``, new ones handed out in order, packed."""
@@ -318,15 +229,8 @@ class _PackedCovers(dict):
         uppers = self._successors(self._vertices[vertex_id])
         if len(uppers) > self._limit:  # these covers alone start too many chains
             raise _chain_guard_error(self._limit)
-        if not uppers:
-            packed = self.sink
-        else:
-            # keyed by object identity; keeping the list keeps its id unique
-            seen = self._lists.get(id(uppers))
-            if seen is None:
-                seen = self._lists[id(uppers)] = (uppers, self.pack(uppers))
-                self.widest = max(self.widest, len(uppers))
-            packed = seen[1]
+        packed = self.pack(uppers) if uppers else self.sink
+        self.widest = max(self.widest, len(uppers))
         self[vertex_id] = packed
         return packed
 
@@ -358,8 +262,7 @@ def enumerate_maximal_chains(
 
     Memory is O(``max_chains`` + depth * ``_CHAIN_BATCH``) ids of at most
     8 bytes on the stack, plus one packed cover list per vertex whose
-    covers were asked (a shared list once).  There is no recursion limit
-    on the chain length.
+    covers were asked.  There is no recursion limit on the chain length.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     packed = _PackedCovers(diagram.successors, len(diagram), limit)

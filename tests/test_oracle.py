@@ -25,13 +25,12 @@ from cobweb.oracle import (
     HasseDiagram,
     ScaleLimitError,
     build_grid_hasse,
-    build_pnf_hasse,
     count_maximal_chains,
     enumerate_maximal_chains,
     layer_sizes,
     rank_level_counts,
 )
-from cobweb.pnfposet import POLICIES, pnf_whitney_vector
+from cobweb.pnfposet import POLICIES, pnf_max_rank, pnf_whitney_vector
 from cobweb.sequences import (
     FSequence,
     NonIntegralError,
@@ -144,8 +143,8 @@ def comb(size):
 
 
 def layered(sizes):
-    """Complete covers between consecutive levels of the given sizes; every
-    vertex of a level gets the same list, the level above."""
+    """The ordinal sum of antichains of the given sizes: every vertex of a
+    level is covered by the whole level above."""
     levels = [[(k, i) for i in range(size)] for k, size in enumerate(sizes)]
     levels.append([])
     return HasseDiagram(
@@ -241,69 +240,46 @@ class TestGridHasse:
 
 
 class TestPnfHasse:
+    """The oracle's side of P(n, F): level sizes from ``layer_sizes``, and
+    the chain counters on the layered shape they give."""
+
     def test_level_sizes(self):
-        assert rank_level_counts(build_pnf_hasse(4, NAT)) == [1, 3, 1]
-        assert rank_level_counts(build_pnf_hasse(6, FIB)) == [1, 5, 6, 1]
+        assert layer_sizes(4, NAT, 2) == [1, 3, 1]
+        assert layer_sizes(6, FIB, 3) == [1, 5, 6, 1]
 
     def test_single_vertex(self):
-        diagram = build_pnf_hasse(1, FIB)
-        assert list(diagram.vertices) == [(0, 1)]
+        diagram = layered(layer_sizes(1, FIB, 0))
+        assert len(diagram) == 1
         assert list(diagram.cover_edges()) == []
-
-    def test_copies_numbered_from_one(self):
-        diagram = build_pnf_hasse(4, NAT)
-        assert list(diagram.vertices) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1)]
-        assert diagram.minimal_vertices == ((0, 1),)
+        assert count_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
+        assert enumerate_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
 
     def test_complete_bipartite_between_consecutive_levels(self):
-        diagram = build_pnf_hasse(5, NAT)  # levels 1, 4, 3
+        diagram = layered(layer_sizes(5, NAT, 2))  # levels 1, 4, 3
         edges = list(diagram.cover_edges())
         assert len(edges) == 1 * 4 + 4 * 3
         for lower, upper in edges:
             assert upper[0] == lower[0] + 1
 
-    def test_census_consistency_to_30_for_slow_sequences(self):
-        # fast-growing F blows past any feasible diagram long before n = 30;
-        # naturals peaks at B_30 = Fib(31) = 1,346,269 vertices and still fits
-        for seq in (NAT, ONES):
-            for n in range(13, 31):
-                diagram = build_pnf_hasse(n, seq, max_index=30)
-                assert rank_level_counts(diagram) == pnf_whitney_vector(n, seq)
+    def test_census_consistency_to_30(self):
+        for seq in LAYERED_SEQS:
+            for policy in POLICIES:
+                for n in range(1, 31):
+                    sizes = layer_sizes(n, seq, pnf_max_rank(n, policy))
+                    assert sizes == pnf_whitney_vector(n, seq, policy)
 
     def test_policy_changes_top_level(self):
-        include = build_pnf_hasse(4, NAT, "include")
-        exclude = build_pnf_hasse(4, NAT, "exclude")
-        assert rank_level_counts(include) == [1, 3, 1]
-        assert rank_level_counts(exclude) == [1, 3]
-
-    def test_index_guard(self):
-        with pytest.raises(ScaleLimitError):
-            build_pnf_hasse(13, NAT)
-
-    def test_vertices_are_streamed_and_sized(self):
-        diagram = build_pnf_hasse(12, gaussian(2))
-        assert len(diagram) == len(diagram.vertices) == 1_167_789
-        assert not isinstance(diagram.vertices, (list, tuple))
-        small = build_pnf_hasse(6, FIB)  # levels 1, 5, 6, 1
-        expected = [(0, 1)] + [(1, i) for i in range(1, 6)]
-        expected += [(2, i) for i in range(1, 7)] + [(3, 1)]
-        assert list(small.vertices) == expected
-        assert list(small.vertices) == expected  # every iteration starts afresh
-        assert small.successors((1, 4)) == [(2, i) for i in range(1, 7)]
-        assert small.successors((3, 1)) == []
+        assert layer_sizes(4, NAT, pnf_max_rank(4, "include")) == [1, 3, 1]
+        assert layer_sizes(4, NAT, pnf_max_rank(4, "exclude")) == [1, 3]
 
     def test_non_integral_level_names_the_entry(self):
         with pytest.raises(NonIntegralError, match=r"\(4 choose 2\)_F .* lucas"):
-            build_pnf_hasse(6, lucas())
+            layer_sizes(6, lucas(), 3)
 
     def test_inadmissible_value_is_rejected(self):
         zero_at_3 = FSequence("zero-at-3", lambda i: 0 if i == 3 else 1)
         with pytest.raises(ValueError, match="F_3 = 0"):
-            build_pnf_hasse(4, zero_at_3)
-
-    def test_vertex_guard(self):
-        with pytest.raises(ScaleLimitError, match="vertex guard"):
-            build_pnf_hasse(10, gaussian(2), max_vertices=100)
+            layer_sizes(4, zero_at_3, 2)
 
     @pytest.mark.parametrize(
         "n, seq, top",
@@ -322,7 +298,7 @@ class TestChainEnumeration:
         assert enumerate_maximal_chains(build_grid_hasse(2, 3)) == ChainReport(2, 5, 5, True)
 
     def test_ordinal_sum_chains_are_level_products(self):
-        report = enumerate_maximal_chains(build_pnf_hasse(4, NAT))
+        report = enumerate_maximal_chains(layered(layer_sizes(4, NAT, 2)))
         assert report == ChainReport(3, 3, 3, True)
 
     def test_gradedness_across_grid_family(self):
@@ -351,7 +327,7 @@ class TestChainEnumeration:
         "diagram, chains",
         [
             (build_grid_hasse(5, 6), catalan(5)),
-            (build_pnf_hasse(8, NAT), 1 * 7 * 15 * 10 * 1),  # 1050 open at depth 4
+            (layered((1, 7, 15, 10, 1)), 1 * 7 * 15 * 10 * 1),  # 1050 open at depth 4
         ],
         ids=["grid-5-6", "naturals-8"],
     )
@@ -408,17 +384,11 @@ class TestChainEnumeration:
         "sizes",
         [(2, 251, 2), (2, 252, 2), (1, 65278, 1), (1, 65279, 1), (2, 3, 65531), (3, 4, 5, 6)],
     )
-    def test_levels_sharing_one_cover_list_are_packed_once(self, sizes):
+    def test_walk_and_guard_on_layered_shapes(self, sizes):
         diagram = layered(sizes)
         expected = recursive_chain_report(diagram)
         assert expected == count_maximal_chains(diagram)
         assert expected == ChainReport(prod(sizes), len(sizes), len(sizes), True)
-        packs = mock.patch.object(
-            oracle._PackedCovers, "pack", autospec=True, side_effect=oracle._PackedCovers.pack
-        )
-        with packs as pack:
-            assert enumerate_maximal_chains(diagram, max_chains=prod(sizes)) == expected
-        assert pack.call_count == len(sizes)  # the minimal vertices, then each level once
         assert_walk_and_guard(diagram, expected)
 
     def test_covers_beyond_the_vertex_count_are_rejected(self):
@@ -432,7 +402,8 @@ class TestChainEnumeration:
     @pytest.mark.parametrize(
         "build, limit",
         [
-            (lambda: build_pnf_hasse(12, gaussian(2)), DEFAULT_MAX_CHAINS),  # level 2 alone
+            # level 2 of P(12, gauss2) alone
+            (lambda: layered(layer_sizes(12, gaussian(2), 2)), DEFAULT_MAX_CHAINS),
             (lambda: layered((1, 1000, 1000)), 10_000),  # only a batch of level 1 is over
         ],
         ids=["gauss2-12", "batch-over"],
@@ -471,7 +442,7 @@ class TestChainEnumeration:
                         product *= size
                     if product > DEFAULT_MAX_CHAINS:
                         continue
-                    diagram = build_pnf_hasse(n, seq, policy)
+                    diagram = layered(layer_sizes(n, seq, pnf_max_rank(n, policy)))
                     report = count_maximal_chains(diagram)
                     assert report == enumerate_maximal_chains(diagram)
                     assert report.chain_count == product
@@ -509,7 +480,7 @@ class TestChainEnumeration:
                 for size in pnf_whitney_vector(n, seq):
                     product *= size
                 report = enumerate_maximal_chains(
-                    build_pnf_hasse(n, seq), max_chains=product
+                    layered(layer_sizes(n, seq, pnf_max_rank(n))), max_chains=product
                 )
                 assert report.chain_count == product
                 assert report.graded

@@ -8,6 +8,17 @@ import cobweb.oracle
 CHECKED_CLOSED_FORMS = ("grid_size", "grid_whitney", "grid_bell", "grid_chain_count", "catalan")
 CHECKED_PREFIXES = ("pnf_whitney", "pnf_bell", "f_binomial")
 
+# every name oracle.py may import from the package, by module
+ALLOWED_IMPORTS = {
+    "gridposet": {"grid_elements", "grid_leq", "grid_rank"},
+    "sequences": {"FSequence", "NonIntegralError", "_Record", "seq_eval"},
+}
+
+
+def oracle_tree() -> ast.AST:
+    path = Path(cobweb.oracle.__file__)
+    return ast.parse(path.read_text(), filename=str(path))
+
 
 def referenced_names(tree: ast.AST) -> set[str]:
     """Every imported, read or attribute-accessed name in a module."""
@@ -23,13 +34,28 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def package_imports(tree: ast.AST) -> dict[str, set[str]]:
+    """Package module -> the names a module imports from it."""
+    imports: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "cobweb":
+                    imports.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.partition(".")[0] == "cobweb"
+        ):
+            module = (node.module or "").rpartition(".")[2]
+            imports.setdefault(module, set()).update(alias.name for alias in node.names)
+    return imports
+
+
 def is_checked_closed_form(name: str) -> bool:
     return name in CHECKED_CLOSED_FORMS or name.startswith(CHECKED_PREFIXES)
 
 
 def test_oracle_uses_no_checked_closed_form():
-    path = Path(cobweb.oracle.__file__)
-    names = referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    names = referenced_names(oracle_tree())
     assert "grid_leq" in names  # the walk does see the oracle's own imports
     found = sorted(name for name in names if is_checked_closed_form(name))
     assert found == [], f"oracle.py reuses closed forms it must check: {found}"
@@ -44,3 +70,25 @@ def test_guard_recognises_every_listed_form():
         assert is_checked_closed_form(name)
     for name in ("grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval"):
         assert not is_checked_closed_form(name)
+
+
+def test_oracle_imports_only_allowed_package_names():
+    imports = package_imports(oracle_tree())
+    assert "pnfposet" not in imports
+    assert imports == ALLOWED_IMPORTS
+
+
+def test_package_imports_sees_every_import_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import cobweb.pnfposet\n"
+        "from cobweb import verify\n"
+        "from .sequences import seq_eval\n"
+        "from cobweb.gridposet import grid_rank as rank\n"
+    )
+    assert package_imports(tree) == {
+        "cobweb.pnfposet": set(),
+        "cobweb": {"verify"},
+        "sequences": {"seq_eval"},
+        "gridposet": {"grid_rank"},
+    }

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import verify
-from cobweb.oracle import build_pnf_hasse
+from cobweb.oracle import layer_sizes
 from cobweb.pnfposet import pnf_bell, pnf_max_rank
 from cobweb.sequences import (
     GCD_MORPHIC_SPECS,
@@ -111,9 +111,9 @@ class TestSeqEval:
         [
             lambda seq: f_binomial(seq, 6, 3),
             lambda seq: pnf_bell(6, seq),
-            lambda seq: build_pnf_hasse(6, seq),
+            lambda seq: layer_sizes(6, seq, 3),
         ],
-        ids=["f_binomial", "pnf_bell", "build_pnf_hasse"],
+        ids=["f_binomial", "pnf_bell", "layer_sizes"],
     )
     def test_non_int_value_rejected_naming_sequence_index_and_type(
         self, seq, kind, compute

@@ -93,7 +93,7 @@ class TestSuites:
 
     def test_layered_census_runs_in_bounded_memory(self):
         # P(12, gauss2) has 1,167,789 elements and P(12, gauss3) far more;
-        # none is held, and no vertex guard skips a census
+        # none is built, and no guard skips a census
         for seq in (gaussian(2), gaussian(3)):
             tracemalloc.start()
             try:
