@@ -1,9 +1,11 @@
-"""The oracle must not reuse any closed form that ``verify`` checks against it."""
+"""The oracle must not reuse any closed form that ``verify`` checks against it,
+and ``verify`` must leave enumeration to the oracle."""
 
 import ast
 from pathlib import Path
 
 import cobweb.oracle
+import cobweb.verify
 
 CHECKED_CLOSED_FORMS = ("grid_size", "grid_whitney", "grid_bell", "grid_chain_count", "catalan")
 CHECKED_PREFIXES = ("pnf_whitney", "pnf_bell", "f_binomial")
@@ -15,8 +17,8 @@ ALLOWED_IMPORTS = {
 }
 
 
-def oracle_tree() -> ast.AST:
-    path = Path(cobweb.oracle.__file__)
+def module_tree(module) -> ast.AST:
+    path = Path(module.__file__)
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -55,7 +57,7 @@ def is_checked_closed_form(name: str) -> bool:
 
 
 def test_oracle_uses_no_checked_closed_form():
-    names = referenced_names(oracle_tree())
+    names = referenced_names(module_tree(cobweb.oracle))
     assert "grid_leq" in names  # the walk does see the oracle's own imports
     found = sorted(name for name in names if is_checked_closed_form(name))
     assert found == [], f"oracle.py reuses closed forms it must check: {found}"
@@ -73,7 +75,7 @@ def test_guard_recognises_every_listed_form():
 
 
 def test_oracle_imports_only_allowed_package_names():
-    imports = package_imports(oracle_tree())
+    imports = package_imports(module_tree(cobweb.oracle))
     assert "pnfposet" not in imports
     assert imports == ALLOWED_IMPORTS
 
@@ -92,3 +94,9 @@ def test_package_imports_sees_every_import_form():
         "sequences": {"seq_eval"},
         "gridposet": {"grid_rank"},
     }
+
+
+def test_verify_enumerates_no_grid():
+    names = referenced_names(module_tree(cobweb.verify))
+    assert "build_grid_hasse" in names  # the walk does see verify's oracle calls
+    assert "grid_elements" not in names, "verify.py enumerates grids itself"

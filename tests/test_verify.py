@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import cli, oracle, pnfposet, sequences, verify
+from cobweb import cli, gridposet, oracle, pnfposet, sequences, verify
 from cobweb.gridposet import grid_leq
 from cobweb.sequences import NonIntegralError, gaussian, naturals
 
@@ -31,6 +31,18 @@ def off_by_one_whitney(k, n):
     return [
         max(0, min(k, (j + 1) // 2) - max(0, j + 1 - n) + 1) for j in range(k + n)
     ]
+
+
+def off_by_one_size(k, n):
+    """The size closed form with triangular term k(k-1)/2 for k(k+1)/2:
+    wrong from (1, 2)."""
+    return (n - k) * (k + 1) + (k - 1) * k // 2
+
+
+def bell_without_top_rank(k, n):
+    """The Bell-like number summing all Whitney numbers but the top one:
+    wrong from (0, 2)."""
+    return sum(gridposet.grid_whitney(k, n)[:-1])
 
 
 ORDER_LAWS = "reflexive, antisymmetric, transitive"
@@ -86,7 +98,15 @@ class TestSuites:
 
     def test_default_scale_counts(self):
         suites = {s.name: s for s in verify.run_verify(12)}
-        assert sum(s.cases for s in suites.values()) == 1525
+        assert {name: s.cases for name, s in suites.items()} == {
+            "grid poset vs oracle": 509,
+            "layered poset census vs oracle": 96,
+            "layered poset identities": 68,
+            "F-binomial algebra": 643,
+            "F-binomial diagonal walks": 126,
+            "GCD-morphism gate": 6,
+        }
+        assert sum(s.cases for s in suites.values()) == 1448
         assert not any(s.failures for s in suites.values())
         assert not any(s.skipped for s in suites.values())
         assert all(s.seconds > 0 for s in suites.values())
@@ -143,12 +163,48 @@ class TestFaultInjection:
 
     def test_wrong_whitney_closed_form_is_detected_at_1_2(self, monkeypatch):
         monkeypatch.setattr("cobweb.gridposet.grid_whitney", off_by_one_whitney)
-        suite = verify.check_grid_counting(6)
-        assert suite.failures, "the wrong Whitney closed form must not verify"
-        first = suite.failures[0]
-        assert first.identity == "Whitney closed form = rank census of the enumerated set"
+        suite = verify.check_grid_chains(6)
+        census = "oracle rank census = Whitney vector"
+        # grid_bell sums the Whitney vector, so it fails alongside
+        assert {f.identity for f in suite.failures} == {census, "Bell-like number = size"}
+        first = next(f for f in suite.failures if f.identity == census)
         assert "(1, 2)" in first.inputs
         assert (first.expected, first.actual) == ("[1, 1, 1]", "[1, 2, 1]")
+
+    @pytest.mark.parametrize(
+        "target, wrong, identity, first_wrong, actual, failing",
+        [
+            (
+                "grid_size",
+                off_by_one_size,
+                "grid size closed form = enumerated cardinality",
+                (1, 2),
+                "2",
+                15,  # every (k, n) with k >= 1, 2 <= n <= 6
+            ),
+            (
+                "grid_bell",
+                bell_without_top_rank,
+                "Bell-like number = size",
+                (0, 2),
+                "1",
+                20,  # every (k, n), 2 <= n <= 6
+            ),
+        ],
+        ids=["grid_size", "grid_bell"],
+    )
+    def test_wrong_size_or_bell_form_fails_first_where_wrong(
+        self, monkeypatch, target, wrong, identity, first_wrong, actual, failing
+    ):
+        monkeypatch.setattr(gridposet, target, wrong)
+        suite = verify.check_grid_chains(6)
+        assert {f.identity for f in suite.failures} == {identity}
+        assert len(suite.failures) == failing
+        first = suite.failures[0]
+        assert first.inputs == f"(k, n) = {first_wrong}"
+        # the expected side is the oracle's vertex count
+        assert first.expected == str(len(oracle.build_grid_hasse(*first_wrong)))
+        assert first.actual == actual
 
     def test_raising_chain_count_fails_every_check_it_feeds(self, monkeypatch):
         healthy = verify.check_grid_chains(4)
@@ -278,11 +334,7 @@ class TestFaultInjection:
             ),
             (
                 "cobweb.gridposet.grid_whitney",
-                {
-                    "Whitney closed form = rank census of the enumerated set",
-                    "Bell-like number = size",
-                    "oracle rank census = Whitney vector",
-                },
+                {"Bell-like number = size", "oracle rank census = Whitney vector"},
             ),
         ],
         ids=["pnf_whitney_vector", "grid_whitney"],
@@ -351,13 +403,14 @@ class TestFaultInjection:
         ids=["covers-only", "all-pairs", "strict"],
     )
     def test_order_law_breach_is_detected(self, monkeypatch, relation, laws, passing):
-        healthy = verify.check_grid_order_laws(4)
+        healthy = verify.check_grid_chains(4)
         monkeypatch.setattr("cobweb.gridposet.grid_leq", relation)
-        suite = verify.check_grid_order_laws(4)
-        assert suite.cases == healthy.cases == 9  # 0 <= k < n, 2 <= n <= 4
+        suite = verify.check_grid_chains(4)
+        assert suite.cases == healthy.cases
+        # the oracle binds its own grid_leq, so only the order laws can fail
         assert {f.identity for f in suite.failures} == {ORDER_LAWS}
         assert {f.actual for f in suite.failures} == {repr(laws)}
-        assert len(suite.failures) == suite.cases - len(passing)
+        assert len(suite.failures) == 9 - len(passing)  # 0 <= k < n, 2 <= n <= 4
         assert all(f.inputs not in passing for f in suite.failures)
 
     def test_raising_order_relation_fails_verify_not_the_command_line(
