@@ -15,15 +15,11 @@ It never reuses a closed form it is meant to validate:
   ordinal sum of antichains, so its level sizes fix its covers, chains
   and census, and no layered diagram is built;
 * maximal chains are counted two ways along cover edges: one by one by
-  a batched depth-first walk (``enumerate_maximal_chains``), and by
-  dynamic programming over the vertices in descending rank
-  (``count_maximal_chains``), never by formula.  The walk holds each open
-  chain as the packed id of its last vertex in a ``bytes`` level and
-  extends up to ``_CHAIN_BATCH`` of them per step in one C ``join`` of
-  packed cover lists; a maximal vertex packs to a reserved all-ones
-  "sink" id, so finished chains are counted with ``bytes.count``.  It
-  keeps O(max_chains + depth * batch) ids of at most 8 bytes and has no
-  recursion limit;
+  a batched depth-first walk (``enumerate_maximal_chains``), which
+  extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
+  in O(depth * batch) memory and with no recursion limit, and by dynamic
+  programming over the vertices in descending rank
+  (``count_maximal_chains``), never by formula;
 * rank censuses of grid diagrams recount every vertex.
 
 Grid diagrams store their O(V) vertices and cover edges; the DP holds one
@@ -36,9 +32,8 @@ top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
+from itertools import chain, islice
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
@@ -169,72 +164,6 @@ def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
     return sizes
 
 
-def _chain_guard_error(limit: int) -> ScaleLimitError:
-    return ScaleLimitError(
-        f"maximal-chain enumeration exceeded the guard of {limit} chains; "
-        f"pass an explicit max_chains to go further"
-    )
-
-
-_ID_CODES = {array(code).itemsize: code for code in "BHILQ"}  # id width -> typecode
-
-
-class _PackedCovers(dict):
-    """Vertex id -> the ids of its upper covers packed into one ``bytes``,
-    or the sink for a maximal vertex; each entry is filled on its first
-    lookup, so ``successors`` runs once per vertex whose covers are asked.
-
-    Ids are 1, 2, 4 or 8 bytes wide, the narrowest that keeps every id of
-    a diagram of ``vertex_count`` vertices below ``0xFF << 8 * (width - 1)``,
-    and are handed out in the order vertices are first reached.  The sink
-    is the all-ones id.  No vertex id has its top byte, which is the last
-    byte of an id in the host's little-endian order, so the leftmost match
-    of the sink in a packed level is always a whole sink, and ``count`` and
-    ``replace`` see only sinks.
-    """
-
-    def __init__(
-        self,
-        successors: Callable[[Vertex], Sequence[Vertex]],
-        vertex_count: int,
-        limit: int,
-    ) -> None:
-        super().__init__()
-        if sys.byteorder != "little":  # a sink could straddle two ids
-            raise NotImplementedError("packed chain ends need a little-endian host")
-        self.width = next(w for w in (1, 2, 4, 8) if vertex_count <= 0xFF << 8 * (w - 1))
-        self.code = _ID_CODES[self.width]
-        self.sink = b"\xff" * self.width
-        self.widest = 1  # at least the most ids any packed entry holds
-        self._successors = successors
-        self._vertex_count = vertex_count
-        self._limit = limit
-        self._ids: dict[Vertex, int] = {}
-        self._vertices: list[Vertex] = []  # by id
-
-    def pack(self, vertices: Sequence[Vertex]) -> bytes:
-        """The ids of ``vertices``, new ones handed out in order, packed."""
-        ids = self._ids
-        for vertex in vertices:
-            if vertex not in ids:
-                ids[vertex] = len(self._vertices)
-                self._vertices.append(vertex)
-        if len(self._vertices) > self._vertex_count:
-            raise ValueError(
-                f"the covers reach more vertices than len(diagram) = {self._vertex_count}"
-            )
-        return array(self.code, map(ids.__getitem__, vertices)).tobytes()
-
-    def __missing__(self, vertex_id: int) -> bytes:
-        uppers = self._successors(self._vertices[vertex_id])
-        if len(uppers) > self._limit:  # these covers alone start too many chains
-            raise _chain_guard_error(self._limit)
-        packed = self.pack(uppers) if uppers else self.sink
-        self.widest = max(self.widest, len(uppers))
-        self[vertex_id] = packed
-        return packed
-
-
 def enumerate_maximal_chains(
     diagram: HasseDiagram, max_chains: Optional[int] = None
 ) -> ChainReport:
@@ -243,56 +172,43 @@ def enumerate_maximal_chains(
     Every chain starts at a minimal vertex and is extended one cover edge
     at a time until no upper cover remains; chains through a shared vertex
     are never merged, so each one is a separate step of the walk.  An open
-    chain is held only by the id of its last vertex, packed with the ends
-    of its sibling chains in one ``bytes`` level (see ``_PackedCovers``).
-    The walk keeps a stack of (depth, level, offset) entries and takes
-    batches of at most ``_CHAIN_BATCH`` ids from the top entry.  A batch is
-    extended in one C pass, joining the packed cover lists of its ids; an
-    id without an upper cover packs to the sink, so ``count(sink)`` of the
-    joined level is the number of chains finished at that depth, and the
-    level without its sinks is pushed as the next entry.
-
-    Each open chain ends in at least one maximal chain of its own, so the
-    guard, finished plus open chains above ``max_chains``, fires before a
-    batch is joined exactly when the number of maximal chains exceeds the
-    guard.  It is first tested on the bound ``len(batch) * widest`` (the
-    longest packed list so far), and the exact width is counted only when
-    that bound passes the guard, so no level is built beyond it; a vertex
-    with more upper covers than the guard raises it before they are packed.
-
-    Memory is O(``max_chains`` + depth * ``_CHAIN_BATCH``) ids of at most
-    8 bytes on the stack, plus one packed cover list per vertex whose
-    covers were asked.  There is no recursion limit on the chain length.
+    chain is held only by its last vertex.  The walk keeps a stack of
+    (depth, iterator over open chain ends) entries and takes batches of
+    at most ``_CHAIN_BATCH`` ends from the top entry; a batch is extended
+    with C iterators (``map`` over ``successors``, ``filter``,
+    ``chain.from_iterable``), its ends without an upper cover count as
+    finished chains of that depth, and its extension is pushed as a new
+    entry.  Memory is O(depth * batch) references beyond the diagram, and
+    there is no recursion limit on the chain length.  Each open chain ends
+    in at least one maximal chain of its own, so the guard, finished plus
+    open chains above ``max_chains``, fires before the next batch is taken
+    exactly when the number of maximal chains exceeds the guard.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    packed = _PackedCovers(diagram.successors, len(diagram), limit)
-    width, sink = packed.width, packed.sink
+    successors = diagram.successors
     count = 0  # finished chains
     pending = len(diagram.minimal_vertices)  # open chains on the stack
     lengths: set[int] = set()
-    minimals = memoryview(packed.pack(diagram.minimal_vertices)).cast(packed.code)
-    stack = [(1, minimals, 0)]
+    stack: list[tuple[int, Iterator[Vertex]]] = [(1, iter(diagram.minimal_vertices))]
     while stack:
-        depth, ends, start = stack.pop()
-        batch = ends[start : start + _CHAIN_BATCH]
-        if start + _CHAIN_BATCH < len(ends):
-            stack.append((depth, ends, start + _CHAIN_BATCH))
+        depth, chain_ends = stack[-1]
+        batch = list(islice(chain_ends, _CHAIN_BATCH))
+        if len(batch) < _CHAIN_BATCH:
+            stack.pop()
         pending -= len(batch)
-        covers = list(map(packed.__getitem__, batch))
-        if count + pending + len(batch) * packed.widest > limit:
-            finished = covers.count(sink)
-            opened = sum(map(len, covers)) // width - finished
-            if count + finished + pending + opened > limit:
-                raise _chain_guard_error(limit)
-        level = b"".join(covers)
-        finished = level.count(sink)
-        if finished:
-            count += finished
+        uppers = list(filter(None, map(successors, batch)))
+        if len(uppers) < len(batch):
+            count += len(batch) - len(uppers)
             lengths.add(depth)
-            level = level.replace(sink, b"")
-        if level:
-            pending += len(level) // width
-            stack.append((depth + 1, memoryview(level).cast(packed.code), 0))
+        width = sum(map(len, uppers))
+        if count + pending + width > limit:
+            raise ScaleLimitError(
+                f"maximal-chain enumeration exceeded the guard of {limit} "
+                f"chains; pass an explicit max_chains to go further"
+            )
+        if width:
+            pending += width
+            stack.append((depth + 1, chain.from_iterable(uppers)))
     if not lengths:  # no vertices at all; not produced by the builders
         return ChainReport(0, 0, 0, True)
     return ChainReport(count, min(lengths), max(lengths), len(lengths) == 1)

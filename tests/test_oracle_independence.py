@@ -1,5 +1,6 @@
 """The oracle must not reuse any closed form that ``verify`` checks against it,
-and ``verify`` must leave enumeration to the oracle."""
+and ``verify`` must leave enumeration to the oracle and check closed forms,
+not one oracle method against another."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,5 @@ def test_verify_enumerates_no_grid():
     names = referenced_names(module_tree(cobweb.verify))
     assert "build_grid_hasse" in names  # the walk does see verify's oracle calls
     assert "grid_elements" not in names, "verify.py enumerates grids itself"
+    # the DFS and the DP are both oracle methods; tests pin one against the other
+    assert "enumerate_maximal_chains" not in names, "verify.py checks the oracle against itself"
