@@ -182,10 +182,14 @@ def enumerate_maximal_chains(
     there is no recursion limit on the chain length.  Each open chain ends
     in at least one maximal chain of its own, so the guard, finished plus
     open chains above ``max_chains``, fires before the next batch is taken
-    exactly when the number of maximal chains exceeds the guard.
+    exactly when the number of maximal chains exceeds the guard.  A batch
+    that would extend chains past ``len(diagram)`` vertices raises
+    ``ValueError``, since such a chain repeats a vertex: a cyclic diagram
+    is rejected rather than walked forever.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
     successors = diagram.successors
+    size = len(diagram)
     count = 0  # finished chains
     pending = len(diagram.minimal_vertices)  # open chains on the stack
     lengths: set[int] = set()
@@ -207,6 +211,11 @@ def enumerate_maximal_chains(
                 f"chains; pass an explicit max_chains to go further"
             )
         if width:
+            if depth >= size:
+                raise ValueError(
+                    f"the cover edges have a cycle: a chain grows past "
+                    f"the diagram's {size} vertices"
+                )
             pending += width
             stack.append((depth + 1, chain.from_iterable(uppers)))
     if not lengths:  # no vertices at all; not produced by the builders

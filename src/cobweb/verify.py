@@ -2,22 +2,23 @@
 
 Each suite walks an input range and compares a closed form with an
 independently computed value.  Enumeration happens only in the oracle:
-the one grid suite builds one oracle diagram per (k, n) and reads every
-grid check from it.  Every identity is recorded one way, by
-``SuiteResult.check``: the closed form runs inside the check, and a
-mismatch, or an exception it raises, is a failure of that identity naming
-its inputs and both values.  Only identities that can fail on their own
+the one grid suite builds one oracle diagram per (k, n), the one layered
+suite asks the oracle for one census per (n, F), and every check of a
+suite reads the result for its inputs.  Every identity is recorded one
+way, by ``SuiteResult.check``: the closed form runs inside the check, and
+a mismatch, or an exception it raises, is a failure of that identity
+naming its inputs and both values.  Only identities that can fail on their own
 are checked: none compares a function with itself, a copy of itself, or a
 value another check already pins.  Poset suites scale with ``max_n``;
 the pure-arithmetic suites (binomial algebra, GCD-morphism gate) always
-run at their full fixed bounds, a fixed cost of every run: about 30-55 ms
+run at their full fixed bounds, a fixed cost of every run: about 45-50 ms
 for the F-binomial algebra and 3 ms for the gate with the default
 sequences (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: grid
 diagrams are built with ``max_index=max_n``, the grid chain checks read
-the DP over cover edges, which has no chain guard, and the layered suites
-read level sizes.  ``SuiteResult.skipped`` therefore stays 0; it is kept
+the DP over cover edges, which has no chain guard, and the layered suite
+reads level sizes.  ``SuiteResult.skipped`` therefore stays 0; it is kept
 because the JSON ``skipped`` key and the CSV column report it.
 
 Every suite's wall time is kept in ``SuiteResult.seconds``.
@@ -39,7 +40,6 @@ from .sequences import (
     f_binomial_diagonal,
     f_binomial_rows,
     f_binomials,
-    f_factorial,
     fibonacci,
     gaussian,
     gcd_morphic_check,
@@ -194,17 +194,24 @@ def check_grid_chains(max_n: int) -> SuiteResult:
 
 
 def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Oracle level sizes of the layered poset equal the F-binomial levels.
+    """Every layered closed form vs one oracle census per (n, F).
 
-    The oracle takes its level sizes from factorial ratios of raw sequence
-    values (``oracle.layer_sizes``); the other sides are the F-binomial
-    walk and the Bell-like number, which must equal their sum.
+    The one layered suite.  Each (n, F) asks ``oracle.layer_sizes`` once,
+    for factorial ratios of raw sequence values, and every check reads that
+    census: the F-binomial walk against it, the Bell-like number against
+    its sum, and the policy step against the sum it loses when the
+    degenerate level is excluded.  The per-n sums under both policies are
+    what the Bell sequence by diagonal row sums (``pnf_bell_sequence``)
+    must give; the naturals' Bell-like numbers must give shifted Fibonacci.
     """
-    suite = SuiteResult("layered poset census vs oracle")
+    suite = SuiteResult("layered poset vs oracle")
     for seq in seqs:
+        bells = {policy: [] for policy in pnfposet.POLICIES}
         for n in range(1, max_n + 1):
             inputs = f"(n, F) = ({n}, {seq.name})"
             sizes = oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n))
+            for policy, totals in bells.items():
+                totals.append(sum(sizes[: pnfposet.pnf_max_rank(n, policy) + 1]))
             suite.check(
                 "oracle rank census = F-binomial level sizes",
                 inputs,
@@ -217,34 +224,18 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
                 sum(sizes),
                 lambda: pnfposet.pnf_bell(n, seq),
             )
-    return suite
-
-
-def check_pnf_identities(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Policy step, Fibonacci specialization, Bell sequence.
-
-    The Bell sequence by diagonal row sums (``pnf_bell_sequence``) is
-    checked against per-n Bell numbers, each the sum of the oracle's level
-    sizes under the same policy.
-    """
-    suite = SuiteResult("layered poset identities")
-    for seq in seqs:
-        for n in range(1, max_n + 1):
             suite.check(
                 "including the degenerate level adds 1 for even n, 0 for odd",
-                f"(n, F) = ({n}, {seq.name})",
-                1 if n % 2 == 0 else 0,
+                inputs,
+                bells["include"][-1] - bells["exclude"][-1],
                 lambda: pnfposet.pnf_bell(n, seq, "include")
                 - pnfposet.pnf_bell(n, seq, "exclude"),
             )
-        for policy in pnfposet.POLICIES:
+        for policy, totals in bells.items():
             suite.check(
                 "Bell sequence by diagonal row sums = per-n Bell numbers",
                 f"(N, F, policy) = ({max_n}, {seq.name}, {policy})",
-                [
-                    sum(oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n, policy)))
-                    for n in range(1, max_n + 1)
-                ],
+                totals,
                 lambda: pnfposet.pnf_bell_sequence(seq, max_n, policy),
             )
     fib_pair = [1, 1]  # Fib(1), Fib(2)
@@ -291,13 +282,13 @@ def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, st
 
 
 def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
-    """Factorials; row engine vs definitions.
+    """Row engine vs definitions.
 
     The row engine is checked against per-entry products, against the
-    factorial-ratio definition from raw sequence values, and (for
-    fibonacci and gauss, always run) against the additive Pascal-type
-    rules of those families; a lucas row generator must fail first at
-    (4 choose 2).
+    factorial-ratio definition from running products of raw sequence
+    values, and (for fibonacci and gauss, always run) against the additive
+    Pascal-type rules of those families; a lucas row generator must fail
+    first at (4 choose 2).
     """
     suite = SuiteResult("F-binomial algebra")
     for seq in seqs:
@@ -306,12 +297,6 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
         for n in range(FBINOM_BOUND + 1):
             if n >= 1:
                 factorials.append(factorials[-1] * seq_eval(seq, n))
-                suite.check(
-                    "factorial recurrence F_n! = F_{n-1}! * F_n",
-                    f"(F, n) = ({seq.name}, {n})",
-                    factorials[n],
-                    lambda: f_factorial(seq, n),
-                )
             suite.check(
                 "row engine = per-entry F-binomials",
                 f"(F, n) = ({seq.name}, {n})",
@@ -374,25 +359,25 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
 def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     """Diagonal walks vs per-entry F-binomials; lucas as the negative control.
 
-    The Whitney line of P(n, F) (``pnf_whitney_vector``, both policies) and
-    the central column (2m choose m)_F are walked by ratios of neighbouring
-    entries.  Each walk must give the per-entry products of the same
-    entries, or raise the same error with the same text; lucas runs with
-    the given sequences, and its central column walk must fail first at
-    (4 choose 2).
+    The Whitney line of P(n, F) (``pnf_whitney_vector``) and the central
+    column (2m choose m)_F are walked by ratios of neighbouring entries.
+    Each walk must give the per-entry products of the same entries, or
+    raise the same error with the same text; lucas runs with the given
+    sequences, and its central column walk must fail first at
+    (4 choose 2).  The Whitney line is walked under the default policy
+    only: the ``exclude`` line is the same call for odd n and a prefix of
+    the same walk for even n, so it could fail only where this one does.
     """
     suite = SuiteResult("F-binomial diagonal walks")
     for seq in [*seqs, lucas()]:
         for n in range(1, max_n + 1):
-            for policy in pnfposet.POLICIES:
-                top = pnfposet.pnf_max_rank(n, policy)
-                levels = [(n - k, k) for k in range(top + 1)]
-                suite.check(
-                    "Whitney line walk = per-entry F-binomials",
-                    f"(n, F, policy) = ({n}, {seq.name}, {policy})",
-                    _outcome(lambda: f_binomials(seq, levels)),
-                    lambda: pnfposet.pnf_whitney_vector(n, seq, policy),
-                )
+            levels = [(n - k, k) for k in range(pnfposet.pnf_max_rank(n) + 1)]
+            suite.check(
+                "Whitney line walk = per-entry F-binomials",
+                f"(n, F, policy) = ({n}, {seq.name}, include)",
+                _outcome(lambda: f_binomials(seq, levels)),
+                lambda: pnfposet.pnf_whitney_vector(n, seq),
+            )
         column = [(2 * m, m) for m in range(1, max_n + 1)]
         suite.check(
             "central column walk = per-entry F-binomials",
@@ -457,7 +442,6 @@ def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[Suite
     return [
         _timed(check_grid_chains, max_n),
         _timed(check_pnf_census, max_n, seqs),
-        _timed(check_pnf_identities, max_n, seqs),
         _timed(check_fbinom_algebra, seqs),
         _timed(check_fbinom_diagonals, max_n, seqs),
         _timed(check_gcd_morphism),

@@ -194,7 +194,7 @@ class TestGridHasse:
         assert len(build_grid_hasse(3, 13, max_index=13).vertices) == grid_size(3, 13)
 
 
-class TestPnfHasse:
+class TestLayerSizes:
     """The oracle's side of P(n, F): level sizes from ``layer_sizes``, and
     the chain counters on the layered shape they give."""
 
@@ -397,6 +397,34 @@ class TestChainEnumeration:
         )
         with pytest.raises(ValueError, match="rank does not increase"):
             count_maximal_chains(flipped)
+
+    def test_empty_diagram_has_no_chains(self):
+        empty = HasseDiagram([], itemgetter(0), {}.__getitem__, ())
+        assert enumerate_maximal_chains(empty) == ChainReport(0, 0, 0, True)
+        assert count_maximal_chains(empty) == ChainReport(0, 0, 0, True)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            {(0, 0): [(0, 0)]},
+            {(0, 0): [(1, 0)], (1, 0): [(2, 0)], (2, 0): [(1, 0)]},
+        ],
+        ids=["self-loop", "2-cycle"],
+    )
+    def test_walk_and_dp_reject_a_cyclic_diagram(self, covers):
+        asked = Counter()
+
+        def successors(vertex):
+            asked[vertex] += 1
+            return covers[vertex]
+
+        diagram = HasseDiagram(list(covers), itemgetter(0), successors, ((0, 0),))
+        cycle = f"cover edges have a cycle: a chain grows past the diagram's {len(covers)} "
+        with pytest.raises(ValueError, match=cycle):
+            enumerate_maximal_chains(diagram)
+        assert asked == Counter(covers.keys())  # it stops before a vertex repeats
+        with pytest.raises(ValueError, match="rank does not increase"):
+            count_maximal_chains(diagram)
 
     def test_product_rule_with_explicit_overrides(self):
         # the products exceed the default guard at the top of these ranges

@@ -1,6 +1,7 @@
 """The verification suites themselves, including fault detection."""
 
 import tracemalloc
+from collections import Counter
 from itertools import islice
 from math import comb
 from unittest import mock
@@ -96,17 +97,54 @@ class TestSuites:
         with pytest.raises(ValueError, match="'naturals' is given more than once"):
             verify.run_verify(4, ["fib", "naturals", "gauss2", "naturals", "fib"])
 
-    def test_default_scale_counts(self):
+    def test_default_scale_counts(self, monkeypatch):
+        checked = Counter()
+        check = verify.SuiteResult.check
+
+        def counted(suite, identity, *rest):
+            checked[identity] += 1
+            check(suite, identity, *rest)
+
+        monkeypatch.setattr(verify.SuiteResult, "check", counted)
+        census = mock.Mock(wraps=oracle.layer_sizes)
+        monkeypatch.setattr(oracle, "layer_sizes", census)
         suites = {s.name: s for s in verify.run_verify(12)}
+        # one oracle census per (n, F): 12 n for each of the 4 sequences
+        asked = [(c.args[0], c.args[1].name) for c in census.call_args_list]
+        assert len(asked) == len(set(asked)) == 48
         assert {name: s.cases for name, s in suites.items()} == {
             "grid poset vs oracle": 432,
-            "layered poset census vs oracle": 96,
-            "layered poset identities": 68,
-            "F-binomial algebra": 643,
-            "F-binomial diagonal walks": 126,
+            "layered poset vs oracle": 164,
+            "F-binomial algebra": 483,
+            "F-binomial diagonal walks": 66,
             "GCD-morphism gate": 6,
         }
-        assert sum(s.cases for s in suites.values()) == 1371
+        assert sum(s.cases for s in suites.values()) == 1151
+        assert checked == Counter({
+            "grid size closed form = enumerated cardinality": 77,
+            "Bell-like number = size": 77,
+            "oracle rank census = Whitney vector": 77,
+            "chain-count closed form = DP count over cover edges": 77,
+            "all maximal chains have k+n elements": 77,
+            "reflexive, antisymmetric, transitive": 35,
+            "near-diagonal chain count = Catalan number": 12,
+            "oracle rank census = F-binomial level sizes": 48,
+            "Bell-like number = total size": 48,
+            "including the degenerate level adds 1 for even n, 0 for odd": 48,
+            "Bell sequence by diagonal row sums = per-n Bell numbers": 8,
+            "Bell-like numbers of naturals = shifted Fibonacci": 12,
+            "row engine = per-entry F-binomials": 164,
+            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder": 164,
+            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)": 41,
+            "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]": 82,
+            "lucas rows fail first at (4 choose 2)": 1,
+            "naturals binomials = Pascal recurrence": 31,
+            "Whitney line walk = per-entry F-binomials": 60,
+            "central column walk = per-entry F-binomials": 5,
+            "lucas central column walk fails first at (4 choose 2)": 1,
+            "sequence is GCD-morphic up to the bound": 5,
+            "lucas fails with first counterexample (2, 4)": 1,
+        })
         assert not any(s.failures for s in suites.values())
         assert not any(s.skipped for s in suites.values())
         assert all(s.seconds > 0 for s in suites.values())
@@ -121,7 +159,8 @@ class TestSuites:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert (suite.cases, suite.skipped, suite.failures) == (24, 0, [])
+            # 3 checks per n, the Bell sequence under 2 policies, 12 for naturals
+            assert (suite.cases, suite.skipped, suite.failures) == (50, 0, [])
             assert peak < 8 * 2**20
 
     @given(relations())
@@ -216,7 +255,7 @@ class TestFaultInjection:
         assert (last.inputs, last.expected) == ("n = 4", "5")
         assert last.actual == "raised ArithmeticError: no chain count at (3, 4)"
 
-    def test_walk_dp_mismatch_prints_the_reports_in_full(self, monkeypatch, capsys):
+    def test_dp_count_mismatch_prints_both_fail_lines(self, monkeypatch, capsys):
         dp = oracle.count_maximal_chains
 
         def one_chain_short(diagram):
@@ -250,7 +289,7 @@ class TestFaultInjection:
             return islice(rows(seq, last_row, diagonal), last_row)
 
         monkeypatch.setattr("cobweb.pnfposet.f_binomial_rows", without_last_row)
-        suite = verify.check_pnf_identities(6, [naturals()])
+        suite = verify.check_pnf_census(6, [naturals()])
         identities = {f.identity for f in suite.failures}
         assert identities == {"Bell sequence by diagonal row sums = per-n Bell numbers"}
         first = suite.failures[0]
@@ -280,9 +319,9 @@ class TestFaultInjection:
     def test_walk_that_hides_the_lucas_error_is_detected(self, monkeypatch):
         healthy = verify.check_fbinom_diagonals(8, [naturals()])
         assert not healthy.failures
-        # naturals then lucas: 2 policies * 8 Whitney lines + 1 column each,
-        # and the check that the lucas column fails first at (4 choose 2)
-        assert healthy.cases == 2 * (2 * 8 + 1) + 1
+        # naturals then lucas: 8 Whitney lines + 1 column each, and the
+        # check that the lucas column fails first at (4 choose 2)
+        assert healthy.cases == 2 * (8 + 1) + 1
         walk = sequences.f_binomial_diagonal
 
         def silent(seq, start, step, count):
