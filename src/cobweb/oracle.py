@@ -9,9 +9,11 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
-* layered level sizes (``layer_sizes``) come from ``seq_eval`` values
-  through the factorial ratio ``F_{n-k}! / (F_k! F_{n-2k}!)`` with a
-  checked division, never from the F-binomial engine.  P(n, F) is an
+* F-binomials (``factorial_ratios``) come from ``seq_eval`` values
+  through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one running
+  product and one checked division per entry, never from the F-binomial
+  engine: whole triangle rows, the central column, and the level sizes
+  ``(n-k choose k)_F`` of P(n, F) (``layer_sizes``).  P(n, F) is an
   ordinal sum of antichains, so its level sizes fix its covers, chains
   and census, and no layered diagram is built;
 * maximal chains are counted two ways along cover edges: one by one by
@@ -143,25 +145,37 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     )
 
 
+def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """[F_n! / (F_k! F_{n-k}!) for (n, k) in pairs], each division checked.
+
+    The factorials are one running product of ``seq_eval`` values, so each
+    index 1..max n is read once and F_0 never; a remainder raises
+    ``NonIntegralError`` naming the entry.
+    """
+    factorials = [1]
+    for i in range(1, max((n for n, _ in pairs), default=0) + 1):
+        factorials.append(factorials[-1] * seq_eval(seq, i))
+    ratios = []
+    for n, k in pairs:
+        if not 0 <= k <= n:
+            raise ValueError(f"factorial ratio needs 0 <= k <= n, got ({n}, {k})")
+        denominator = factorials[k] * factorials[n - k]
+        ratio, remainder = divmod(factorials[n], denominator)
+        if remainder:
+            raise NonIntegralError(
+                f"({n} choose {k})_F is not an integer for F = {seq.name}: "
+                f"F_{n}! leaves remainder {remainder} after dividing by "
+                f"F_{k}! F_{n - k}! = {denominator}"
+            )
+        ratios.append(ratio)
+    return ratios
+
+
 def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
     """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from F_1..F_n."""
     if not 0 <= top <= n // 2:
         raise ValueError(f"P({n}, {seq.name}) has levels 0..{n // 2}, not 0..{top}")
-    factorials = [1]
-    for i in range(1, n + 1):
-        factorials.append(factorials[-1] * seq_eval(seq, i))
-    sizes = []
-    for k in range(top + 1):
-        denominator = factorials[k] * factorials[n - 2 * k]
-        size, remainder = divmod(factorials[n - k], denominator)
-        if remainder:
-            raise NonIntegralError(
-                f"({n - k} choose {k})_F is not an integer for F = {seq.name}: "
-                f"F_{n - k}! leaves remainder {remainder} after dividing by "
-                f"F_{k}! F_{n - 2 * k}! = {denominator}"
-            )
-        sizes.append(size)
-    return sizes
+    return factorial_ratios(seq, [(n - k, k) for k in range(top + 1)])
 
 
 def enumerate_maximal_chains(
@@ -264,5 +278,8 @@ def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
 def rank_level_counts(diagram: HasseDiagram) -> list[int]:
     """Rank census: entry j counts vertices of rank j, densely from 0."""
     census = Counter(map(diagram.rank_of, diagram.vertices))
+    if census and min(census) < 0:
+        vertex = next(v for v in diagram.vertices if diagram.rank_of(v) < 0)
+        raise ValueError(f"vertex {vertex} has negative rank {diagram.rank_of(vertex)}")
     top = max(census) if census else -1
     return [census.get(j, 0) for j in range(top + 1)]

@@ -1,18 +1,20 @@
 """Cross-checks of every closed form against the brute-force oracle.
 
 Each suite walks an input range and compares a closed form with an
-independently computed value.  Enumeration happens only in the oracle:
-the one grid suite builds one oracle diagram per (k, n), the one layered
-suite asks the oracle for one census per (n, F), and every check of a
-suite reads the result for its inputs.  Every identity is recorded one
-way, by ``SuiteResult.check``: the closed form runs inside the check, and
-a mismatch, or an exception it raises, is a failure of that identity
-naming its inputs and both values.  Only identities that can fail on their own
-are checked: none compares a function with itself, a copy of itself, or a
-value another check already pins.  Poset suites scale with ``max_n``;
-the pure-arithmetic suites (binomial algebra, GCD-morphism gate) always
-run at their full fixed bounds, a fixed cost of every run: about 45-50 ms
-for the F-binomial algebra and 3 ms for the gate with the default
+independently computed value.  Enumeration and every reference value
+come from the oracle: the one grid suite builds one oracle diagram per
+(k, n), the one layered suite asks the oracle for one census per (n, F),
+the one F-binomial suite asks it for one factorial-ratio table per F,
+and every check of a suite reads the result for its inputs.  Every
+identity is recorded one way, by ``SuiteResult.check``: the closed form
+runs inside the check, and a mismatch, or an exception it raises, is a
+failure of that identity naming its inputs and both values.  Only
+identities that can fail on their own are checked: none compares a
+function with itself, a copy of itself, or a value another check
+already pins.  Poset suites and the central column scale with
+``max_n``; the F-binomial rows 0..``FBINOM_BOUND`` and the GCD-morphism
+gate always run at their fixed bounds, a fixed cost of every run: about
+18 ms for the F-binomial suite and 3 ms for the gate with the default
 sequences (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: grid
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import time
 from functools import cache
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from . import gridposet, oracle, pnfposet
@@ -39,14 +42,12 @@ from .sequences import (
     f_binomial,
     f_binomial_diagonal,
     f_binomial_rows,
-    f_binomials,
     fibonacci,
     gaussian,
     gcd_morphic_check,
     gcd_morphic_family,
     lucas,
     make_sequence,
-    seq_eval,
     sequence_from_spec,
 )
 
@@ -69,14 +70,6 @@ class _Raised(str):
 
     __slots__ = ()
     __repr__ = str.__str__
-
-
-def _outcome(compute: Callable[[], object]):
-    """``compute()``, or the ``_Raised`` text of the exception it raised."""
-    try:
-        return compute()
-    except Exception as exc:  # a broken closed form must surface as a failure
-        return _Raised(f"raised {type(exc).__name__}: {exc}")
 
 
 class CheckFailure(_Record):
@@ -103,7 +96,10 @@ class SuiteResult:
         ``expected``; if ``compute`` raises, the identity fails with what it
         raised as the actual value."""
         self.cases += 1
-        actual = _outcome(compute)
+        try:
+            actual = compute()
+        except Exception as exc:  # a broken closed form must surface as a failure
+            actual = _Raised(f"raised {type(exc).__name__}: {exc}")
         if expected != actual:
             self.failures.append(
                 CheckFailure(identity, inputs, repr(expected), repr(actual))
@@ -281,37 +277,38 @@ def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, st
     return None
 
 
-def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
-    """Row engine vs definitions.
+def check_fbinom_algebra(max_n: int, seqs: list[FSequence]) -> SuiteResult:
+    """Row engine and central column walk vs one oracle table per F; lucas fails.
 
-    The row engine is checked against per-entry products, against the
-    factorial-ratio definition from running products of raw sequence
-    values, and (for fibonacci and gauss, always run) against the additive
-    Pascal-type rules of those families; a lucas row generator must fail
-    first at (4 choose 2).
+    The one F-binomial suite.  Each F asks ``oracle.factorial_ratios`` once,
+    for rows 0..``FBINOM_BOUND`` and the central column (2m choose m)_F for
+    m = 1..max_n, and the row engine and the central column walk are
+    checked against that table.  The row engine is also checked against
+    the additive Pascal-type rules of fibonacci and gauss (always run), and
+    ``f_binomial`` against Pascal's rule for naturals.  The Whitney lines of
+    P(n, F) are checked against the layered census; here lucas, the
+    negative control, must fail first at (4 choose 2) in the rows, the
+    central column and the Whitney lines.
     """
     suite = SuiteResult("F-binomial algebra")
+    triangle = [(n, k) for n in range(FBINOM_BOUND + 1) for k in range(n + 1)]
+    column = [(2 * m, m) for m in range(1, max_n + 1)]
     for seq in seqs:
+        ratios = iter(oracle.factorial_ratios(seq, triangle + column))
         rows = _engine_rows(seq)
-        factorials = [1]
         for n in range(FBINOM_BOUND + 1):
-            if n >= 1:
-                factorials.append(factorials[-1] * seq_eval(seq, n))
-            suite.check(
-                "row engine = per-entry F-binomials",
-                f"(F, n) = ({seq.name}, {n})",
-                _outcome(lambda: f_binomials(seq, [(n, k) for k in range(n + 1)])),
-                lambda: rows()[n],
-            )
             suite.check(
                 "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
                 f"(F, n) = ({seq.name}, {n})",
-                [
-                    divmod(factorials[n], factorials[k] * factorials[n - k])
-                    for k in range(n + 1)
-                ],
-                lambda: [(entry, 0) for entry in rows()[n]],
+                list(islice(ratios, n + 1)),
+                lambda: rows()[n],
             )
+        suite.check(
+            "central column walk = F_{2m}!/(F_m! F_m!)",
+            f"(F, count) = ({seq.name}, {max_n})",
+            list(ratios),
+            lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n),
+        )
     fib = [0, 1]
     while len(fib) <= FBINOM_BOUND + 1:
         fib.append(fib[-1] + fib[-2])
@@ -353,38 +350,6 @@ def check_fbinom_algebra(seqs: list[FSequence]) -> SuiteResult:
             pascal[n],
             lambda: [f_binomial(nat, n, k) for k in range(n + 1)],
         )
-    return suite
-
-
-def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
-    """Diagonal walks vs per-entry F-binomials; lucas as the negative control.
-
-    The Whitney line of P(n, F) (``pnf_whitney_vector``) and the central
-    column (2m choose m)_F are walked by ratios of neighbouring entries.
-    Each walk must give the per-entry products of the same entries, or
-    raise the same error with the same text; lucas runs with the given
-    sequences, and its central column walk must fail first at
-    (4 choose 2).  The Whitney line is walked under the default policy
-    only: the ``exclude`` line is the same call for odd n and a prefix of
-    the same walk for even n, so it could fail only where this one does.
-    """
-    suite = SuiteResult("F-binomial diagonal walks")
-    for seq in [*seqs, lucas()]:
-        for n in range(1, max_n + 1):
-            levels = [(n - k, k) for k in range(pnfposet.pnf_max_rank(n) + 1)]
-            suite.check(
-                "Whitney line walk = per-entry F-binomials",
-                f"(n, F, policy) = ({n}, {seq.name}, include)",
-                _outcome(lambda: f_binomials(seq, levels)),
-                lambda: pnfposet.pnf_whitney_vector(n, seq),
-            )
-        column = [(2 * m, m) for m in range(1, max_n + 1)]
-        suite.check(
-            "central column walk = per-entry F-binomials",
-            f"(F, count) = ({seq.name}, {max_n})",
-            _outcome(lambda: f_binomials(seq, column)),
-            lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n),
-        )
     walks = (
         f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)
         for count in range(1, max_n + 1)
@@ -394,6 +359,14 @@ def check_fbinom_diagonals(max_n: int, seqs: list[FSequence]) -> SuiteResult:
         f"(F, count) = (lucas, 1..{max_n})",
         (2, "(4 choose 2)_F is not an integer"),
         lambda: _first_non_integral(walks, 1),
+    )
+    # a fixed range: lucas first fails at n = 6, which max_n may not reach
+    lines = (pnfposet.pnf_whitney_vector(n, lucas()) for n in range(1, FBINOM_BOUND + 1))
+    suite.check(
+        "lucas Whitney lines fail first at (4 choose 2)",
+        f"(F, n) = (lucas, 1..{FBINOM_BOUND})",
+        (6, "(4 choose 2)_F is not an integer"),
+        lambda: _first_non_integral(lines, 1),
     )
     return suite
 
@@ -442,7 +415,6 @@ def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[Suite
     return [
         _timed(check_grid_chains, max_n),
         _timed(check_pnf_census, max_n, seqs),
-        _timed(check_fbinom_algebra, seqs),
-        _timed(check_fbinom_diagonals, max_n, seqs),
+        _timed(check_fbinom_algebra, max_n, seqs),
         _timed(check_gcd_morphism),
     ]

@@ -1,7 +1,8 @@
 """Brute-force oracle: Hasse construction, chain enumeration, censuses."""
 
+import re
 from collections import Counter
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 from unittest import mock
 
@@ -27,6 +28,7 @@ from cobweb.oracle import (
     build_grid_hasse,
     count_maximal_chains,
     enumerate_maximal_chains,
+    factorial_ratios,
     layer_sizes,
     rank_level_counts,
 )
@@ -228,8 +230,12 @@ class TestLayerSizes:
         assert layer_sizes(4, NAT, pnf_max_rank(4, "exclude")) == [1, 3]
 
     def test_non_integral_level_names_the_entry(self):
-        with pytest.raises(NonIntegralError, match=r"\(4 choose 2\)_F .* lucas"):
+        with pytest.raises(NonIntegralError) as raised:
             layer_sizes(6, lucas(), 3)
+        assert str(raised.value) == (
+            "(4 choose 2)_F is not an integer for F = lucas: "
+            "F_4! leaves remainder 3 after dividing by F_2! F_2! = 9"
+        )
 
     def test_inadmissible_value_is_rejected(self):
         zero_at_3 = FSequence("zero-at-3", lambda i: 0 if i == 3 else 1)
@@ -245,6 +251,34 @@ class TestLayerSizes:
         levels = rf"P\({n}, {seq.name}\) has levels 0\.\.{n // 2}, not 0\.\.{top}$"
         with pytest.raises(ValueError, match=levels):
             layer_sizes(n, seq, top)
+
+
+class TestFactorialRatios:
+    """``factorial_ratios``: the oracle's one F-binomial reference."""
+
+    def test_naturals_give_ordinary_binomials_to_30(self):
+        pairs = [(n, k) for n in range(31) for k in range(n + 1)]
+        assert factorial_ratios(NAT, pairs) == [comb(n, k) for n, k in pairs]
+
+    def test_each_index_is_read_once_and_f0_never(self):
+        no_zero = FSequence("no-zero", lambda i: i if i > 0 else 1 // 0)
+        read = mock.Mock(wraps=oracle.seq_eval)
+        with mock.patch("cobweb.oracle.seq_eval", read):
+            ratios = factorial_ratios(no_zero, [(5, 2), (0, 0), (7, 3), (5, 2)])
+        assert ratios == [10, 1, 35, 10]
+        assert [c.args[1] for c in read.call_args_list] == list(range(1, 8))
+
+    def test_no_pairs_read_no_value(self):
+        read = mock.Mock(wraps=oracle.seq_eval)
+        with mock.patch("cobweb.oracle.seq_eval", read):
+            assert factorial_ratios(FIB, []) == []
+        read.assert_not_called()
+
+    @pytest.mark.parametrize("pair", [(3, 4), (3, -1)])
+    def test_an_entry_outside_the_triangle_is_rejected(self, pair):
+        error = re.escape(f"0 <= k <= n, got {pair}") + "$"
+        with pytest.raises(ValueError, match=error):
+            factorial_ratios(NAT, [(2, 1), pair])
 
 
 class TestChainEnumeration:
@@ -273,6 +307,13 @@ class TestChainEnumeration:
         for n in range(2, 10):
             for k in range(n):
                 assert rank_level_counts(build_grid_hasse(k, n)) == grid_whitney(k, n)
+
+    def test_census_rejects_a_negative_rank(self):
+        ranks = {(0, 0): -1, (1, 0): 0}
+        covers = {(0, 0): [(1, 0)], (1, 0): []}
+        diagram = HasseDiagram(list(ranks), ranks.__getitem__, covers.__getitem__, ((0, 0),))
+        with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
+            rank_level_counts(diagram)
 
     def test_chain_guard_trips(self):
         with pytest.raises(ScaleLimitError, match="chains"):

@@ -71,7 +71,9 @@ def test_guard_recognises_every_listed_form():
     )
     for name in checked:
         assert is_checked_closed_form(name)
-    for name in ("grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval"):
+    for name in (
+        "grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval", "factorial_ratios"
+    ):
         assert not is_checked_closed_form(name)
 
 
@@ -103,3 +105,11 @@ def test_verify_enumerates_no_grid():
     assert "grid_elements" not in names, "verify.py enumerates grids itself"
     # the DFS and the DP are both oracle methods; tests pin one against the other
     assert "enumerate_maximal_chains" not in names, "verify.py checks the oracle against itself"
+
+
+def test_verify_takes_every_f_binomial_reference_from_the_oracle():
+    names = referenced_names(module_tree(cobweb.verify))
+    assert "factorial_ratios" in names  # the walk does see verify's oracle calls
+    # the per-entry product is only ever under test, never a reference
+    found = sorted(names & {"seq_eval", "f_factorial", "f_binomials"})
+    assert found == [], f"verify.py computes F-binomial references itself: {found}"

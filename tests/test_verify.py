@@ -1,9 +1,11 @@
 """The verification suites themselves, including fault detection."""
 
+import re
 import tracemalloc
 from collections import Counter
 from itertools import islice
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -108,18 +110,30 @@ class TestSuites:
         monkeypatch.setattr(verify.SuiteResult, "check", counted)
         census = mock.Mock(wraps=oracle.layer_sizes)
         monkeypatch.setattr(oracle, "layer_sizes", census)
+        ratios = mock.Mock(wraps=oracle.factorial_ratios)
+        monkeypatch.setattr(oracle, "factorial_ratios", ratios)
         suites = {s.name: s for s in verify.run_verify(12)}
         # one oracle census per (n, F): 12 n for each of the 4 sequences
         asked = [(c.args[0], c.args[1].name) for c in census.call_args_list]
         assert len(asked) == len(set(asked)) == 48
+        # each census asks for at most 7 levels; the F-binomial suite asks
+        # once per F for rows 0..40 (861 entries) and 12 central entries
+        tables = [(c.args[0].name, len(c.args[1])) for c in ratios.call_args_list]
+        assert [table for table in tables if table[1] > 7] == [
+            (name, 861 + 12) for name in ("fibonacci", "naturals", "ones", "gauss(q=2)")
+        ]
+        assert len(tables) == 48 + 4
         assert {name: s.cases for name, s in suites.items()} == {
             "grid poset vs oracle": 432,
             "layered poset vs oracle": 164,
-            "F-binomial algebra": 483,
-            "F-binomial diagonal walks": 66,
+            "F-binomial algebra": 325,
             "GCD-morphism gate": 6,
         }
-        assert sum(s.cases for s in suites.values()) == 1151
+        total = sum(s.cases for s in suites.values())
+        assert total == 927
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = re.search(r"At `--max-n 12`[^.]*? (\d+) checks", readme)
+        assert documented and int(documented[1]) == total
         assert checked == Counter({
             "grid size closed form = enumerated cardinality": 77,
             "Bell-like number = size": 77,
@@ -133,15 +147,14 @@ class TestSuites:
             "including the degenerate level adds 1 for even n, 0 for odd": 48,
             "Bell sequence by diagonal row sums = per-n Bell numbers": 8,
             "Bell-like numbers of naturals = shifted Fibonacci": 12,
-            "row engine = per-entry F-binomials": 164,
             "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder": 164,
+            "central column walk = F_{2m}!/(F_m! F_m!)": 4,
             "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)": 41,
             "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]": 82,
             "lucas rows fail first at (4 choose 2)": 1,
             "naturals binomials = Pascal recurrence": 31,
-            "Whitney line walk = per-entry F-binomials": 60,
-            "central column walk = per-entry F-binomials": 5,
             "lucas central column walk fails first at (4 choose 2)": 1,
+            "lucas Whitney lines fail first at (4 choose 2)": 1,
             "sequence is GCD-morphic up to the bound": 5,
             "lucas fails with first counterexample (2, 4)": 1,
         })
@@ -308,20 +321,20 @@ class TestFaultInjection:
             return tuple(i + 1 for i in up), down
 
         monkeypatch.setattr("cobweb.sequences._ratio_factors", numerators_one_too_high)
-        suite = verify.check_fbinom_diagonals(6, [naturals()])
+        suite = verify.check_pnf_census(6, [naturals()])
         assert suite.failures, "a walk with a wrong ratio must not verify"
         first = suite.failures[0]
-        assert first.identity == "Whitney line walk = per-entry F-binomials"
-        assert first.inputs == "(n, F, policy) = (5, naturals, include)"
+        assert first.identity == "oracle rank census = F-binomial level sizes"
+        assert first.inputs == "(n, F) = (5, naturals)"
         # (3 choose 2) from (4 choose 1): 4 * F_3 F_4 / (F_4 F_2) = 6, not 3
         assert (first.expected, first.actual) == ("[1, 4, 3]", "[1, 4, 6]")
 
     def test_walk_that_hides_the_lucas_error_is_detected(self, monkeypatch):
-        healthy = verify.check_fbinom_diagonals(8, [naturals()])
+        healthy = verify.check_fbinom_algebra(8, [naturals()])
         assert not healthy.failures
-        # naturals then lucas: 8 Whitney lines + 1 column each, and the
-        # check that the lucas column fails first at (4 choose 2)
-        assert healthy.cases == 2 * (8 + 1) + 1
+        # naturals' 41 rows and central column, 41 fibonomial and 82
+        # Gaussian rows, 31 naturals Pascal rows and the 3 lucas controls
+        assert healthy.cases == 41 + 1 + 41 + 82 + 31 + 3
         walk = sequences.f_binomial_diagonal
 
         def silent(seq, start, step, count):
@@ -331,16 +344,20 @@ class TestFaultInjection:
                 return []
 
         monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", silent)
-        suite = verify.check_fbinom_diagonals(8, [naturals()])
-        assert [(f.identity, f.inputs) for f in suite.failures] == [
-            ("central column walk = per-entry F-binomials", "(F, count) = (lucas, 8)"),
+        monkeypatch.setattr("cobweb.pnfposet.f_binomial_diagonal", silent)
+        suite = verify.check_fbinom_algebra(8, [naturals()])
+        assert [(f.identity, f.inputs, f.actual) for f in suite.failures] == [
             (
                 "lucas central column walk fails first at (4 choose 2)",
                 "(F, count) = (lucas, 1..8)",
+                "None",
+            ),
+            (
+                "lucas Whitney lines fail first at (4 choose 2)",
+                "(F, n) = (lucas, 1..40)",
+                "None",
             ),
         ]
-        assert suite.failures[0].actual == "[]"
-        assert suite.failures[1].actual == "None"
 
     @pytest.mark.parametrize(
         "target, fed",
@@ -352,7 +369,7 @@ class TestFaultInjection:
                     "Bell-like number = total size",
                     "including the degenerate level adds 1 for even n, 0 for odd",
                     "Bell-like numbers of naturals = shifted Fibonacci",
-                    "Whitney line walk = per-entry F-binomials",
+                    "lucas Whitney lines fail first at (4 choose 2)",
                 },
             ),
             (
@@ -384,7 +401,6 @@ class TestFaultInjection:
         failures = [f for suite in verify.run_verify(6) for f in suite.failures]
         raised = {f.identity for f in failures if f.actual.startswith("raised ")}
         assert raised == {
-            "row engine = per-entry F-binomials",
             "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
             "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
             "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
@@ -397,20 +413,17 @@ class TestFaultInjection:
 
     def test_raising_walk_renders_unquoted(self, monkeypatch):
         monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", boom)
-        suite = verify.check_fbinom_diagonals(4, [naturals()])
+        suite = verify.check_fbinom_algebra(4, [naturals()])
         assert [(f.identity, f.inputs) for f in suite.failures] == [
-            ("central column walk = per-entry F-binomials", "(F, count) = (naturals, 4)"),
-            ("central column walk = per-entry F-binomials", "(F, count) = (lucas, 4)"),
+            ("central column walk = F_{2m}!/(F_m! F_m!)", "(F, count) = (naturals, 4)"),
             (
                 "lucas central column walk fails first at (4 choose 2)",
                 "(F, count) = (lucas, 1..4)",
             ),
         ]
         assert {f.actual for f in suite.failures} == {"raised ArithmeticError: boom"}
-        # the per-entry side raises by design for lucas, rendered the same way
-        assert suite.failures[1].expected.startswith(
-            "raised NonIntegralError: (4 choose 2)_F is not an integer"
-        )
+        # the expected side is the oracle's table: (2m choose m) for m = 1..4
+        assert suite.failures[0].expected == "[2, 6, 20, 70]"
 
     @pytest.mark.parametrize(
         "relation, laws, passing",
