@@ -4,18 +4,18 @@ Each suite walks an input range and compares a closed form with an
 independently computed value.  Enumeration and every reference value
 come from the oracle: the one grid suite builds one oracle diagram per
 (k, n), the one layered suite asks the oracle for one census per (n, F),
-the one F-binomial suite asks it for one factorial-ratio table per F,
-and every check of a suite reads the result for its inputs.  Every
-identity is recorded one way, by ``SuiteResult.check``: the closed form
-runs inside the check, and a mismatch, or an exception it raises, is a
-failure of that identity naming its inputs and both values.  Only
-identities that can fail on their own are checked: none compares a
-function with itself, a copy of itself, or a value another check
-already pins.  Poset suites and the central column scale with
-``max_n``; the F-binomial rows 0..``FBINOM_BOUND`` and the GCD-morphism
-gate always run at their fixed bounds, a fixed cost of every run: about
-18 ms for the F-binomial suite and 3 ms for the gate with the default
-sequences (2-vCPU VM, Python 3.11).
+the one F-binomial suite asks it for one factorial-ratio table per
+shipped sequence, and every check of a suite reads the result for its
+inputs.  Every identity is recorded one way, by ``SuiteResult.check``:
+the closed form runs inside the check, and a mismatch, or an exception
+it raises, is a failure of that identity naming its inputs and both
+values.  Only identities that can fail on their own are checked: none
+compares a function with itself, a copy of itself, or a value another
+check already pins.  Poset suites scale with ``max_n`` over the given
+sequences; the F-binomial suite and the GCD-morphism gate always run
+over the whole shipped GCD-morphic family at fixed bounds, a fixed cost
+of every run: about 5-8 ms for the F-binomial suite and 3 ms for the
+gate (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: grid
 diagrams are built with ``max_index=max_n``, the grid chain checks read
@@ -39,11 +39,8 @@ from .sequences import (
     FSequence,
     NonIntegralError,
     _Record,
-    f_binomial,
     f_binomial_diagonal,
     f_binomial_rows,
-    fibonacci,
-    gaussian,
     gcd_morphic_check,
     gcd_morphic_family,
     lucas,
@@ -194,11 +191,12 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
 
     The one layered suite.  Each (n, F) asks ``oracle.layer_sizes`` once,
     for factorial ratios of raw sequence values, and every check reads that
-    census: the F-binomial walk against it, the Bell-like number against
-    its sum, and the policy step against the sum it loses when the
-    degenerate level is excluded.  The per-n sums under both policies are
-    what the Bell sequence by diagonal row sums (``pnf_bell_sequence``)
-    must give; the naturals' Bell-like numbers must give shifted Fibonacci.
+    census: the F-binomial walk and the per-level Whitney numbers (the
+    per-entry product) against it, the Bell-like number against its sum,
+    and the policy step against the sum it loses when the degenerate level
+    is excluded.  The per-n sums under both policies are what the Bell
+    sequence by diagonal row sums (``pnf_bell_sequence``) must give; the
+    naturals' Bell-like numbers must give shifted Fibonacci.
     """
     suite = SuiteResult("layered poset vs oracle")
     for seq in seqs:
@@ -213,6 +211,12 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
                 inputs,
                 sizes,
                 lambda: pnfposet.pnf_whitney_vector(n, seq),
+            )
+            suite.check(
+                "per-level Whitney numbers = oracle census",
+                inputs,
+                sizes,
+                lambda: [pnfposet.pnf_whitney(n, k, seq) for k in range(len(sizes))],
             )
             suite.check(
                 "Bell-like number = total size",
@@ -247,24 +251,6 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     return suite
 
 
-def _family_pascal_rows(step: Callable[[list[int], int, int], int]) -> list[list[int]]:
-    """Rows 0..FBINOM_BOUND built by an additive rule from the row above.
-
-    ``step(previous, n, k)`` gives interior entry k of row n; edges are 1.
-    """
-    rows = [[1]]
-    for n in range(1, FBINOM_BOUND + 1):
-        previous = rows[-1]
-        rows.append([1] + [step(previous, n, k) for k in range(1, n)] + [1])
-    return rows
-
-
-def _engine_rows(seq: FSequence) -> Callable[[], list[list[int]]]:
-    """Rows 0..FBINOM_BOUND of the row engine, kept from the first call that
-    returns; a call that raises caches nothing, so each row's check fails."""
-    return cache(lambda: list(f_binomial_rows(seq, FBINOM_BOUND)))
-
-
 def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, str]]:
     """(index, error text before " for F = ") of the first of ``results``,
     numbered from ``first``, whose computation raises NonIntegralError."""
@@ -277,90 +263,55 @@ def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, st
     return None
 
 
-def check_fbinom_algebra(max_n: int, seqs: list[FSequence]) -> SuiteResult:
+def check_fbinom_algebra() -> SuiteResult:
     """Row engine and central column walk vs one oracle table per F; lucas fails.
 
-    The one F-binomial suite.  Each F asks ``oracle.factorial_ratios`` once,
-    for rows 0..``FBINOM_BOUND`` and the central column (2m choose m)_F for
-    m = 1..max_n, and the row engine and the central column walk are
-    checked against that table.  The row engine is also checked against
-    the additive Pascal-type rules of fibonacci and gauss (always run), and
-    ``f_binomial`` against Pascal's rule for naturals.  The Whitney lines of
-    P(n, F) are checked against the layered census; here lucas, the
-    negative control, must fail first at (4 choose 2) in the rows, the
-    central column and the Whitney lines.
+    The one F-binomial suite.  It runs over the shipped GCD-morphic family,
+    whatever sequences ``verify`` is given, at fixed bounds.  Each F asks
+    ``oracle.factorial_ratios`` once, for rows 0..``FBINOM_BOUND``, and the
+    row engine is checked against that table row by row; the central
+    column walk (2m choose m)_F for m = 1..``FBINOM_BOUND // 2`` is checked
+    against entries of the same table.  lucas, the negative control, must
+    fail first at (4 choose 2) in the rows, the central column and the
+    Whitney lines of P(n, F).
     """
     suite = SuiteResult("F-binomial algebra")
     triangle = [(n, k) for n in range(FBINOM_BOUND + 1) for k in range(n + 1)]
-    column = [(2 * m, m) for m in range(1, max_n + 1)]
-    for seq in seqs:
-        ratios = iter(oracle.factorial_ratios(seq, triangle + column))
-        rows = _engine_rows(seq)
+    count = FBINOM_BOUND // 2  # (2m choose m) lies in the rows for m <= count
+    for seq in gcd_morphic_family():
+        ratios = iter(oracle.factorial_ratios(seq, triangle))
+        table = [list(islice(ratios, n + 1)) for n in range(FBINOM_BOUND + 1)]
+        # kept from the first call that returns; a call that raises caches
+        # nothing, so each row's check fails
+        rows = cache(lambda: list(f_binomial_rows(seq, FBINOM_BOUND)))
         for n in range(FBINOM_BOUND + 1):
             suite.check(
                 "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
                 f"(F, n) = ({seq.name}, {n})",
-                list(islice(ratios, n + 1)),
+                table[n],
                 lambda: rows()[n],
             )
         suite.check(
             "central column walk = F_{2m}!/(F_m! F_m!)",
-            f"(F, count) = ({seq.name}, {max_n})",
-            list(ratios),
-            lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), max_n),
+            f"(F, count) = ({seq.name}, {count})",
+            [table[2 * m][m] for m in range(1, count + 1)],
+            lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), count),
         )
-    fib = [0, 1]
-    while len(fib) <= FBINOM_BOUND + 1:
-        fib.append(fib[-1] + fib[-2])
-    fibonomial = _family_pascal_rows(
-        lambda prev, n, k: fib[k - 1] * prev[k] + fib[n - k + 1] * prev[k - 1]
-    )
-    rows = _engine_rows(fibonacci())
-    for n in range(FBINOM_BOUND + 1):
-        suite.check(
-            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
-            f"n = {n}",
-            fibonomial[n],
-            lambda: rows()[n],
-        )
-    for q in (2, 3):
-        gauss = _family_pascal_rows(
-            lambda prev, n, k: prev[k - 1] + q**k * prev[k]
-        )
-        rows = _engine_rows(gaussian(q))
-        for n in range(FBINOM_BOUND + 1):
-            suite.check(
-                "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
-                f"(q, n) = ({q}, {n})",
-                gauss[n],
-                lambda: rows()[n],
-            )
     suite.check(
         "lucas rows fail first at (4 choose 2)",
         f"(F, rows) = (lucas, 0..{FBINOM_BOUND})",
         (4, "(4 choose 2)_F is not an integer"),
         lambda: _first_non_integral(f_binomial_rows(lucas(), FBINOM_BOUND), 0),
     )
-    nat = make_sequence("naturals")
-    pascal = _family_pascal_rows(lambda prev, n, k: prev[k - 1] + prev[k])
-    for n in range(31):
-        suite.check(
-            "naturals binomials = Pascal recurrence",
-            f"n = {n}",
-            pascal[n],
-            lambda: [f_binomial(nat, n, k) for k in range(n + 1)],
-        )
     walks = (
-        f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)
-        for count in range(1, max_n + 1)
+        f_binomial_diagonal(lucas(), (2, 1), (2, 1), m) for m in range(1, count + 1)
     )
     suite.check(
         "lucas central column walk fails first at (4 choose 2)",
-        f"(F, count) = (lucas, 1..{max_n})",
+        f"(F, count) = (lucas, 1..{count})",
         (2, "(4 choose 2)_F is not an integer"),
         lambda: _first_non_integral(walks, 1),
     )
-    # a fixed range: lucas first fails at n = 6, which max_n may not reach
     lines = (pnfposet.pnf_whitney_vector(n, lucas()) for n in range(1, FBINOM_BOUND + 1))
     suite.check(
         "lucas Whitney lines fail first at (4 choose 2)",
@@ -415,6 +366,6 @@ def run_verify(max_n: int, seq_tokens: Optional[list[str]] = None) -> list[Suite
     return [
         _timed(check_grid_chains, max_n),
         _timed(check_pnf_census, max_n, seqs),
-        _timed(check_fbinom_algebra, max_n, seqs),
+        _timed(check_fbinom_algebra),
         _timed(check_gcd_morphism),
     ]

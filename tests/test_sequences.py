@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import verify
-from cobweb.oracle import layer_sizes
-from cobweb.pnfposet import pnf_bell, pnf_max_rank
+from cobweb.oracle import factorial_ratios, layer_sizes
+from cobweb.pnfposet import pnf_bell, pnf_max_rank, pnf_whitney_vector
 from cobweb.sequences import (
     GCD_MORPHIC_SPECS,
     SEQUENCE_NAMES,
@@ -52,12 +52,8 @@ def iterative_fib(n):
     return a
 
 
-def ratio_binomial(values, n, k):
-    """Independent oracle: plain ratio of factorial products over raw values."""
-    fact = lambda m: math.prod(values[1 : m + 1])
-    numerator, denominator = fact(n), fact(k) * fact(n - k)
-    assert numerator % denominator == 0
-    return numerator // denominator
+def triangle(last_row):
+    return [(n, k) for n in range(last_row + 1) for k in range(n + 1)]
 
 
 def pascal_triangle(rows):
@@ -143,8 +139,7 @@ class TestFFactorial:
 
 class TestFBinomial:
     def test_fibonomial_against_ratio_oracle(self):
-        values = [iterative_fib(i) for i in range(6)]
-        assert ratio_binomial(values, 5, 2) == 15
+        assert factorial_ratios(SHIPPED["fibonacci"], [(5, 2)]) == [15]
         assert f_binomial(SHIPPED["fibonacci"], 5, 2) == 15
 
     def test_naturals_against_pascal_oracle(self):
@@ -160,11 +155,8 @@ class TestFBinomial:
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_matches_ratio_oracle_everywhere(self, name):
-        seq = SHIPPED[name]
-        values = [seq_eval(seq, i) for i in range(26)]
-        for n in range(26):
-            for k in range(n + 1):
-                assert f_binomial(seq, n, k) == ratio_binomial(values, n, k)
+        seq, pairs = SHIPPED[name], triangle(25)
+        assert [f_binomial(seq, n, k) for n, k in pairs] == factorial_ratios(seq, pairs)
 
     @given(
         name=st.sampled_from(sorted(SHIPPED)),
@@ -235,6 +227,26 @@ class TestRowEngine:
         assert rows == [
             [f_binomial(seq, n, k) for k in range(n + 1)] for n in range(last_row + 1)
         ]
+
+    @pytest.mark.parametrize(
+        "name, rule",
+        [
+            (
+                "fibonacci",
+                lambda row, n, k: iterative_fib(k - 1) * row[k]
+                + iterative_fib(n - k + 1) * row[k - 1],
+            ),
+            ("gauss2", lambda row, n, k: row[k - 1] + 2**k * row[k]),
+            ("gauss3", lambda row, n, k: row[k - 1] + 3**k * row[k]),
+        ],
+        ids=["fibonomial", "gauss2", "gauss3"],
+    )
+    def test_rows_satisfy_the_family_pascal_rule(self, name, rule):
+        # F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1) and [n-1,k-1] + q^k [n-1,k]
+        rows = list(f_binomial_rows(SHIPPED[name], 40))
+        for n in range(1, 41):
+            above = rows[n - 1]
+            assert rows[n] == [1] + [rule(above, n, k) for k in range(1, n)] + [1]
 
     @given(
         name=st.sampled_from(sorted(SHIPPED)),
@@ -402,6 +414,52 @@ class TestDiagonalWalk:
             f_binomial_diagonal(seq, (4, 2), (1, 1), -1)
         with pytest.raises(ValueError, match="upper index"):
             f_binomial_diagonal(seq, (1, 0), (-1, 0), 3)
+
+
+def lucas_u(p, q):
+    """The Lucas sequence U_n(P, Q): U_0 = 0, U_1 = 1, U_n = P U_{n-1} - Q U_{n-2}."""
+
+    def value_at(n):
+        a, b = 0, 1
+        for _ in range(n):
+            a, b = b, p * b - q * a
+        return a
+
+    return FSequence(f"U(P={p}, Q={q})", value_at)
+
+
+# coprime P > 0 and Q < 0 give positive strong divisibility sequences
+# (Lucas 1878; Kimberling 1979), so every F-binomial is an integer
+LUCAS_PARAMETERS = [
+    (p, q) for p in range(1, 7) for q in range(-6, 0) if math.gcd(p, q) == 1
+]
+
+
+class TestLucasSequences:
+    def test_parameters(self):
+        assert len(LUCAS_PARAMETERS) == 23
+        assert [seq_eval(lucas_u(1, -1), n) for n in range(8)] == [
+            iterative_fib(n) for n in range(8)
+        ]
+        assert [seq_eval(lucas_u(2, -1), n) for n in range(6)] == [0, 1, 2, 5, 12, 29]
+
+    @given(st.sampled_from(LUCAS_PARAMETERS))
+    @settings(max_examples=30, deadline=None)
+    def test_every_engine_equals_the_oracle(self, parameters):
+        seq = lucas_u(*parameters)
+        assert gcd_morphic_check(seq, 24).holds
+        pairs = triangle(24)
+        table = factorial_ratios(seq, pairs)
+        rows = [table[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(25)]
+        assert list(f_binomial_rows(seq, 24)) == rows
+        assert f_binomials(seq, pairs) == table
+        assert f_binomial_diagonal(seq, (2, 1), (2, 1), 12) == [
+            rows[2 * m][m] for m in range(1, 13)
+        ]
+        for n in range(1, 25):
+            sizes = layer_sizes(n, seq, pnf_max_rank(n))
+            assert f_binomial_diagonal(seq, (n, 0), (-1, 1), len(sizes)) == sizes
+            assert pnf_whitney_vector(n, seq) == sizes
 
 
 class TestGcdMorphicCheck:

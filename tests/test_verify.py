@@ -117,20 +117,21 @@ class TestSuites:
         asked = [(c.args[0], c.args[1].name) for c in census.call_args_list]
         assert len(asked) == len(set(asked)) == 48
         # each census asks for at most 7 levels; the F-binomial suite asks
-        # once per F for rows 0..40 (861 entries) and 12 central entries
+        # once for rows 0..40 (861 entries) per shipped F, whatever --seq says
         tables = [(c.args[0].name, len(c.args[1])) for c in ratios.call_args_list]
         assert [table for table in tables if table[1] > 7] == [
-            (name, 861 + 12) for name in ("fibonacci", "naturals", "ones", "gauss(q=2)")
+            (name, 861)
+            for name in ("fibonacci", "naturals", "ones", "gauss(q=2)", "gauss(q=3)")
         ]
-        assert len(tables) == 48 + 4
+        assert len(tables) == 48 + 5
         assert {name: s.cases for name, s in suites.items()} == {
             "grid poset vs oracle": 432,
-            "layered poset vs oracle": 164,
-            "F-binomial algebra": 325,
+            "layered poset vs oracle": 212,
+            "F-binomial algebra": 213,
             "GCD-morphism gate": 6,
         }
         total = sum(s.cases for s in suites.values())
-        assert total == 927
+        assert total == 863
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         documented = re.search(r"At `--max-n 12`[^.]*? (\d+) checks", readme)
         assert documented and int(documented[1]) == total
@@ -143,16 +144,14 @@ class TestSuites:
             "reflexive, antisymmetric, transitive": 35,
             "near-diagonal chain count = Catalan number": 12,
             "oracle rank census = F-binomial level sizes": 48,
+            "per-level Whitney numbers = oracle census": 48,
             "Bell-like number = total size": 48,
             "including the degenerate level adds 1 for even n, 0 for odd": 48,
             "Bell sequence by diagonal row sums = per-n Bell numbers": 8,
             "Bell-like numbers of naturals = shifted Fibonacci": 12,
-            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder": 164,
-            "central column walk = F_{2m}!/(F_m! F_m!)": 4,
-            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)": 41,
-            "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]": 82,
+            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder": 205,
+            "central column walk = F_{2m}!/(F_m! F_m!)": 5,
             "lucas rows fail first at (4 choose 2)": 1,
-            "naturals binomials = Pascal recurrence": 31,
             "lucas central column walk fails first at (4 choose 2)": 1,
             "lucas Whitney lines fail first at (4 choose 2)": 1,
             "sequence is GCD-morphic up to the bound": 5,
@@ -172,8 +171,8 @@ class TestSuites:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # 3 checks per n, the Bell sequence under 2 policies, 12 for naturals
-            assert (suite.cases, suite.skipped, suite.failures) == (50, 0, [])
+            # 4 checks per n, the Bell sequence under 2 policies, 12 for naturals
+            assert (suite.cases, suite.skipped, suite.failures) == (62, 0, [])
             assert peak < 8 * 2**20
 
     @given(relations())
@@ -330,11 +329,11 @@ class TestFaultInjection:
         assert (first.expected, first.actual) == ("[1, 4, 3]", "[1, 4, 6]")
 
     def test_walk_that_hides_the_lucas_error_is_detected(self, monkeypatch):
-        healthy = verify.check_fbinom_algebra(8, [naturals()])
+        healthy = verify.check_fbinom_algebra()
         assert not healthy.failures
-        # naturals' 41 rows and central column, 41 fibonomial and 82
-        # Gaussian rows, 31 naturals Pascal rows and the 3 lucas controls
-        assert healthy.cases == 41 + 1 + 41 + 82 + 31 + 3
+        # 41 rows and the central column of each of the 5 shipped sequences,
+        # and the 3 lucas controls
+        assert healthy.cases == 5 * (41 + 1) + 3
         walk = sequences.f_binomial_diagonal
 
         def silent(seq, start, step, count):
@@ -345,11 +344,11 @@ class TestFaultInjection:
 
         monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", silent)
         monkeypatch.setattr("cobweb.pnfposet.f_binomial_diagonal", silent)
-        suite = verify.check_fbinom_algebra(8, [naturals()])
+        suite = verify.check_fbinom_algebra()
         assert [(f.identity, f.inputs, f.actual) for f in suite.failures] == [
             (
                 "lucas central column walk fails first at (4 choose 2)",
-                "(F, count) = (lucas, 1..8)",
+                "(F, count) = (lucas, 1..20)",
                 "None",
             ),
             (
@@ -373,11 +372,15 @@ class TestFaultInjection:
                 },
             ),
             (
+                "cobweb.pnfposet.pnf_whitney",
+                {"per-level Whitney numbers = oracle census"},
+            ),
+            (
                 "cobweb.gridposet.grid_whitney",
                 {"Bell-like number = size", "oracle rank census = Whitney vector"},
             ),
         ],
-        ids=["pnf_whitney_vector", "grid_whitney"],
+        ids=["pnf_whitney_vector", "pnf_whitney", "grid_whitney"],
     )
     def test_raising_closed_form_fails_every_identity_it_feeds(
         self, monkeypatch, capsys, target, fed
@@ -400,11 +403,7 @@ class TestFaultInjection:
         monkeypatch.setattr("cobweb.sequences._checked_step", off_by_one_at_5_2)
         failures = [f for suite in verify.run_verify(6) for f in suite.failures]
         raised = {f.identity for f in failures if f.actual.startswith("raised ")}
-        assert raised == {
-            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
-            "fibonomial rows = Pascal rule F_{k-1}(n-1,k) + F_{n-k+1}(n-1,k-1)",
-            "Gaussian rows = q-Pascal rule [n-1,k-1] + q^k [n-1,k]",
-        }
+        assert raised == {"row engine = F_n!/(F_k! F_{n-k}!) with zero remainder"}
         assert not any(f.actual.startswith("'") for f in failures)
         assert cli.main(["verify", "--max-n", "6"]) == 1
         captured = capsys.readouterr()
@@ -413,17 +412,19 @@ class TestFaultInjection:
 
     def test_raising_walk_renders_unquoted(self, monkeypatch):
         monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", boom)
-        suite = verify.check_fbinom_algebra(4, [naturals()])
+        suite = verify.check_fbinom_algebra()
         assert [(f.identity, f.inputs) for f in suite.failures] == [
-            ("central column walk = F_{2m}!/(F_m! F_m!)", "(F, count) = (naturals, 4)"),
+            ("central column walk = F_{2m}!/(F_m! F_m!)", f"(F, count) = ({name}, 20)")
+            for name in ("fibonacci", "naturals", "ones", "gauss(q=2)", "gauss(q=3)")
+        ] + [
             (
                 "lucas central column walk fails first at (4 choose 2)",
-                "(F, count) = (lucas, 1..4)",
+                "(F, count) = (lucas, 1..20)",
             ),
         ]
         assert {f.actual for f in suite.failures} == {"raised ArithmeticError: boom"}
-        # the expected side is the oracle's table: (2m choose m) for m = 1..4
-        assert suite.failures[0].expected == "[2, 6, 20, 70]"
+        # the expected side is the oracle's table: (2m choose m) for m = 1..20
+        assert suite.failures[1].expected == repr([comb(2 * m, m) for m in range(1, 21)])
 
     @pytest.mark.parametrize(
         "relation, laws, passing",
