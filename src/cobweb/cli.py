@@ -18,17 +18,14 @@ top-index scale guard for ``verify``.
 Only ``verify`` runs the oracle and the verify suites.  ``oracle`` and
 ``verify`` are bound here at import, but the package registers both lazily,
 so their bodies run on the first attribute read, inside ``cmd_verify``;
-the other subcommands start without loading them (or ``dataclasses``).
+the other subcommands start without loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from typing import Optional
 
 from . import oracle, verify
 from .gridposet import grid_bell, grid_chain_count, grid_size, grid_whitney
@@ -46,44 +43,39 @@ from .sequences import (
 FORMATS = ("table", "csv", "json")
 
 
-def _table(rows: list[list[str]], labels: Optional[list[str]] = None) -> str:
-    if labels is not None:
-        label_width = max(len(label) for label in labels)
-        rows = [
-            [labels[i].ljust(label_width)] + row for i, row in enumerate(rows)
-        ]
-    widths: dict[int, int] = {}
-    for row in rows:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths.get(j, 0), len(cell))
-    lines = []
-    for row in rows:
-        padded = [cell.rjust(widths[j]) for j, cell in enumerate(row)]
-        if labels is not None:
-            padded[0] = row[0]  # keep labels left-justified
-        lines.append(" ".join(padded).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def _emit(
     kind: str,
     params: dict[str, str],
     values,
     fmt: str,
-    labels: Optional[list[str]] = None,
+    labels: list[str] | None = None,
 ) -> None:
-    """Render one output document; ``values`` is [str] or [[str]]."""
+    """Write one output document row by row; ``values`` is [str] or [[str]]."""
     nested = bool(values) and isinstance(values[0], list)
-    if fmt == "json":
-        doc = {"object": kind, "params": params, "values": values}
-        sys.stdout.write(json.dumps(doc) + "\n")
+    rows = values if nested else [values]
+    if fmt == "json":  # json.dumps(doc) + "\n", in pieces
+        import json
+
+        write = sys.stdout.write
+        write(json.dumps({"object": kind, "params": params, "values": None})[:-5])
+        for i, row in enumerate(rows):
+            write(", " if i else "[" * nested)
+            write(json.dumps(row))
+        write("]" * nested + "}\n")
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in values if nested else [values]:
-            writer.writerow(row)
-    else:
-        rows = [list(row) for row in values] if nested else [list(values)]
-        sys.stdout.write(_table(rows, labels))
+        import csv
+
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:  # labels left-, cells right-justified
+        widths: dict[int, int] = {}
+        for row in rows:
+            for j, cell in enumerate(row):
+                widths[j] = max(widths.get(j, 0), len(cell))
+        for i, row in enumerate(rows):
+            cells = [cell.rjust(widths[j]) for j, cell in enumerate(row)]
+            if labels:
+                cells.insert(0, labels[i].ljust(max(map(len, labels))))
+            print(" ".join(cells).rstrip())
 
 
 def _seq_params(args) -> dict[str, str]:
@@ -226,7 +218,9 @@ def cmd_verify(args) -> int:
             "values": totals,
             "suites": [dict(zip(fields, row)) for row in rows],
         }
-        sys.stdout.write(json.dumps(doc) + "\n")
+        import json
+
+        print(json.dumps(doc))
     else:  # csv: the totals row, then name,cases,failed,seconds,skipped per suite
         _emit("verify", params, [totals, *rows], args.format)
     return 1 if failures else 0
@@ -240,10 +234,9 @@ def cmd_export(args) -> int:
         values = pnf_bell_sequence(seq, args.count)
     else:  # fbinom-diagonal: central column of the triangle
         values = f_binomial_diagonal(seq, (2, 1), (2, 1), args.count)
-    lines = "".join(f"{i} {v}\n" for i, v in enumerate(values, start=1))
     try:
         with open(args.bfile, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(lines)
+            handle.writelines(f"{i} {v}\n" for i, v in enumerate(values, start=1))
     except OSError as exc:
         sys.stderr.write(f"cannot write b-file {args.bfile!r}: {exc}\n")
         return 3
@@ -319,15 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # answers are printed whole, however long
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValueError, NonIntegralError) as exc:
         parser.error(str(exc))
+    except BrokenPipeError:  # the reader left: exit 3, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     finally:
         sys.set_int_max_str_digits(digit_limit)
 

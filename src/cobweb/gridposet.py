@@ -10,7 +10,7 @@ max(0, j + 1 - n) <= l <= min(k, j // 2), so
     W_j = max(0, min(k, j // 2) - max(0, j + 1 - n) + 1),  j = 0 .. k + n - 1,
 
 which costs O(k + n) and holds no elements in memory.  Only the oracle
-(``cobweb.oracle``) and the verification suites enumerate elements.
+(``cobweb.oracle``) enumerates elements.
 
 Maximal chains are monotone staircase paths from (0, 1) to (k, n) inside
 the region l < m; their count is the ballot number

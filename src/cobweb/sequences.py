@@ -347,7 +347,7 @@ def gcd_morphic_check(seq: FSequence, bound: int) -> GcdMorphicReport:
     """
     if bound < 1:
         raise ValueError(f"check bound must be >= 1, got {bound}")
-    values = [seq_eval(seq, i) for i in range(bound + 1)]
+    values = {i: seq_eval(seq, i) for i in range(1, bound + 1)}  # F_0 is never read
     for n in range(1, bound + 1):
         for m in range(n, bound + 1):
             value_gcd = gcd(values[n], values[m])

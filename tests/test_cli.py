@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import cobweb
 from cobweb import verify
 from cobweb.cli import GRID_CENSUS_LIMIT, main
+from cobweb.sequences import f_binomial_rows, make_sequence
 
 SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
 
@@ -129,13 +131,60 @@ class TestFbinomCommand:
         assert "not an integer" in err
 
     def test_lucas_error_text_is_stable(self, capsys):
-        code, out, err = run_cli(["fbinom", "--seq", "lucas", "--rows", "5"], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            "usage: cobweb [-h] command ...\n"
-            "cobweb: error: (4 choose 2)_F is not an integer for F = lucas: "
-            "step 2 leaves remainder 1 after dividing by F_2 = 3\n"
+        # the whole triangle is computed before its first row is written
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run_cli(
+                ["fbinom", "--seq", "lucas", "--rows", "5", "--format", fmt], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                "usage: cobweb [-h] command ...\n"
+                "cobweb: error: (4 choose 2)_F is not an integer for F = lucas: "
+                "step 2 leaves remainder 1 after dividing by F_2 = 3\n"
+            )
+
+    def test_table_pads_every_column(self, capsys):
+        code, out, _ = run_cli(["fbinom", "--seq", "fib", "--rows", "6"], capsys)
+        assert code == 0
+        assert out == (
+            "1\n"
+            "1 1\n"
+            "1 1  1\n"
+            "1 2  2  1\n"
+            "1 3  6  3  1\n"
+            "1 5 15 15  5 1\n"
+            "1 8 40 60 40 8 1\n"
         )
+
+    @pytest.mark.parametrize("rows", [0, 1, 30])
+    @pytest.mark.parametrize("seq", ["fib", "naturals", "gauss2"])
+    def test_json_is_json_dumps_of_the_document(self, seq, rows, capsys):
+        name, q = ("gauss", 2) if seq == "gauss2" else (seq, None)
+        params = {"seq": name} | ({"q": str(q)} if q else {}) | {"rows": str(rows)}
+        code, out, _ = run_cli(
+            ["fbinom", *(f"--{key}={value}" for key, value in params.items()),
+             "--format", "json"],
+            capsys,
+        )
+        triangle = f_binomial_rows(make_sequence(name, q), rows)
+        values = [[str(x) for x in row] for row in triangle]
+        doc = {"object": "fbinom", "params": params, "values": values}
+        assert (code, out) == (0, json.dumps(doc) + "\n")
+
+    def test_peak_memory_is_about_one_copy_in_every_format(self, monkeypatch):
+        # table and json once held several copies of the document; csv never did
+        peaks = {}
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            for fmt in ("csv", "table", "json"):
+                tracemalloc.start()
+                try:
+                    main(["fbinom", "--seq", "fib", "--rows", "120", "--format", fmt])
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["table"] <= 1.1 * peaks["csv"]
+        assert peaks["json"] <= 1.1 * peaks["csv"]
 
 
 class TestGridCommand:
@@ -491,6 +540,31 @@ class TestFormats:
         assert [len(row) for row in rows] == [5] * len(doc["suites"])
         assert all(float(row[3]) >= 0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--k", "3", "--n", "5", "--show", "all"],
+            ["seq", "--seq", "fib", "--count", "12"],
+            ["pnf", "--seq", "naturals", "--n", "7", "--show", "whitney"],
+            ["pnf", "--seq", "fib", "--n", "9", "--show", "bell"],
+        ],
+        ids=" ".join,
+    )
+    def test_json_is_json_dumps_of_what_it_holds(self, argv, capsys):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    def test_verify_csv_is_one_line_per_row(self, capsys, monkeypatch):
+        suites = verify.run_verify(4)  # the same suite seconds in both formats
+        monkeypatch.setattr(verify, "run_verify", lambda max_n, tokens: suites)
+        code, as_json, _ = run_cli(["verify", "--max-n", "4", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(as_json)
+        rows = [doc["values"], *(list(suite.values()) for suite in doc["suites"])]
+        code, as_csv, _ = run_cli(["verify", "--max-n", "4", "--format", "csv"], capsys)
+        assert (code, as_csv) == (0, "".join(",".join(row) + "\n" for row in rows))
+
     def test_values_are_decimal_strings_at_any_magnitude(self, capsys):
         code, out, _ = run_cli(
             ["fbinom", "--seq", "fib", "--rows", "40", "--format", "json"], capsys
@@ -512,6 +586,28 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.split() == ["1", "1", "2", "3", "5"]
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            (["fbinom", "--seq", "naturals", "--rows", "400", "--format", "csv"], 1),
+            (["verify", "--max-n", "12"], 0),  # its lines reach the pipe in one write
+        ],
+        ids=["fbinom", "verify"],
+    )
+    def test_closed_pipe_exits_3_without_traceback(self, argv, lines_read):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cobweb", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()  # as `| head -n 1` does once it has its line
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (3, b"")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)

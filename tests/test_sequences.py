@@ -487,6 +487,11 @@ class TestGcdMorphicCheck:
         with pytest.raises(ValueError):
             gcd_morphic_check(SHIPPED["ones"], 0)
 
+    def test_f0_is_never_read(self):
+        seq = FSequence("nozero", no_zero_index)
+        assert f_binomial(seq, 5, 2) == 10
+        assert gcd_morphic_check(seq, 6).holds
+
 
 def _identity(n):
     return n
