@@ -315,6 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed at start: as a closed pipe, exit 3
+        return 3
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # answers are printed whole, however long
     try:

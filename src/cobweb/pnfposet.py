@@ -20,11 +20,9 @@ W_1 = F_{n-1}/F_1, then
 
     W_{k+1} = W_k * F_{n-2k} F_{n-2k-1} / (F_{k+1} F_{n-k}),
 
-about n/2 checked steps for the whole census, and F_n is never read.  On
-a remainder or an inadmissible value the walk answers by one product per
-level, so the shipped sequences, lucas included, give the same values and
-errors either way; a custom sequence that is non-integral only in a
-level's intermediate products gets that level's exact integer.
+about n/2 checked steps for the whole census, and F_n is never read.  It
+fails at the first level that is not an integer, with the same error as
+that level's ``pnf_whitney``.
 """
 
 from __future__ import annotations

@@ -22,15 +22,15 @@ All F-binomial arithmetic runs on one engine.  Each call builds its own
 value table of F_i, filled on first use of each index through ``seq_eval``
 (so admissibility is checked) and dropped when the call returns; a call
 therefore evaluates exactly the indices its entries need, never F_0, and
-each of them once.  ``f_binomial`` and ``f_binomials`` read entries from the
-table by the incremental product; ``f_binomial_rows`` yields whole rows by
-the recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
+each of them once.  ``f_binomial`` reads an entry from the table by the
+incremental product; ``f_binomial_rows`` yields whole rows by the
+recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
 step k of that product.  ``f_binomial_diagonal`` walks a line of entries
 (the Whitney line of P(n, F), the central column) by the ratio of
 neighbours: about N steps for N entries instead of N^2/2.  All three share
-one checked multiply-and-divide step; a non-integral entry raises the same
-error whether the row engine or the per-entry product reaches it, and a
-walk that meets one answers by the per-entry product.
+one checked multiply-and-divide step and one meaning of (n choose k)_F,
+the factorial ratio: each raises only at an entry that is not an integer,
+with the per-entry product's error, or at an inadmissible value.
 
 The shipped sequences are listed once, in a CLI name -> factory registry.
 Each is spelled two ways, with the same result and errors: by name and
@@ -44,8 +44,8 @@ call), safe to call from multiple threads, deterministic for equal inputs.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Callable, Iterable, Iterator, Optional
+from math import gcd, prod
+from typing import Callable, Iterator, Optional
 
 
 class AdmissibilityError(ValueError):
@@ -182,30 +182,20 @@ class _ValueTable(dict):
         return value
 
 
-def _checked_step(
-    values: _ValueTable,
-    n: int,
-    k: int,
-    step: int,
-    product: int,
-    divisor: int,
-    down: tuple[int, ...] = (),
-) -> int:
-    """Step ``step`` towards (n choose k)_F: ``product`` / ``divisor``, exactly.
+def _checked_step(values: _ValueTable, n: int, k: int, step: int, product: int) -> int:
+    """Step ``step`` towards (n choose k)_F: ``product`` / F_step, exactly.
 
-    ``product`` is an F-binomial times sequence values and ``divisor`` the
-    product of F_j for j in ``down`` (by default F_step), together the
-    ratio to the next entry on the way to (n choose k)_F.  That entry is
-    the quotient whenever it is an integer, so a remainder means the
-    sequence is not admissible for this triangle.
+    ``product`` is (n choose step-1)_F * F_{n-step+1}, so the quotient is
+    (n choose step)_F whenever that is an integer, and a remainder means
+    it is not one.
     """
+    divisor = values[step]
     result, remainder = divmod(product, divisor)
     if remainder:
-        divided_by = "*".join(f"F_{j}" for j in down or (step,))
         raise NonIntegralError(
             f"({n} choose {k})_F is not an integer for F = {values.seq.name}: "
             f"step {step} leaves remainder {remainder} after dividing by "
-            f"{divided_by} = {divisor}"
+            f"F_{step} = {divisor}"
         )
     return result
 
@@ -219,9 +209,14 @@ def _binomial(values: _ValueTable, n: int, k: int) -> int:
         return 1
     result = 1
     for step in range(1, k + 1):
-        result = _checked_step(
-            values, n, k, step, result * values[n - step + 1], values[step]
-        )
+        try:
+            result = _checked_step(values, n, k, step, result * values[n - step + 1])
+        except NonIntegralError:  # (n choose step)_F is not an integer; is the entry?
+            up = prod(values[i] for i in range(n - k + 1, n + 1))
+            result, remainder = divmod(up, prod(values[i] for i in range(1, k + 1)))
+            if remainder:
+                raise
+            return result
     return result
 
 
@@ -229,23 +224,13 @@ def f_binomial(seq: FSequence, n: int, k: int) -> int:
     """Return the exact F-binomial (n choose k)_F; 0 outside 0 <= k <= n.
 
     Computed as an incremental product, multiplying by F_{n-i} and dividing
-    by F_{i+1} at step i.  Each intermediate value is itself an F-binomial,
-    so for GCD-morphic sequences every division is exact; a remainder means
-    the sequence is not admissible for this triangle and raises.
+    by F_{i+1} at step i.  Each intermediate value is the F-binomial
+    (n choose i+1)_F, so for GCD-morphic sequences every division is exact.
+    A step that leaves a remainder is answered by one checked division of
+    F_{n-k+1}...F_n by F_1...F_k, and raises that step's error only if
+    (n choose k)_F itself is not an integer.
     """
     return _binomial(_ValueTable(seq), n, k)
-
-
-def f_binomials(seq: FSequence, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """[(n choose k)_F for (n, k) in pairs], from one value table.
-
-    Each entry costs k checked steps and no sequence evaluations beyond the
-    first use of each index, so scattered entries (a census, a diagonal)
-    never pay for the rows around them.  Entries are computed in order; the
-    first non-integral one raises exactly as ``f_binomial`` would.
-    """
-    values = _ValueTable(seq)
-    return [_binomial(values, n, k) for n, k in pairs]
 
 
 def _ratio_factors(n: int, k: int, next_n: int, next_k: int) -> tuple[tuple, tuple]:
@@ -279,12 +264,11 @@ def f_binomial_diagonal(
     it is computed by the per-entry product, so the Whitney line starts
     from (n-1 choose 1)_F = F_{n-1}/F_1 and never reads F_n.
 
-    If a step leaves a remainder or meets an inadmissible value, the whole
-    request is answered by ``f_binomials``: the same values, or the same
-    error naming the entry and the step.  A walk never forms the
-    intermediate products of its entries, so on a custom sequence whose
-    only non-integral F-binomials are such intermediates it returns the
-    exact integers where ``f_binomials`` raises.
+    Each step gives the next entry exactly as a rational, so a step that
+    leaves a remainder marks an entry that is not an integer: it raises the
+    per-entry product's error for that entry, and ``RuntimeError`` if the
+    per-entry product finds an integer there (the walk is wrong).  An
+    inadmissible value raises where the walk first reads it.
     """
     if count < 0:
         raise ValueError(f"diagonal length must be >= 0, got {count}")
@@ -293,21 +277,25 @@ def f_binomial_diagonal(
     values = _ValueTable(seq)
     entries = []
     previous = None  # the last entry, while it is interior (0 < k < n)
-    try:
-        for i, (n, k) in enumerate(pairs):
-            if previous and 0 < k < n:
-                up, down = _ratio_factors(*previous, n, k)
-                product, divisor = entries[-1], 1
-                for j in up:
-                    product *= values[j]
-                for j in down:
-                    divisor *= values[j]
-                entries.append(_checked_step(values, n, k, i, product, divisor, down))
-            else:
-                entries.append(_binomial(values, n, k))
-            previous = (n, k) if 0 < k < n else None
-    except (AdmissibilityError, NonIntegralError):
-        return f_binomials(seq, pairs)
+    for i, (n, k) in enumerate(pairs):
+        if previous and 0 < k < n:
+            up, down = _ratio_factors(*previous, n, k)
+            product, divisor = entries[-1], 1
+            for j in up:
+                product *= values[j]
+            for j in down:
+                divisor *= values[j]
+            entry, remainder = divmod(product, divisor)
+            if remainder:  # _binomial raises if (n choose k)_F is not an integer
+                exact = _binomial(values, n, k)
+                raise RuntimeError(
+                    f"walk step {i} gives ({n} choose {k})_F = {product}/{divisor} "
+                    f"for F = {seq.name}, but the per-entry product gives {exact}"
+                )
+            entries.append(entry)
+        else:
+            entries.append(_binomial(values, n, k))
+        previous = (n, k) if 0 < k < n else None
     return entries
 
 
@@ -332,9 +320,7 @@ def f_binomial_rows(
     for n in range(last_row + 1):
         row = [1]
         for k in range(1, min(n - 1, diagonal - n) + 1):
-            row.append(
-                _checked_step(values, n, k, k, row[-1] * values[n - k + 1], values[k])
-            )
+            row.append(_checked_step(values, n, k, k, row[-1] * values[n - k + 1]))
         if 0 < n <= diagonal - n:
             row.append(1)
         yield row

@@ -14,7 +14,7 @@ compares a function with itself, a copy of itself, or a value another
 check already pins.  Poset suites scale with ``max_n`` over the given
 sequences; the F-binomial suite and the GCD-morphism gate always run
 over the whole shipped GCD-morphic family at fixed bounds, a fixed cost
-of every run: about 5-8 ms for the F-binomial suite and 3 ms for the
+of every run: about 10-14 ms for the F-binomial suite and 3 ms for the
 gate (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: grid
@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import gridposet, oracle, pnfposet
 from .sequences import (
@@ -251,16 +251,12 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
     return suite
 
 
-def _first_non_integral(results: Iterator, first: int) -> Optional[tuple[int, str]]:
-    """(index, error text before " for F = ") of the first of ``results``,
-    numbered from ``first``, whose computation raises NonIntegralError."""
-    index = first
+def _non_integral_text(compute: Callable[[], object]) -> object:
+    """``compute()``, or the text before " for F = " of the NonIntegralError it raises."""
     try:
-        for _ in results:
-            index += 1
+        return compute()
     except NonIntegralError as exc:
-        return index, str(exc).partition(" for F = ")[0]
-    return None
+        return str(exc).partition(" for F = ")[0]
 
 
 def check_fbinom_algebra() -> SuiteResult:
@@ -272,8 +268,10 @@ def check_fbinom_algebra() -> SuiteResult:
     row engine is checked against that table row by row; the central
     column walk (2m choose m)_F for m = 1..``FBINOM_BOUND // 2`` is checked
     against entries of the same table.  lucas, the negative control, must
-    fail first at (4 choose 2) in the rows, the central column and the
-    Whitney lines of P(n, F).
+    fail first at (4 choose 2) in the rows and the central column.  For
+    each n <= ``FBINOM_BOUND``, its Whitney line of P(n, F) (the walk) and
+    its per-level Whitney numbers (the per-entry product) must give the
+    oracle's census, or fail at the same first non-integral level.
     """
     suite = SuiteResult("F-binomial algebra")
     triangle = [(n, k) for n in range(FBINOM_BOUND + 1) for k in range(n + 1)]
@@ -300,25 +298,32 @@ def check_fbinom_algebra() -> SuiteResult:
     suite.check(
         "lucas rows fail first at (4 choose 2)",
         f"(F, rows) = (lucas, 0..{FBINOM_BOUND})",
-        (4, "(4 choose 2)_F is not an integer"),
-        lambda: _first_non_integral(f_binomial_rows(lucas(), FBINOM_BOUND), 0),
-    )
-    walks = (
-        f_binomial_diagonal(lucas(), (2, 1), (2, 1), m) for m in range(1, count + 1)
+        "(4 choose 2)_F is not an integer",
+        lambda: _non_integral_text(lambda: list(f_binomial_rows(lucas(), FBINOM_BOUND))),
     )
     suite.check(
         "lucas central column walk fails first at (4 choose 2)",
-        f"(F, count) = (lucas, 1..{count})",
-        (2, "(4 choose 2)_F is not an integer"),
-        lambda: _first_non_integral(walks, 1),
+        f"(F, count) = (lucas, {count})",
+        "(4 choose 2)_F is not an integer",
+        lambda: _non_integral_text(lambda: f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)),
     )
-    lines = (pnfposet.pnf_whitney_vector(n, lucas()) for n in range(1, FBINOM_BOUND + 1))
-    suite.check(
-        "lucas Whitney lines fail first at (4 choose 2)",
-        f"(F, n) = (lucas, 1..{FBINOM_BOUND})",
-        (6, "(4 choose 2)_F is not an integer"),
-        lambda: _first_non_integral(lines, 1),
-    )
+    for n in range(1, FBINOM_BOUND + 1):
+        levels = range(pnfposet.pnf_max_rank(n) + 1)
+        census = _non_integral_text(lambda: oracle.layer_sizes(n, lucas(), levels[-1]))
+        suite.check(
+            "lucas Whitney line = oracle census, or its first non-integral level",
+            f"(F, n) = (lucas, {n})",
+            census,
+            lambda: _non_integral_text(lambda: pnfposet.pnf_whitney_vector(n, lucas())),
+        )
+        suite.check(
+            "lucas per-level Whitney numbers = oracle census, or its first non-integral level",
+            f"(F, n) = (lucas, {n})",
+            census,
+            lambda: _non_integral_text(
+                lambda: [pnfposet.pnf_whitney(n, k, lucas()) for k in levels]
+            ),
+        )
     return suite
 
 

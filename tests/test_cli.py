@@ -609,6 +609,21 @@ class TestEntryPoints:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (3, b"")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--max-n", "4"], ["seq", "--seq", "fib", "--count", "3"]],
+        ids=["verify", "seq"],
+    )
+    def test_stdout_closed_at_start_exits_3_without_traceback(self, argv):
+        proc = subprocess.run(  # as `cobweb ... >&-` does
+            [sys.executable, "-m", "cobweb", *argv],
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=lambda: os.close(1),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (3, b"")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
         assert code == 2

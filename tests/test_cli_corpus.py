@@ -94,7 +94,7 @@ def corpus():
         [*prefix, "fbinom", "--seq", "lucas", "--rows", "5"] for prefix in CHILD_PREFIXES
     ]
     argvs += [[*prefix, "seq", "--seq", "fib", "--count", "5"] for prefix in CHILD_PREFIXES]
-    return argvs
+    return list({" ".join(argv): argv for argv in argvs}.values())  # each argv once
 
 
 def run(argv, bfile):

@@ -66,7 +66,7 @@ def test_oracle_uses_no_checked_closed_form():
 
 def test_guard_recognises_every_listed_form():
     checked = (
-        "pnf_whitney_vector", "pnf_bell_sequence", "f_binomials", "f_binomial_diagonal",
+        "pnf_whitney_vector", "pnf_bell_sequence", "f_binomial", "f_binomial_diagonal",
         "catalan",
     )
     for name in checked:
@@ -111,5 +111,5 @@ def test_verify_takes_every_f_binomial_reference_from_the_oracle():
     names = referenced_names(module_tree(cobweb.verify))
     assert "factorial_ratios" in names  # the walk does see verify's oracle calls
     # the per-entry product is only ever under test, never a reference
-    found = sorted(names & {"seq_eval", "f_factorial", "f_binomials"})
+    found = sorted(names & {"seq_eval", "f_factorial", "f_binomial"})
     assert found == [], f"verify.py computes F-binomial references itself: {found}"

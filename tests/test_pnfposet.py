@@ -14,7 +14,7 @@ from cobweb.sequences import (
     AdmissibilityError,
     FSequence,
     NonIntegralError,
-    f_binomials,
+    f_binomial,
     fibonacci,
     gaussian,
     lucas,
@@ -178,5 +178,6 @@ class TestBellSequence:
         alternating = FSequence("alternating", lambda n: 2 if n % 2 else 1)
         census = layer_sizes(6, alternating, 3)
         assert pnf_whitney_vector(6, alternating) == census == [1, 1, 1, 1]
-        with pytest.raises(NonIntegralError, match=r"^\(4 choose 2\)_F .* step 1 "):
-            f_binomials(alternating, [(6 - k, k) for k in range(4)])
+        assert [pnf_whitney(6, k, alternating) for k in range(4)] == census
+        with pytest.raises(NonIntegralError, match=r"^\(4 choose 1\)_F .* step 1 "):
+            f_binomial(alternating, 4, 1)

@@ -22,7 +22,6 @@ from cobweb.sequences import (
     f_binomial,
     f_binomial_diagonal,
     f_binomial_rows,
-    f_binomials,
     f_factorial,
     fibonacci,
     gaussian,
@@ -261,19 +260,20 @@ class TestRowEngine:
             width = min(n, diagonal - n)
             assert row == [f_binomial(seq, n, k) for k in range(width + 1)]
 
-    def test_entries_from_one_table(self):
+    def test_entries_equal_the_factorial_ratio(self):
         seq = SHIPPED["gauss3"]
-        pairs = [(2 * n, n) for n in range(1, 20)] + [(7, -1), (3, 9), (0, 0)]
-        assert f_binomials(seq, pairs) == [f_binomial(seq, n, k) for n, k in pairs]
+        pairs = [(2 * n, n) for n in range(1, 20)] + [(0, 0)]
+        assert [f_binomial(seq, n, k) for n, k in pairs] == factorial_ratios(seq, pairs)
+        assert f_binomial(seq, 7, -1) == f_binomial(seq, 3, 9) == 0
         with pytest.raises(ValueError):
-            f_binomials(seq, [(3, 1), (-1, 0)])
+            f_binomial(seq, -1, 0)
 
     def test_each_index_is_evaluated_once_per_call(self):
         seq, asked = counting("counted", iterative_fib)
         rows = list(f_binomial_rows(seq, 30))
         assert asked == [2, 1] + list(range(3, 31))
         asked.clear()
-        assert f_binomials(seq, [(2 * n, n) for n in range(1, 11)])[-1] == rows[20][10]
+        assert f_binomial(seq, 20, 10) == rows[20][10]
         assert sorted(asked) == list(range(1, 21))
 
     def test_rows_0_and_1_evaluate_nothing(self):
@@ -284,8 +284,7 @@ class TestRowEngine:
     def test_f0_is_never_read(self):
         seq = FSequence("nozero", no_zero_index)
         assert list(f_binomial_rows(seq, 12)) == pascal_triangle(12)
-        assert f_binomials(seq, [(12, 6), (5, 0), (5, 5)]) == [924, 1, 1]
-        assert f_binomial(seq, 12, 6) == 924
+        assert [f_binomial(seq, n, k) for n, k in [(12, 6), (5, 0), (5, 5)]] == [924, 1, 1]
 
     def test_rows_stop_at_the_first_inadmissible_index(self):
         seq = FSequence("bad10", lambda n: 0 if n >= 10 else n)
@@ -325,6 +324,10 @@ def central_pairs(count):
     return [(2 * m, m) for m in range(1, count + 1)]
 
 
+def per_entry(seq, pairs):
+    return [f_binomial(seq, n, k) for n, k in pairs]
+
+
 def outcome(compute):
     """The value of ``compute()``, or the type and text of what it raised."""
     try:
@@ -344,10 +347,10 @@ class TestDiagonalWalk:
     def test_walks_equal_per_entry_binomials(self, spec, n, count, policy):
         seq = sequence_from_spec(spec)
         pairs = whitney_pairs(n, policy)
-        assert f_binomial_diagonal(seq, (n, 0), (-1, 1), len(pairs)) == f_binomials(
+        assert f_binomial_diagonal(seq, (n, 0), (-1, 1), len(pairs)) == per_entry(
             seq, pairs
         )
-        assert f_binomial_diagonal(seq, (2, 1), (2, 1), count) == f_binomials(
+        assert f_binomial_diagonal(seq, (2, 1), (2, 1), count) == per_entry(
             seq, central_pairs(count)
         )
 
@@ -358,11 +361,11 @@ class TestDiagonalWalk:
                 pairs = whitney_pairs(n, policy)
                 assert outcome(
                     lambda: f_binomial_diagonal(seq, (n, 0), (-1, 1), len(pairs))
-                ) == outcome(lambda: f_binomials(seq, pairs)), (n, policy)
+                ) == outcome(lambda: per_entry(seq, pairs)), (n, policy)
         for count in range(1, 61):
             assert outcome(
                 lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), count)
-            ) == outcome(lambda: f_binomials(seq, central_pairs(count))), count
+            ) == outcome(lambda: per_entry(seq, central_pairs(count))), count
         with pytest.raises(NonIntegralError) as caught:
             f_binomial_diagonal(seq, (2, 1), (2, 1), 2)
         assert str(caught.value) == LUCAS_4_2
@@ -379,7 +382,7 @@ class TestDiagonalWalk:
                 pairs = whitney_pairs(n, policy)
                 assert f_binomial_diagonal(
                     seq, (n, 0), (-1, 1), len(pairs)
-                ) == f_binomials(SHIPPED["naturals"], pairs)
+                ) == factorial_ratios(SHIPPED["naturals"], pairs)
         # the central column up to (2N choose N) reads F_1..F_{2N} only
         seq = FSequence("guarded", lambda i: i if 0 < i <= 40 else 1 // 0)
         assert f_binomial_diagonal(seq, (2, 1), (2, 1), 20)[-1] == math.comb(40, 20)
@@ -390,30 +393,70 @@ class TestDiagonalWalk:
             direct, direct_asked = counting("counted", iterative_fib)
             pairs = whitney_pairs(n, "include")
             assert f_binomial_diagonal(walked, (n, 0), (-1, 1), len(pairs)) == (
-                f_binomials(direct, pairs)
+                per_entry(direct, pairs)
             )
             assert sorted(walked_asked) == sorted(set(direct_asked))
         seq, asked = counting("counted", iterative_fib)
         f_binomial_diagonal(seq, (2, 1), (2, 1), 10)
         assert sorted(asked) == list(range(1, 21))
 
-    def test_inadmissible_value_falls_back_to_the_per_entry_error(self):
+    def test_inadmissible_value_raises_where_the_walk_reads_it(self):
         bad10 = FSequence("bad10", lambda n: 0 if n >= 10 else n)
         with pytest.raises(AdmissibilityError, match="F_10 = 0"):
             f_binomial_diagonal(bad10, (2, 1), (2, 1), 5)
         assert f_binomial_diagonal(bad10, (2, 1), (2, 1), 4) == [2, 6, 20, 70]
+        # (6 choose 2)_F from (7 choose 1)_F reads F_5 before F_6; the
+        # per-entry product of (6 choose 2)_F reads F_6 first
+        bad56 = FSequence("bad56", lambda n: 0 if n in (5, 6) else n)
+        with pytest.raises(AdmissibilityError, match="F_5 = 0"):
+            f_binomial_diagonal(bad56, (8, 0), (-1, 1), 5)
+        with pytest.raises(AdmissibilityError, match="F_6 = 0"):
+            f_binomial(bad56, 6, 2)
 
     def test_general_lines_and_validation(self):
         seq = SHIPPED["gauss2"]
-        lines = [((0, 0), (1, 0)), ((9, 0), (0, 1)), ((3, 5), (1, -1)), ((5, 2), (3, 2))]
+        lines = [
+            ((0, 0), (1, 0)), ((9, 0), (0, 1)), ((3, 5), (1, -1)), ((5, 2), (3, 2)),
+            ((20, 15), (0, -1)),
+        ]
         for start, step in lines:
             pairs = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(12)]
-            assert f_binomial_diagonal(seq, start, step, 12) == f_binomials(seq, pairs)
+            assert f_binomial_diagonal(seq, start, step, 12) == per_entry(seq, pairs)
         assert f_binomial_diagonal(seq, (4, 2), (1, 1), 0) == []
         with pytest.raises(ValueError, match="diagonal length"):
             f_binomial_diagonal(seq, (4, 2), (1, 1), -1)
         with pytest.raises(ValueError, match="upper index"):
             f_binomial_diagonal(seq, (1, 0), (-1, 0), 3)
+
+
+# the value of compute(), or the entry its NonIntegralError names
+first_non_integral = verify._non_integral_text
+
+
+class TestCustomSequences:
+    @given(st.lists(st.sampled_from((1, 2, 3, 4, 6, 12)), min_size=1, max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_every_engine_agrees_with_the_factorial_ratio(self, values):
+        # F_1..F_N drawn from few small divisors, so that some triangles,
+        # lines or intermediate products are integral and others are not
+        seq = FSequence("custom", lambda i: values[i - 1])
+        top = len(values)
+        pairs = triangle(top)
+        table = first_non_integral(lambda: factorial_ratios(seq, pairs))
+        assert first_non_integral(lambda: per_entry(seq, pairs)) == table
+        rows = first_non_integral(lambda: list(f_binomial_rows(seq, top)))
+        integral = isinstance(rows, list)
+        assert ([x for row in rows for x in row] if integral else rows) == table
+        lines = [((n, 0), (-1, 1), pnf_max_rank(n) + 1) for n in range(1, top + 1)]
+        lines.append(((2, 1), (2, 1), top // 2))
+        for start, step, count in lines:
+            line = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(count)]
+            expected = first_non_integral(lambda: factorial_ratios(seq, line))
+            walked = first_non_integral(lambda: f_binomial_diagonal(seq, start, step, count))
+            assert walked == expected, (start, step, count)
+            assert first_non_integral(lambda: per_entry(seq, line)) == expected
+            if integral:  # the rows hold every entry of the line
+                assert [rows[n][k] for n, k in line] == expected
 
 
 def lucas_u(p, q):
@@ -452,7 +495,7 @@ class TestLucasSequences:
         table = factorial_ratios(seq, pairs)
         rows = [table[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(25)]
         assert list(f_binomial_rows(seq, 24)) == rows
-        assert f_binomials(seq, pairs) == table
+        assert per_entry(seq, pairs) == table
         assert f_binomial_diagonal(seq, (2, 1), (2, 1), 12) == [
             rows[2 * m][m] for m in range(1, 13)
         ]

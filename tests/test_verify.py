@@ -113,25 +113,28 @@ class TestSuites:
         ratios = mock.Mock(wraps=oracle.factorial_ratios)
         monkeypatch.setattr(oracle, "factorial_ratios", ratios)
         suites = {s.name: s for s in verify.run_verify(12)}
-        # one oracle census per (n, F): 12 n for each of the 4 sequences
+        # one oracle census per (n, F): 12 n for each of the 4 sequences,
+        # and one per n = 1..40 for lucas in the F-binomial suite
         asked = [(c.args[0], c.args[1].name) for c in census.call_args_list]
-        assert len(asked) == len(set(asked)) == 48
-        # each census asks for at most 7 levels; the F-binomial suite asks
-        # once for rows 0..40 (861 entries) per shipped F, whatever --seq says
+        assert len(asked) == len(set(asked)) == 48 + 40
+        assert asked[48:] == [(n, "lucas") for n in range(1, 41)]
+        # each census of the layered suite asks for at most 7 levels; the
+        # F-binomial suite asks once for rows 0..40 (861 entries) per shipped
+        # F, whatever --seq says
         tables = [(c.args[0].name, len(c.args[1])) for c in ratios.call_args_list]
-        assert [table for table in tables if table[1] > 7] == [
+        assert [table for table in tables[:53] if table[1] > 7] == [
             (name, 861)
             for name in ("fibonacci", "naturals", "ones", "gauss(q=2)", "gauss(q=3)")
         ]
-        assert len(tables) == 48 + 5
+        assert tables[53:] == [("lucas", n // 2 + 1) for n in range(1, 41)]
         assert {name: s.cases for name, s in suites.items()} == {
             "grid poset vs oracle": 432,
             "layered poset vs oracle": 212,
-            "F-binomial algebra": 213,
+            "F-binomial algebra": 292,
             "GCD-morphism gate": 6,
         }
         total = sum(s.cases for s in suites.values())
-        assert total == 863
+        assert total == 942
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         documented = re.search(r"At `--max-n 12`[^.]*? (\d+) checks", readme)
         assert documented and int(documented[1]) == total
@@ -153,7 +156,8 @@ class TestSuites:
             "central column walk = F_{2m}!/(F_m! F_m!)": 5,
             "lucas rows fail first at (4 choose 2)": 1,
             "lucas central column walk fails first at (4 choose 2)": 1,
-            "lucas Whitney lines fail first at (4 choose 2)": 1,
+            "lucas Whitney line = oracle census, or its first non-integral level": 40,
+            "lucas per-level Whitney numbers = oracle census, or its first non-integral level": 40,
             "sequence is GCD-morphic up to the bound": 5,
             "lucas fails with first counterexample (2, 4)": 1,
         })
@@ -328,12 +332,32 @@ class TestFaultInjection:
         # (3 choose 2) from (4 choose 1): 4 * F_3 F_4 / (F_4 F_2) = 6, not 3
         assert (first.expected, first.actual) == ("[1, 4, 3]", "[1, 4, 6]")
 
+    def test_off_by_one_ratio_fails_every_central_column_it_changes(self, monkeypatch):
+        ratio = sequences._ratio_factors
+
+        def numerators_one_too_high(n, k, next_n, next_k):
+            up, down = ratio(n, k, next_n, next_k)
+            return tuple(i + 1 for i in up), down
+
+        monkeypatch.setattr("cobweb.sequences._ratio_factors", numerators_one_too_high)
+        suite = verify.check_fbinom_algebra()
+        failed = [
+            f.inputs
+            for f in suite.failures
+            if f.identity == "central column walk = F_{2m}!/(F_m! F_m!)"
+        ]
+        # every F_i of ones is 1, so only its column survives the wrong ratio
+        assert failed == [
+            f"(F, count) = ({name}, 20)"
+            for name in ("fibonacci", "naturals", "gauss(q=2)", "gauss(q=3)")
+        ]
+
     def test_walk_that_hides_the_lucas_error_is_detected(self, monkeypatch):
         healthy = verify.check_fbinom_algebra()
         assert not healthy.failures
         # 41 rows and the central column of each of the 5 shipped sequences,
-        # and the 3 lucas controls
-        assert healthy.cases == 5 * (41 + 1) + 3
+        # the 2 lucas controls, and lucas's walk and levels for n = 1..40
+        assert healthy.cases == 5 * (41 + 1) + 2 + 2 * 40
         walk = sequences.f_binomial_diagonal
 
         def silent(seq, start, step, count):
@@ -345,18 +369,14 @@ class TestFaultInjection:
         monkeypatch.setattr("cobweb.verify.f_binomial_diagonal", silent)
         monkeypatch.setattr("cobweb.pnfposet.f_binomial_diagonal", silent)
         suite = verify.check_fbinom_algebra()
+        # lucas's census is not integral from n = 6 on
         assert [(f.identity, f.inputs, f.actual) for f in suite.failures] == [
             (
                 "lucas central column walk fails first at (4 choose 2)",
-                "(F, count) = (lucas, 1..20)",
-                "None",
+                "(F, count) = (lucas, 20)",
+                "[]",
             ),
-            (
-                "lucas Whitney lines fail first at (4 choose 2)",
-                "(F, n) = (lucas, 1..40)",
-                "None",
-            ),
-        ]
+        ] + [("lucas Whitney line = oracle census, or its first non-integral level", f"(F, n) = (lucas, {n})", "[]") for n in range(6, 41)]
 
     @pytest.mark.parametrize(
         "target, fed",
@@ -368,12 +388,12 @@ class TestFaultInjection:
                     "Bell-like number = total size",
                     "including the degenerate level adds 1 for even n, 0 for odd",
                     "Bell-like numbers of naturals = shifted Fibonacci",
-                    "lucas Whitney lines fail first at (4 choose 2)",
+                    "lucas Whitney line = oracle census, or its first non-integral level",
                 },
             ),
             (
                 "cobweb.pnfposet.pnf_whitney",
-                {"per-level Whitney numbers = oracle census"},
+                {"per-level Whitney numbers = oracle census", "lucas per-level Whitney numbers = oracle census, or its first non-integral level"},
             ),
             (
                 "cobweb.gridposet.grid_whitney",
@@ -403,7 +423,12 @@ class TestFaultInjection:
         monkeypatch.setattr("cobweb.sequences._checked_step", off_by_one_at_5_2)
         failures = [f for suite in verify.run_verify(6) for f in suite.failures]
         raised = {f.identity for f in failures if f.actual.startswith("raised ")}
-        assert raised == {"row engine = F_n!/(F_k! F_{n-k}!) with zero remainder"}
+        # lucas's walk leaves a remainder at (5 choose 2), where the per-entry
+        # product now returns 29
+        assert raised == {
+            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
+            "lucas Whitney line = oracle census, or its first non-integral level",
+        }
         assert not any(f.actual.startswith("'") for f in failures)
         assert cli.main(["verify", "--max-n", "6"]) == 1
         captured = capsys.readouterr()
@@ -419,7 +444,7 @@ class TestFaultInjection:
         ] + [
             (
                 "lucas central column walk fails first at (4 choose 2)",
-                "(F, count) = (lucas, 1..20)",
+                "(F, count) = (lucas, 20)",
             ),
         ]
         assert {f.actual for f in suite.failures} == {"raised ArithmeticError: boom"}
