@@ -9,6 +9,13 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
+* a principal down-set ``{v <= top}`` (``principal_ideal``) is read off a
+  built diagram by walking its cover edges down from ``top``.  This
+  keeps the oracle independent, because it uses only two facts: a
+  down-set is convex, so its covers are the diagram's covers inside it,
+  and grid (k, n) is the down-set of (k, n) in every grid whose top is
+  at least (k, n).  The tests pin both against a diagram built directly
+  for each (k, n);
 * F-binomials (``factorial_ratios``) come from ``seq_eval`` values
   through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one running
   product and one checked division per entry, never from the F-binomial
@@ -142,6 +149,38 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
         rank_of=grid_rank,
         successors=successors.__getitem__,
         minimal_vertices=minimals,
+    )
+
+
+def principal_ideal(diagram: HasseDiagram, top: Vertex) -> HasseDiagram:
+    """The down-set ``{v <= top}`` of ``diagram`` as a diagram of its own.
+
+    The down-set is found by walking cover edges downward from ``top``;
+    no rank is read.  Vertices and minimal vertices keep the diagram's
+    order.  A down-set is convex, so its covers are the diagram's covers
+    between two of its vertices, and its minimal vertices are the
+    diagram's minimal vertices inside it.  A ``top`` that is not a vertex
+    raises ``ValueError``.
+    """
+    if top not in diagram.vertices:
+        raise ValueError(f"{top} is not a vertex of the diagram")
+    lower: dict[Vertex, list[Vertex]] = {}
+    for a, b in diagram.cover_edges():
+        lower.setdefault(b, []).append(a)
+    below = {top}
+    frontier = [top]
+    while frontier:
+        for a in lower.get(frontier.pop(), ()):
+            if a not in below:
+                below.add(a)
+                frontier.append(a)
+    vertices = [v for v in diagram.vertices if v in below]
+    successors = {v: [b for b in diagram.successors(v) if b in below] for v in vertices}
+    return HasseDiagram(
+        vertices=vertices,
+        rank_of=diagram.rank_of,
+        successors=successors.__getitem__,
+        minimal_vertices=tuple(v for v in diagram.minimal_vertices if v in below),
     )
 
 

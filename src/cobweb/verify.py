@@ -2,23 +2,24 @@
 
 Each suite walks an input range and compares a closed form with an
 independently computed value.  Enumeration and every reference value
-come from the oracle: the one grid suite builds one oracle diagram per
-(k, n), the one layered suite asks the oracle for one census per (n, F),
-the one F-binomial suite asks it for one factorial-ratio table per
-shipped sequence, and every check of a suite reads the result for its
-inputs.  Every identity is recorded one way, by ``SuiteResult.check``:
-the closed form runs inside the check, and a mismatch, or an exception
-it raises, is a failure of that identity naming its inputs and both
-values.  Only identities that can fail on their own are checked: none
-compares a function with itself, a copy of itself, or a value another
-check already pins.  Poset suites scale with ``max_n`` over the given
-sequences; the F-binomial suite and the GCD-morphism gate always run
-over the whole shipped GCD-morphic family at fixed bounds, a fixed cost
-of every run: about 10-14 ms for the F-binomial suite and 3 ms for the
-gate (2-vCPU VM, Python 3.11).
+come from the oracle: the one grid suite builds one oracle diagram, with
+top (max_n - 1, max_n), and reads each grid (k, n) from it as the
+principal down-set of (k, n); the one layered suite asks the oracle for
+one census per (n, F); the one F-binomial suite asks it for one
+factorial-ratio table per shipped sequence; and every check of a suite
+reads the result for its inputs.  Every identity is recorded one way, by
+``SuiteResult.check``: the closed form runs inside the check, and a
+mismatch, or an exception it raises, is a failure of that identity
+naming its inputs and both values.  Only identities that can fail on
+their own are checked: none compares a function with itself, a copy of
+itself, or a value another check already pins.  Poset suites scale with
+``max_n`` over the given sequences; the F-binomial suite and the
+GCD-morphism gate always run over the whole shipped GCD-morphic family
+at fixed bounds, a fixed cost of every run: about 10-14 ms for the
+F-binomial suite and 3 ms for the gate (2-vCPU VM, Python 3.11).
 
-No suite skips a check, because none reaches an oracle guard: grid
-diagrams are built with ``max_index=max_n``, the grid chain checks read
+No suite skips a check, because none reaches an oracle guard: the grid
+diagram is built with ``max_index=max_n``, the grid chain checks read
 the DP over cover edges, which has no chain guard, and the layered suite
 reads level sizes.  ``SuiteResult.skipped`` therefore stays 0; it is kept
 because the JSON ``skipped`` key and the CSV column report it.
@@ -123,10 +124,12 @@ def _order_laws(elements: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
 
 
 def check_grid_chains(max_n: int) -> SuiteResult:
-    """Every grid closed form vs one oracle diagram per (k, n); Catalan diagonal.
+    """Every grid closed form vs one oracle diagram; Catalan diagonal.
 
-    The one grid suite.  Each (k, n) builds ``oracle.build_grid_hasse``
-    once, and every check reads that diagram: size and Bell-like number
+    The one grid suite.  It builds ``oracle.build_grid_hasse`` once, at top
+    (max_n - 1, max_n), and reads each grid (k, n) with k < n <= max_n as
+    the principal down-set of (k, n) in it (``oracle.principal_ideal``).
+    Every check of a (k, n) reads that diagram: size and Bell-like number
     against its vertex count, the Whitney vector against its rank census,
     the ballot form and gradedness against the DP chain report over its
     cover edges, and for n <= ``ORDER_LAW_BOUND`` the partial-order laws of
@@ -134,10 +137,11 @@ def check_grid_chains(max_n: int) -> SuiteResult:
     it is kept so that a per-suite time under it covers all grid work.
     """
     suite = SuiteResult("grid poset vs oracle")
+    whole = oracle.build_grid_hasse(max_n - 1, max_n, max_index=max_n)
     for n in range(2, max_n + 1):
         for k in range(n):
             inputs = f"(k, n) = ({k}, {n})"
-            diagram = oracle.build_grid_hasse(k, n, max_index=max_n)
+            diagram = oracle.principal_ideal(whole, (k, n))
             suite.check(
                 "grid size closed form = enumerated cardinality",
                 inputs,

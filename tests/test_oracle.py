@@ -30,6 +30,7 @@ from cobweb.oracle import (
     enumerate_maximal_chains,
     factorial_ratios,
     layer_sizes,
+    principal_ideal,
     rank_level_counts,
 )
 from cobweb.pnfposet import POLICIES, pnf_max_rank, pnf_whitney_vector
@@ -194,6 +195,55 @@ class TestGridHasse:
         with pytest.raises(ScaleLimitError, match="12"):
             build_grid_hasse(3, 13)
         assert len(build_grid_hasse(3, 13, max_index=13).vertices) == grid_size(3, 13)
+
+
+class TestPrincipalIdeal:
+    def test_every_grid_is_a_down_set_of_the_largest(self):
+        for top in range(2, 13):
+            whole = build_grid_hasse(top - 1, top, max_index=top)
+            for n in range(2, top + 1):
+                for k in range(n):
+                    ideal = principal_ideal(whole, (k, n))
+                    grid = build_grid_hasse(k, n)
+                    assert ideal.vertices == grid.vertices
+                    assert list(ideal.cover_edges()) == list(grid.cover_edges())
+                    assert ideal.minimal_vertices == grid.minimal_vertices
+
+    def test_two_minima_and_no_rank_read(self):
+        # (0, 0) and (0, 1) are minimal; (1, 0) covers both, (1, 1) only (0, 1)
+        covers = {
+            (0, 0): [(1, 0)],
+            (0, 1): [(1, 0), (1, 1)],
+            (1, 0): [(2, 0)],
+            (1, 1): [(2, 0)],
+            (2, 0): [],
+        }
+
+        def rank_of(vertex):
+            raise AssertionError(f"rank of {vertex} read")
+
+        diagram = HasseDiagram(list(covers), rank_of, covers.__getitem__, ((0, 0), (0, 1)))
+        expected = {
+            (2, 0): (list(covers), list(diagram.cover_edges()), ((0, 0), (0, 1))),
+            (1, 0): (
+                [(0, 0), (0, 1), (1, 0)],
+                [((0, 0), (1, 0)), ((0, 1), (1, 0))],
+                ((0, 0), (0, 1)),
+            ),
+            (1, 1): ([(0, 1), (1, 1)], [((0, 1), (1, 1))], ((0, 1),)),
+            (0, 1): ([(0, 1)], [], ((0, 1),)),
+        }
+        for top, (vertices, edges, minimals) in expected.items():
+            ideal = principal_ideal(diagram, top)
+            assert ideal.vertices == vertices
+            assert list(ideal.cover_edges()) == edges
+            assert ideal.minimal_vertices == minimals
+            assert ideal.rank_of is rank_of
+
+    def test_a_top_outside_the_diagram_is_rejected(self):
+        whole = build_grid_hasse(3, 4)
+        with pytest.raises(ValueError, match=r"^\(4, 4\) is not a vertex of the diagram$"):
+            principal_ideal(whole, (4, 4))
 
 
 class TestLayerSizes:

@@ -90,6 +90,12 @@ class TestSeqEval:
         with pytest.raises(AdmissibilityError, match="F_3"):
             seq_eval(bad, 3)
 
+    def test_admissibility_starts_at_n_1(self):
+        zero_first = FSequence("zero_first", lambda n: 0 if n <= 1 else n)
+        assert seq_eval(zero_first, 0) == 0
+        with pytest.raises(AdmissibilityError, match=r"^zero_first: F_1 = 0 violates"):
+            seq_eval(zero_first, 1)
+
     def test_deterministic(self):
         seq = SHIPPED["fibonacci"]
         assert {seq_eval(seq, 30) for _ in range(5)} == {832040}
@@ -128,6 +134,10 @@ class TestFFactorial:
 
     def test_naturals_is_ordinary_factorial(self):
         assert f_factorial(SHIPPED["naturals"], 4) == 24
+
+    def test_product_starts_at_f_1(self):
+        shifted = FSequence("shifted", lambda n: n + 1)  # F_1 = 2
+        assert [f_factorial(shifted, n) for n in range(4)] == [1, 2, 6, 24]
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_recurrence(self, name):
@@ -519,6 +529,20 @@ class TestGcdMorphicCheck:
         assert witness.value_gcd == math.gcd(3, 7) == 1
         assert witness.value_at_index_gcd == 3
 
+    def test_witness_at_n_1(self):
+        # gcd(F_1, F_2) = gcd(2, 3) = 1, but F_gcd(1, 2) = F_1 = 2
+        report = gcd_morphic_check(FSequence("shifted", lambda n: n + 1), 5)
+        assert report == GcdMorphicReport(5, False, GcdCounterexample(1, 2, 1, 1, 2))
+
+    def test_witness_at_the_bound(self):
+        # naturals with F_6 = 30: only gcd(F_5, F_6) = 5 != F_1 fails, so
+        # the witness is (bound - 1, bound); F_7 is inadmissible and must
+        # not be read at bound 6
+        seq = FSequence("sixth", lambda n: {6: 30, 7: 0}.get(n, n))
+        assert gcd_morphic_check(seq, 5) == GcdMorphicReport(5, True, None)
+        report = gcd_morphic_check(seq, 6)
+        assert report == GcdMorphicReport(6, False, GcdCounterexample(5, 6, 1, 5, 1))
+
     def test_constant_one_holds(self):
         assert gcd_morphic_check(SHIPPED["ones"], 10).holds
 
@@ -529,6 +553,7 @@ class TestGcdMorphicCheck:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             gcd_morphic_check(SHIPPED["ones"], 0)
+        assert gcd_morphic_check(SHIPPED["ones"], 1) == GcdMorphicReport(1, True, None)
 
     def test_f0_is_never_read(self):
         seq = FSequence("nozero", no_zero_index)

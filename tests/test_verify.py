@@ -165,6 +165,15 @@ class TestSuites:
         assert not any(s.skipped for s in suites.values())
         assert all(s.seconds > 0 for s in suites.values())
 
+    def test_grid_suite_builds_one_oracle_diagram(self, monkeypatch):
+        build = mock.Mock(wraps=oracle.build_grid_hasse)
+        monkeypatch.setattr(oracle, "build_grid_hasse", build)
+        suite = verify.check_grid_chains(12)
+        assert build.call_args_list == [mock.call(11, 12, max_index=12)]
+        assert (suite.cases, suite.failures) == (432, [])
+        smallest = verify.check_grid_chains(1)  # the Catalan check at n = 1 only
+        assert (smallest.cases, smallest.skipped, smallest.failures) == (1, 0, [])
+
     def test_layered_census_runs_in_bounded_memory(self):
         # P(12, gauss2) has 1,167,789 elements and P(12, gauss3) far more;
         # none is built, and no guard skips a census
