@@ -15,10 +15,10 @@ integers parsed from the command line keep the interpreter's default limit.
 The environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
 top-index scale guard for ``verify``.
 
-Only ``verify`` runs the oracle and the verify suites.  ``oracle`` and
-``verify`` are bound here at import, but the package registers both lazily,
-so their bodies run on the first attribute read, inside ``cmd_verify``;
-the other subcommands start without loading them.
+``_emit`` writes every csv and json document; only ``--format json`` loads
+``json``.  Only ``verify`` loads the oracle and the verify suites: the package
+registers both lazily, so their bodies run on the first attribute read, in
+``cmd_verify``.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ def _emit(
     values,
     fmt: str,
     labels: list[str] | None = None,
+    **keys,
 ) -> None:
-    """Write one output document row by row; ``values`` is [str] or [[str]]."""
+    """Write a document row by row; ``values`` is [str] or [[str]], json adds keys."""
     nested = bool(values) and isinstance(values[0], list)
     rows = values if nested else [values]
-    if fmt == "json":  # json.dumps(doc) + "\n", in pieces
+    if fmt == "json":  # json.dumps(doc) + "\n", in pieces; keys follow values
         import json
 
         write = sys.stdout.write
@@ -61,11 +62,9 @@ def _emit(
         for i, row in enumerate(rows):
             write(", " if i else "[" * nested)
             write(json.dumps(row))
-        write("]" * nested + "}\n")
-    elif fmt == "csv":
-        import csv
-
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        write("]" * nested + ", " * bool(keys) + json.dumps(keys)[1:] + "\n")
+    elif fmt == "csv":  # unquoted: no cell is empty or has a comma, quote or newline
+        sys.stdout.writelines(",".join(row) + "\n" for row in rows)
     else:  # labels left-, cells right-justified
         widths: dict[int, int] = {}
         for row in rows:
@@ -201,26 +200,13 @@ def cmd_verify(args) -> int:
     totals = [str(cases), str(len(failures))]
     # skipped stays the last field, where existing consumers read it
     rows = [
-        [
-            suite.name,
-            str(suite.cases),
-            str(len(suite.failures)),
-            f"{suite.seconds:.3f}",
-            str(suite.skipped),
-        ]
-        for suite in suites
+        [s.name, str(s.cases), str(len(s.failures)), f"{s.seconds:.3f}", str(s.skipped)]
+        for s in suites
     ]
     if args.format == "json":
         fields = ("name", "cases", "failed", "seconds", "skipped")
-        doc = {
-            "object": "verify",
-            "params": params,
-            "values": totals,
-            "suites": [dict(zip(fields, row)) for row in rows],
-        }
-        import json
-
-        print(json.dumps(doc))
+        keys = {"suites": [dict(zip(fields, row)) for row in rows]}
+        _emit("verify", params, totals, args.format, **keys)
     else:  # csv: the totals row, then name,cases,failed,seconds,skipped per suite
         _emit("verify", params, [totals, *rows], args.format)
     return 1 if failures else 0
@@ -326,7 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, NonIntegralError) as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # the reader left: exit 3, no traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 3
     finally:
         sys.set_int_max_str_digits(digit_limit)

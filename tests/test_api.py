@@ -71,7 +71,7 @@ for argv in [
     if main(argv) != 0:
         raise SystemExit(f"{argv} failed")
 report = {
-    "loaded": [name for name in ("dataclasses", "inspect") if name in sys.modules],
+    "loaded": [name for name in ("csv", "dataclasses", "inspect") if name in sys.modules],
     "registered": [name for name in ("cobweb.oracle", "cobweb.verify") if name in sys.modules],
 }
 import cobweb
@@ -81,7 +81,7 @@ report["first_use"] = [
 ]
 report["verify"] = main(["verify", "--max-n", "4"])
 report["loaded_by_verify"] = [
-    name for name in ("dataclasses", "inspect") if name in sys.modules
+    name for name in ("csv", "dataclasses", "inspect") if name in sys.modules
 ]
 print(json.dumps(report))
 """

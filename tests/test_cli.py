@@ -38,6 +38,13 @@ def numeric_tokens(text):
     return tokens
 
 
+def csv_module_text(text):
+    """What csv.writer writes for the rows csv.reader reads back from text."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    return out.getvalue()
+
+
 SEQ_COMMANDS = ("seq", "fbinom", "pnf", "export")
 
 
@@ -489,6 +496,7 @@ class TestFormats:
         flat = [v for row in values for v in row] if isinstance(values[0], list) else values
         assert sorted(numeric_tokens(outputs["table"])) == sorted(flat)
         assert sorted(numeric_tokens(outputs["csv"])) == sorted(flat)
+        assert outputs["csv"] == csv_module_text(outputs["csv"])
 
     def test_verify_formats_agree(self, capsys):
         code, table, _ = run_cli(["verify", "--max-n", "6"], capsys)
@@ -547,6 +555,7 @@ class TestFormats:
             ["seq", "--seq", "fib", "--count", "12"],
             ["pnf", "--seq", "naturals", "--n", "7", "--show", "whitney"],
             ["pnf", "--seq", "fib", "--n", "9", "--show", "bell"],
+            ["verify", "--max-n", "4"],
         ],
         ids=" ".join,
     )
@@ -564,6 +573,7 @@ class TestFormats:
         rows = [doc["values"], *(list(suite.values()) for suite in doc["suites"])]
         code, as_csv, _ = run_cli(["verify", "--max-n", "4", "--format", "csv"], capsys)
         assert (code, as_csv) == (0, "".join(",".join(row) + "\n" for row in rows))
+        assert as_csv == csv_module_text(as_csv)  # the suite names need no quoting
 
     def test_values_are_decimal_strings_at_any_magnitude(self, capsys):
         code, out, _ = run_cli(
@@ -623,6 +633,20 @@ class TestEntryPoints:
             timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (3, b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_closed_pipe_leaves_no_descriptor_open(self, monkeypatch):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(2):
+            reader, writer = os.pipe()
+            os.close(reader)  # no reader: the first flush raises BrokenPipeError
+            with open(writer, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert main(["seq", "--seq", "fib", "--count", "5"]) == 3
+        assert open_fds() == before
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
