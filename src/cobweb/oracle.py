@@ -9,7 +9,7 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
-* a principal down-set ``{v <= top}`` (``principal_ideal``) is read off a
+* a principal down-set ``{v <= top}`` (``principal_ideals``) is read off a
   built diagram by walking its cover edges down from ``top``.  This
   keeps the oracle independent, because it uses only two facts: a
   down-set is convex, so its covers are the diagram's covers inside it,
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, islice
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .gridposet import grid_elements, grid_leq, grid_rank
 from .sequences import FSequence, NonIntegralError, _Record, seq_eval
@@ -152,36 +152,39 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     )
 
 
-def principal_ideal(diagram: HasseDiagram, top: Vertex) -> HasseDiagram:
-    """The down-set ``{v <= top}`` of ``diagram`` as a diagram of its own.
+def principal_ideals(
+    diagram: HasseDiagram, tops: Iterable[Vertex]
+) -> Iterator[HasseDiagram]:
+    """The down-set ``{v <= top}`` of ``diagram`` as a diagram, for each of ``tops``.
 
-    The down-set is found by walking cover edges downward from ``top``;
-    no rank is read.  Vertices and minimal vertices keep the diagram's
-    order.  A down-set is convex, so its covers are the diagram's covers
-    between two of its vertices, and its minimal vertices are the
-    diagram's minimal vertices inside it.  A ``top`` that is not a vertex
-    raises ``ValueError``.
+    The cover edges are read once, into a map of lower covers, and each
+    down-set is found by walking it down from ``top``; no rank is read.
+    Vertices and minimal vertices keep the diagram's order.  A down-set is
+    convex, so its covers are the diagram's covers between two of its
+    vertices, and its minimal vertices are the diagram's minimal vertices
+    inside it.  A ``top`` that is not a vertex raises ``ValueError``.
     """
-    if top not in diagram.vertices:
-        raise ValueError(f"{top} is not a vertex of the diagram")
     lower: dict[Vertex, list[Vertex]] = {}
     for a, b in diagram.cover_edges():
         lower.setdefault(b, []).append(a)
-    below = {top}
-    frontier = [top]
-    while frontier:
-        for a in lower.get(frontier.pop(), ()):
-            if a not in below:
-                below.add(a)
-                frontier.append(a)
-    vertices = [v for v in diagram.vertices if v in below]
-    successors = {v: [b for b in diagram.successors(v) if b in below] for v in vertices}
-    return HasseDiagram(
-        vertices=vertices,
-        rank_of=diagram.rank_of,
-        successors=successors.__getitem__,
-        minimal_vertices=tuple(v for v in diagram.minimal_vertices if v in below),
-    )
+    for top in tops:
+        if top not in diagram.vertices:
+            raise ValueError(f"{top} is not a vertex of the diagram")
+        below = {top}
+        frontier = [top]
+        while frontier:
+            for a in lower.get(frontier.pop(), ()):
+                if a not in below:
+                    below.add(a)
+                    frontier.append(a)
+        vertices = [v for v in diagram.vertices if v in below]
+        uppers = {v: [b for b in diagram.successors(v) if b in below] for v in vertices}
+        yield HasseDiagram(
+            vertices=vertices,
+            rank_of=diagram.rank_of,
+            successors=uppers.__getitem__,
+            minimal_vertices=tuple(v for v in diagram.minimal_vertices if v in below),
+        )
 
 
 def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[int]:

@@ -30,7 +30,7 @@ from cobweb.oracle import (
     enumerate_maximal_chains,
     factorial_ratios,
     layer_sizes,
-    principal_ideal,
+    principal_ideals,
     rank_level_counts,
 )
 from cobweb.pnfposet import POLICIES, pnf_max_rank, pnf_whitney_vector
@@ -201,13 +201,23 @@ class TestPrincipalIdeal:
     def test_every_grid_is_a_down_set_of_the_largest(self):
         for top in range(2, 13):
             whole = build_grid_hasse(top - 1, top, max_index=top)
-            for n in range(2, top + 1):
-                for k in range(n):
-                    ideal = principal_ideal(whole, (k, n))
-                    grid = build_grid_hasse(k, n)
-                    assert ideal.vertices == grid.vertices
-                    assert list(ideal.cover_edges()) == list(grid.cover_edges())
-                    assert ideal.minimal_vertices == grid.minimal_vertices
+            tops = [(k, n) for n in range(2, top + 1) for k in range(n)]
+            for (k, n), ideal in zip(tops, principal_ideals(whole, tops), strict=True):
+                grid = build_grid_hasse(k, n)
+                assert ideal.vertices == grid.vertices
+                assert list(ideal.cover_edges()) == list(grid.cover_edges())
+                assert ideal.minimal_vertices == grid.minimal_vertices
+
+    def test_cover_edges_are_read_once_per_diagram(self):
+        whole = build_grid_hasse(7, 8)
+        tops = [(k, n) for n in range(2, 9) for k in range(n)]
+        read = HasseDiagram.cover_edges
+        with mock.patch.object(
+            HasseDiagram, "cover_edges", autospec=True, side_effect=read
+        ) as reads:
+            ideals = list(principal_ideals(whole, tops))
+        assert [len(ideal) for ideal in ideals] == [grid_size(k, n) for k, n in tops]
+        assert reads.call_count == 1
 
     def test_two_minima_and_no_rank_read(self):
         # (0, 0) and (0, 1) are minimal; (1, 0) covers both, (1, 1) only (0, 1)
@@ -233,8 +243,10 @@ class TestPrincipalIdeal:
             (1, 1): ([(0, 1), (1, 1)], [((0, 1), (1, 1))], ((0, 1),)),
             (0, 1): ([(0, 1)], [], ((0, 1),)),
         }
-        for top, (vertices, edges, minimals) in expected.items():
-            ideal = principal_ideal(diagram, top)
+        ideals = principal_ideals(diagram, expected)
+        for ideal, (vertices, edges, minimals) in zip(
+            ideals, expected.values(), strict=True
+        ):
             assert ideal.vertices == vertices
             assert list(ideal.cover_edges()) == edges
             assert ideal.minimal_vertices == minimals
@@ -243,7 +255,7 @@ class TestPrincipalIdeal:
     def test_a_top_outside_the_diagram_is_rejected(self):
         whole = build_grid_hasse(3, 4)
         with pytest.raises(ValueError, match=r"^\(4, 4\) is not a vertex of the diagram$"):
-            principal_ideal(whole, (4, 4))
+            list(principal_ideals(whole, [(3, 4), (4, 4)]))
 
 
 class TestLayerSizes:
