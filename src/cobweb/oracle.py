@@ -9,13 +9,13 @@ It never reuses a closed form it is meant to validate:
   bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
   O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
   gradedness, so the gradedness check stays meaningful;
-* a principal down-set ``{v <= top}`` (``principal_ideals``) is read off a
-  built diagram by walking its cover edges down from ``top``.  This
-  keeps the oracle independent, because it uses only two facts: a
-  down-set is convex, so its covers are the diagram's covers inside it,
-  and grid (k, n) is the down-set of (k, n) in every grid whose top is
-  at least (k, n).  The tests pin both against a diagram built directly
-  for each (k, n);
+* every principal down-set ``{v <= top}`` of a built diagram, with its
+  census and cover paths, comes from one sweep of its cover edges in
+  ascending rank (``principal_ideals``).  This keeps the oracle
+  independent, because it uses only two facts: a down-set is convex, so
+  its maximal chains are the cover paths from a minimal vertex up to
+  ``top``, and grid (k, n) is the down-set of (k, n) in every grid whose
+  top is at least (k, n).  The tests pin both against direct builds;
 * F-binomials (``factorial_ratios``) come from ``seq_eval`` values
   through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one running
   product and one checked division per entry, never from the F-binomial
@@ -27,12 +27,11 @@ It never reuses a closed form it is meant to validate:
   a batched depth-first walk (``enumerate_maximal_chains``), which
   extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
   in O(depth * batch) memory and with no recursion limit, and by dynamic
-  programming over the vertices in descending rank
-  (``count_maximal_chains``), never by formula;
+  programming in that sweep (``count_maximal_chains``), never by formula;
 * rank censuses of grid diagrams recount every vertex.
 
-Grid diagrams store their O(V) vertices and cover edges; the DP holds one
-entry per vertex.
+Grid diagrams store their O(V) vertices and cover edges; the sweep holds
+one path entry and one V-bit down-set per vertex.
 
 Scale guards keep exhaustive work bounded: diagram construction refuses
 top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
@@ -152,39 +151,61 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
     )
 
 
-def principal_ideals(
-    diagram: HasseDiagram, tops: Iterable[Vertex]
-) -> Iterator[HasseDiagram]:
-    """The down-set ``{v <= top}`` of ``diagram`` as a diagram, for each of ``tops``.
+def _combined(reports: list[ChainReport], step: int) -> ChainReport:
+    """The chains counted by any of ``reports``, each ``step`` elements longer."""
+    shortest = min(report.min_length for report in reports) + step
+    longest = max(report.max_length for report in reports) + step
+    count = sum(report.chain_count for report in reports)
+    return ChainReport(count, shortest, longest, shortest == longest)
 
-    The cover edges are read once, into a map of lower covers, and each
-    down-set is found by walking it down from ``top``; no rank is read.
-    Vertices and minimal vertices keep the diagram's order.  A down-set is
-    convex, so its covers are the diagram's covers between two of its
-    vertices, and its minimal vertices are the diagram's minimal vertices
-    inside it.  A ``top`` that is not a vertex raises ``ValueError``.
+
+def _sweep(
+    diagram: HasseDiagram,
+) -> tuple[dict[Vertex, int], dict[Vertex, ChainReport], list[Vertex]]:
+    """Every vertex's down-set and cover paths, and the vertices with no upper cover.
+
+    The cover edges are read once, into a map of lower covers, and the
+    vertices are visited in ascending rank.  Vertex ``t`` gets ``{v <= t}``
+    as a bitset over the diagram's vertex order (its own bit OR the sets of
+    its lower covers) and the count and lengths of the cover paths from a
+    vertex with no lower cover up to ``t``, from those of its lower covers.
+    A cover whose rank does not increase raises ``ValueError``.
     """
+    rank = {v: diagram.rank_of(v) for v in diagram.vertices}
+    down = {v: 1 << i for i, v in enumerate(diagram.vertices)}
     lower: dict[Vertex, list[Vertex]] = {}
     for a, b in diagram.cover_edges():
         lower.setdefault(b, []).append(a)
+    paths: dict[Vertex, ChainReport] = {}
+    start = [ChainReport(1, 0, 0, True)]  # the one path of no elements
+    for vertex in sorted(rank, key=rank.__getitem__):
+        below = lower.get(vertex, ())
+        for a in below:
+            if rank[a] >= rank[vertex]:
+                raise ValueError(f"rank does not increase along the cover {a} < {vertex}")
+            down[vertex] |= down[a]
+        paths[vertex] = _combined([paths[a] for a in below] or start, 1)
+    covered = set(chain.from_iterable(lower.values()))
+    return down, paths, [v for v in diagram.vertices if v not in covered]
+
+
+def principal_ideals(
+    diagram: HasseDiagram, tops: Iterable[Vertex]
+) -> Iterator[tuple[list[Vertex], list[int], ChainReport]]:
+    """(vertices, rank census, chain report) of ``{v <= top}``, for each of ``tops``.
+
+    All come from one ``_sweep``; a down-set is convex, so its maximal
+    chains are the cover paths from a minimal vertex up to ``top``.  The
+    vertices keep the diagram's order, and a top's list is built only when
+    it is yielded.  A ``top`` that is not a vertex raises ``ValueError``.
+    """
+    vertices = list(diagram.vertices)
+    down, paths, _ = _sweep(diagram)
     for top in tops:
-        if top not in diagram.vertices:
+        if top not in down:
             raise ValueError(f"{top} is not a vertex of the diagram")
-        below = {top}
-        frontier = [top]
-        while frontier:
-            for a in lower.get(frontier.pop(), ()):
-                if a not in below:
-                    below.add(a)
-                    frontier.append(a)
-        vertices = [v for v in diagram.vertices if v in below]
-        uppers = {v: [b for b in diagram.successors(v) if b in below] for v in vertices}
-        yield HasseDiagram(
-            vertices=vertices,
-            rank_of=diagram.rank_of,
-            successors=uppers.__getitem__,
-            minimal_vertices=tuple(v for v in diagram.minimal_vertices if v in below),
-        )
+        below = [vertices[i] for i in _bits(down[top])]
+        yield below, _census(below, diagram.rank_of), paths[top]
 
 
 def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -282,46 +303,25 @@ def enumerate_maximal_chains(
 def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
     """Count maximal chains by dynamic programming over cover edges.
 
-    Vertices are visited in descending rank; each gets the number of
-    maximal chains starting at it and their shortest and longest lengths,
-    from those of its upper covers (a vertex without covers starts one
-    chain of one element).  The totals run over the minimal vertices.
-    Time is O(V log V + edges) and memory one entry per vertex, with no
-    chain guard; the result equals ``enumerate_maximal_chains`` wherever
-    that fits its guard.
+    ``_sweep`` counts the cover paths from a minimal vertex up to each
+    vertex, with their shortest and longest lengths; the totals run over
+    the vertices with no upper cover.  There is no chain guard; the result
+    equals ``enumerate_maximal_chains`` wherever that fits its guard.
     """
-    def combined(stats: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-        """(count, shortest, longest) of the chains starting at any of ``stats``."""
-        return (
-            sum(count for count, _, _ in stats),
-            min(shortest for _, shortest, _ in stats),
-            max(longest for _, _, longest in stats),
-        )
+    _, paths, ends = _sweep(diagram)
+    return _combined([paths[v] for v in ends], 0) if ends else ChainReport(0, 0, 0, True)
 
-    above: dict[Vertex, tuple[int, int, int]] = {}
-    for vertex in sorted(diagram.vertices, key=diagram.rank_of, reverse=True):
-        try:
-            uppers = [above[upper] for upper in diagram.successors(vertex)]
-        except KeyError as missing:
-            raise ValueError(
-                f"rank does not increase along the cover {vertex} < {missing.args[0]}"
-            ) from None
-        if uppers:
-            count, shortest, longest = combined(uppers)
-            above[vertex] = (count, shortest + 1, longest + 1)
-        else:
-            above[vertex] = (1, 1, 1)
-    if not diagram.minimal_vertices:
-        return ChainReport(0, 0, 0, True)
-    count, shortest, longest = combined([above[v] for v in diagram.minimal_vertices])
-    return ChainReport(count, shortest, longest, shortest == longest)
+
+def _census(vertices: Collection[Vertex], rank_of: Callable[[Vertex], int]) -> list[int]:
+    """Entry j counts ``vertices`` of rank j, densely from 0."""
+    census = Counter(map(rank_of, vertices))
+    if census and min(census) < 0:
+        vertex = next(v for v in vertices if rank_of(v) < 0)
+        raise ValueError(f"vertex {vertex} has negative rank {rank_of(vertex)}")
+    top = max(census) if census else -1
+    return [census.get(j, 0) for j in range(top + 1)]
 
 
 def rank_level_counts(diagram: HasseDiagram) -> list[int]:
     """Rank census: entry j counts vertices of rank j, densely from 0."""
-    census = Counter(map(diagram.rank_of, diagram.vertices))
-    if census and min(census) < 0:
-        vertex = next(v for v in diagram.vertices if diagram.rank_of(v) < 0)
-        raise ValueError(f"vertex {vertex} has negative rank {diagram.rank_of(vertex)}")
-    top = max(census) if census else -1
-    return [census.get(j, 0) for j in range(top + 1)]
+    return _census(diagram.vertices, diagram.rank_of)

@@ -3,11 +3,12 @@
 Each suite walks an input range and compares a closed form with an
 independently computed value.  Enumeration and every reference value
 come from the oracle: the one grid suite builds one oracle diagram, with
-top (max_n - 1, max_n), and reads each grid (k, n) from it as the
-principal down-set of (k, n); the one layered suite asks the oracle for
-one census per (n, F); the one F-binomial suite asks it for one
-factorial-ratio table per shipped sequence; and every check of a suite
-reads the result for its inputs.  Every identity is recorded one way, by
+top (max_n - 1, max_n), and reads each grid (k, n) from one bottom-up
+sweep of it as the principal down-set of (k, n), with its rank census
+and chain report; the one layered suite asks the oracle for one census
+per (n, F); the one F-binomial suite asks it for one factorial-ratio
+table per shipped sequence; and every check of a suite reads the result
+for its inputs.  Every identity is recorded one way, by
 ``SuiteResult.check``: the closed form runs inside the check, and a
 mismatch, or an exception it raises, is a failure of that identity
 naming its inputs and both values.  Only identities that can fail on
@@ -20,8 +21,8 @@ F-binomial suite and 3 ms for the gate (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: the grid
 diagram is built with ``max_index=max_n``, the grid chain checks read
-the DP over cover edges, which has no chain guard, and the layered suite
-reads level sizes.  ``SuiteResult.skipped`` therefore stays 0; it is kept
+the sweep's DP over cover edges, which has no chain guard, and the
+layered suite reads level sizes.  ``SuiteResult.skipped`` therefore stays 0; it is kept
 because the JSON ``skipped`` key and the CSV column report it.
 
 Every suite's wall time is kept in ``SuiteResult.seconds``.
@@ -128,38 +129,39 @@ def check_grid_chains(max_n: int) -> SuiteResult:
 
     The one grid suite.  It builds ``oracle.build_grid_hasse`` once, at top
     (max_n - 1, max_n), and reads each grid (k, n) with k < n <= max_n as
-    the principal down-set of (k, n) in it (``oracle.principal_ideals``).
-    Every check of a (k, n) reads that diagram: size and Bell-like number
-    against its vertex count, the Whitney vector against its rank census,
-    the ballot form and gradedness against the DP chain report over its
-    cover edges, and for n <= ``ORDER_LAW_BOUND`` the partial-order laws of
-    ``grid_leq`` on its vertices.  The name dates from a chains-only suite;
-    it is kept so that a per-suite time under it covers all grid work.
+    the principal down-set of (k, n) in it, all from one sweep of its cover
+    edges (``oracle.principal_ideals``).  Every check of a (k, n) reads
+    that down-set: size and Bell-like number against its vertex count, the
+    Whitney vector against its rank census, the ballot form and gradedness
+    against the DP chain report over its cover edges, and for
+    n <= ``ORDER_LAW_BOUND`` the partial-order laws of ``grid_leq`` on its
+    vertices.  The name dates from a chains-only suite; it is kept so that a
+    per-suite time under it covers all grid work.
     """
     suite = SuiteResult("grid poset vs oracle")
     whole = oracle.build_grid_hasse(max_n - 1, max_n, max_index=max_n)
     tops = [(k, n) for n in range(2, max_n + 1) for k in range(n)]
-    for (k, n), diagram in zip(tops, oracle.principal_ideals(whole, tops)):
+    ideals = oracle.principal_ideals(whole, tops)
+    for (k, n), (vertices, census, report) in zip(tops, ideals):
         inputs = f"(k, n) = ({k}, {n})"
         suite.check(
             "grid size closed form = enumerated cardinality",
             inputs,
-            len(diagram),
+            len(vertices),
             lambda: gridposet.grid_size(k, n),
         )
         suite.check(
             "Bell-like number = size",
             inputs,
-            len(diagram),
+            len(vertices),
             lambda: gridposet.grid_bell(k, n),
         )
         suite.check(
             "oracle rank census = Whitney vector",
             inputs,
-            oracle.rank_level_counts(diagram),
+            census,
             lambda: gridposet.grid_whitney(k, n),
         )
-        report = oracle.count_maximal_chains(diagram)
         suite.check(
             "chain-count closed form = DP count over cover edges",
             inputs,
@@ -177,7 +179,7 @@ def check_grid_chains(max_n: int) -> SuiteResult:
                 "reflexive, antisymmetric, transitive",
                 inputs,
                 (True, True, True),
-                lambda: _order_laws(diagram.vertices),
+                lambda: _order_laws(vertices),
             )
     for n in range(1, max_n + 1):
         suite.check(

@@ -93,18 +93,19 @@ def recursive_chain_report(diagram):
 @st.composite
 def rank_raising_diagrams(draw):
     """Small diagrams whose covers raise a drawn rank: several minimal
-    vertices, transitive covers and uneven chain lengths allowed."""
+    vertices, transitive covers and uneven chain lengths allowed.  Vertex
+    (i, rank) is the i-th drawn, so the vertex order ignores the ranks."""
     ranks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=10))
-    vertices = sorted((rank, i) for i, rank in enumerate(ranks))
+    vertices = list(enumerate(ranks))
     covers = {vertex: [] for vertex in vertices}
     for lower in vertices:
         for upper in vertices:
-            if lower[0] < upper[0] and draw(st.booleans()):
+            if lower[1] < upper[1] and draw(st.booleans()):
                 covers[lower].append(upper)
     covered = {upper for uppers in covers.values() for upper in uppers}
     return HasseDiagram(
         vertices,
-        itemgetter(0),
+        itemgetter(1),
         covers.__getitem__,
         tuple(v for v in vertices if v not in covered),
     )
@@ -199,14 +200,33 @@ class TestGridHasse:
 
 class TestPrincipalIdeal:
     def test_every_grid_is_a_down_set_of_the_largest(self):
-        for top in range(2, 13):
+        direct = {}
+        for top in range(1, 13):
             whole = build_grid_hasse(top - 1, top, max_index=top)
-            tops = [(k, n) for n in range(2, top + 1) for k in range(n)]
-            for (k, n), ideal in zip(tops, principal_ideals(whole, tops), strict=True):
-                grid = build_grid_hasse(k, n)
-                assert ideal.vertices == grid.vertices
-                assert list(ideal.cover_edges()) == list(grid.cover_edges())
-                assert ideal.minimal_vertices == grid.minimal_vertices
+            ideals = principal_ideals(whole, whole.vertices)
+            for (k, n), ideal in zip(whole.vertices, ideals, strict=True):
+                if (k, n) not in direct:
+                    grid = build_grid_hasse(k, n)
+                    direct[k, n] = (
+                        grid.vertices,
+                        rank_level_counts(grid),
+                        enumerate_maximal_chains(grid),  # the walk, not the sweep's DP
+                    )
+                assert ideal == direct[k, n]
+        assert len(direct) == grid_size(11, 12)
+
+    @given(rank_raising_diagrams())
+    @settings(max_examples=100, deadline=None)
+    def test_each_down_set_equals_the_diagram_built_on_it(self, diagram):
+        ideals = principal_ideals(diagram, diagram.vertices)
+        for top, (vertices, census, report) in zip(diagram.vertices, ideals, strict=True):
+            inside = [v for v in diagram.vertices if v == top or top in reachable(diagram, v)]
+            covers = {v: [b for b in diagram.successors(v) if b in inside] for v in inside}
+            minimals = tuple(v for v in diagram.minimal_vertices if v in inside)
+            ideal = HasseDiagram(inside, diagram.rank_of, covers.__getitem__, minimals)
+            assert vertices == inside
+            assert census == rank_level_counts(ideal)
+            assert report == recursive_chain_report(ideal)
 
     def test_cover_edges_are_read_once_per_diagram(self):
         whole = build_grid_hasse(7, 8)
@@ -216,10 +236,11 @@ class TestPrincipalIdeal:
             HasseDiagram, "cover_edges", autospec=True, side_effect=read
         ) as reads:
             ideals = list(principal_ideals(whole, tops))
-        assert [len(ideal) for ideal in ideals] == [grid_size(k, n) for k, n in tops]
+        sizes = [len(vertices) for vertices, _, _ in ideals]
+        assert sizes == [grid_size(k, n) for k, n in tops]
         assert reads.call_count == 1
 
-    def test_two_minima_and_no_rank_read(self):
+    def test_two_minima_by_hand(self):
         # (0, 0) and (0, 1) are minimal; (1, 0) covers both, (1, 1) only (0, 1)
         covers = {
             (0, 0): [(1, 0)],
@@ -228,34 +249,29 @@ class TestPrincipalIdeal:
             (1, 1): [(2, 0)],
             (2, 0): [],
         }
-
-        def rank_of(vertex):
-            raise AssertionError(f"rank of {vertex} read")
-
-        diagram = HasseDiagram(list(covers), rank_of, covers.__getitem__, ((0, 0), (0, 1)))
+        diagram = HasseDiagram(
+            list(covers), itemgetter(0), covers.__getitem__, ((0, 0), (0, 1))
+        )
         expected = {
-            (2, 0): (list(covers), list(diagram.cover_edges()), ((0, 0), (0, 1))),
-            (1, 0): (
-                [(0, 0), (0, 1), (1, 0)],
-                [((0, 0), (1, 0)), ((0, 1), (1, 0))],
-                ((0, 0), (0, 1)),
-            ),
-            (1, 1): ([(0, 1), (1, 1)], [((0, 1), (1, 1))], ((0, 1),)),
-            (0, 1): ([(0, 1)], [], ((0, 1),)),
+            (2, 0): (list(covers), [2, 2, 1], ChainReport(3, 3, 3, True)),
+            (1, 0): ([(0, 0), (0, 1), (1, 0)], [2, 1], ChainReport(2, 2, 2, True)),
+            (1, 1): ([(0, 1), (1, 1)], [1, 1], ChainReport(1, 2, 2, True)),
+            (0, 1): ([(0, 1)], [1], ChainReport(1, 1, 1, True)),
         }
-        ideals = principal_ideals(diagram, expected)
-        for ideal, (vertices, edges, minimals) in zip(
-            ideals, expected.values(), strict=True
-        ):
-            assert ideal.vertices == vertices
-            assert list(ideal.cover_edges()) == edges
-            assert ideal.minimal_vertices == minimals
-            assert ideal.rank_of is rank_of
+        assert list(principal_ideals(diagram, expected)) == list(expected.values())
 
     def test_a_top_outside_the_diagram_is_rejected(self):
         whole = build_grid_hasse(3, 4)
         with pytest.raises(ValueError, match=r"^\(4, 4\) is not a vertex of the diagram$"):
             list(principal_ideals(whole, [(3, 4), (4, 4)]))
+
+    def test_a_rank_that_does_not_increase_is_rejected(self):
+        base = build_grid_hasse(2, 3)
+        flipped = HasseDiagram(
+            base.vertices, lambda v: -grid_rank(v), base.successors, base.minimal_vertices
+        )
+        with pytest.raises(ValueError, match="^rank does not increase along the cover "):
+            next(principal_ideals(flipped, [(0, 1)]))
 
 
 class TestLayerSizes:

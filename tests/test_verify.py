@@ -174,6 +174,25 @@ class TestSuites:
         smallest = verify.check_grid_chains(1)  # the Catalan check at n = 1 only
         assert (smallest.cases, smallest.skipped, smallest.failures) == (1, 0, [])
 
+    def test_grid_suite_reads_the_cover_edges_once(self, monkeypatch):
+        per_down_set = ("count_maximal_chains", "rank_level_counts")
+        spies = [mock.Mock(wraps=getattr(oracle, name)) for name in per_down_set]
+        for name, spy in zip(per_down_set, spies):
+            monkeypatch.setattr(oracle, name, spy)
+        read = oracle.HasseDiagram.cover_edges
+        with mock.patch.object(
+            oracle.HasseDiagram, "cover_edges", autospec=True, side_effect=read
+        ) as reads:
+            suite = verify.check_grid_chains(12)
+        assert (suite.cases, suite.failures) == (432, [])
+        assert reads.call_count == 1
+        assert [spy.call_count for spy in spies] == [0, 0]
+
+    def test_grid_suite_at_24_and_32(self):
+        for max_n, cases in ((24, 1554), (32, 2702)):
+            suite = verify.check_grid_chains(max_n)
+            assert (suite.cases, suite.skipped, suite.failures) == (cases, 0, [])
+
     def test_layered_census_runs_in_bounded_memory(self):
         # P(12, gauss2) has 1,167,789 elements and P(12, gauss3) far more;
         # none is built, and no guard skips a census
@@ -281,15 +300,15 @@ class TestFaultInjection:
         assert last.actual == "raised ArithmeticError: no chain count at (3, 4)"
 
     def test_dp_count_mismatch_prints_both_fail_lines(self, monkeypatch, capsys):
-        dp = oracle.count_maximal_chains
+        ideals = oracle.principal_ideals
 
-        def one_chain_short(diagram):
-            report = dp(diagram)
-            return oracle.ChainReport(
-                report.chain_count + 1, report.min_length, report.max_length, report.graded
-            )
+        def one_chain_short(diagram, tops):
+            for vertices, census, report in ideals(diagram, tops):
+                yield vertices, census, oracle.ChainReport(
+                    report.chain_count + 1, report.min_length, report.max_length, report.graded
+                )
 
-        monkeypatch.setattr(oracle, "count_maximal_chains", one_chain_short)
+        monkeypatch.setattr(oracle, "principal_ideals", one_chain_short)
         assert cli.main(["verify", "--max-n", "2"]) == 1
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
