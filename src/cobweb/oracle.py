@@ -3,12 +3,14 @@
 This module is the independent side of every dual check in the package.
 It never reuses a closed form it is meant to validate:
 
-* grid diagrams take the componentwise order relation and compute cover
-  edges by transitive reduction of the full relation, not from the
-  analytic staircase characterization.  The reduction runs on Python-int
-  bitsets, ``covers(a) = up(a) & ~OR(up(c) for c in up(a))``, which is
-  O(V^2) relation tests plus O(V^2) word-parallel ORs and assumes no
-  gradedness, so the gradedness check stays meaningful;
+* grid diagrams take the componentwise order from the coordinates
+  themselves, not from the library's order predicate, which ``verify``
+  checks against it, and compute cover edges by transitive reduction,
+  not from the analytic staircase characterization.  One Python-int
+  bitset per coordinate value makes each up-set one AND, and the covers
+  of a vertex are peeled off its up-set lowest bit first, one step per
+  cover; this assumes no gradedness, so the gradedness check stays
+  meaningful;
 * every principal down-set ``{v <= top}`` of a built diagram, with its
   census and cover paths, comes from one sweep of its cover edges in
   ascending rank (``principal_ideals``).  This keeps the oracle
@@ -44,7 +46,7 @@ from collections import Counter
 from itertools import chain, islice
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .gridposet import grid_elements, grid_leq, grid_rank
+from .gridposet import grid_elements, grid_rank
 from .sequences import FSequence, NonIntegralError, _Record, seq_eval
 
 Vertex = tuple[int, int]
@@ -118,9 +120,13 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
 
     Cover edges come from transitive reduction of the componentwise order,
     keeping this construction independent of any analytic description of
-    the covers: with ``up(a)`` the bitset of elements strictly above
-    ``a``, the covers of ``a`` are ``up(a)`` minus everything strictly
-    above some element of ``up(a)``.
+    the covers.  With one bitset per coordinate value (the elements whose
+    coordinate is at least that value), ``up(a) = {b >= a}`` is one AND.
+    The covers of ``a`` are peeled off ``up(a) - {a}``: its lowest set bit
+    is a cover, and clearing that cover's up-set leaves the rest.  This
+    needs the lexicographic vertex order to extend the componentwise one,
+    which is checked, not assumed: a ``b >= a`` before ``a`` in the vertex
+    order raises ``ValueError``.
     """
     limit = DEFAULT_MAX_INDEX if max_index is None else max_index
     if n > limit:
@@ -129,19 +135,25 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
             f"pass an explicit max_index to go further"
         )
     elements = grid_elements(k, n)
-    up = [
-        sum(1 << j for j, b in enumerate(elements) if a != b and grid_leq(a, b))
-        for a in elements
-    ]
+    at_least: list[dict[int, int]] = [{}, {}]  # per coordinate: value -> {b : b[i] >= value}
+    for i, masks in enumerate(at_least):
+        above = 0  # descending b[i]: a value's last write holds every b at or above it
+        for j, b in sorted(enumerate(elements), key=lambda jb: -jb[1][i]):
+            above = masks[b[i]] = above | 1 << j
+    up = [at_least[0][a[0]] & at_least[1][a[1]] for a in elements]
     successors: dict[Vertex, list[Vertex]] = {}
     covered = 0
-    for a, above in zip(elements, up):
-        beyond = 0
-        for j in _bits(above):
-            beyond |= up[j]
-        covers = above & ~beyond
-        successors[a] = [elements[j] for j in _bits(covers)]
-        covered |= covers
+    for j, a in enumerate(elements):
+        if up[j] & ((1 << j) - 1):
+            before = elements[(up[j] & -up[j]).bit_length() - 1]
+            raise ValueError(f"{before} >= {a} comes before {a} in the vertex order")
+        rest = up[j] ^ 1 << j
+        covered |= rest
+        successors[a] = covers = []
+        while rest:
+            cover = (rest & -rest).bit_length() - 1
+            covers.append(elements[cover])
+            rest &= ~up[cover]
     minimals = tuple(v for j, v in enumerate(elements) if not covered >> j & 1)
     return HasseDiagram(
         vertices=elements,

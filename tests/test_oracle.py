@@ -61,6 +61,29 @@ def cubic_cover_edges(k, n):
     )
 
 
+def pairwise_covers(k, n):
+    """Reference reduction, one ``grid_leq`` call per ordered pair: with
+    ``up(a)`` the bitset of elements strictly above ``a``, the covers of
+    ``a`` are ``up(a)`` minus the up-set of every element of ``up(a)``.
+    Returns the cover edges and the minimal vertices."""
+    elements = grid_elements(k, n)
+    up = [
+        sum(1 << j for j, b in enumerate(elements) if a != b and grid_leq(a, b))
+        for a in elements
+    ]
+    edges = []
+    covered = 0
+    for a, above in zip(elements, up):
+        beyond = 0
+        for j in range(len(elements)):
+            if above >> j & 1:
+                beyond |= up[j]
+        covers = above & ~beyond
+        edges += [(a, b) for j, b in enumerate(elements) if covers >> j & 1]
+        covered |= covers
+    return edges, tuple(v for j, v in enumerate(elements) if not covered >> j & 1)
+
+
 def with_extra_edge(diagram, lower, upper):
     """The same vertices and ranks with one more (transitive) cover edge."""
     def successors_of(vertex):
@@ -191,6 +214,18 @@ class TestGridHasse:
                 diagram = build_grid_hasse(k, n)
                 assert list(diagram.cover_edges()) == cubic_cover_edges(k, n)
                 assert diagram.minimal_vertices == ((0, 1),)
+
+    def test_covers_equal_the_pairwise_reduction(self):
+        for top in [*range(1, 25), 40]:
+            diagram = build_grid_hasse(top - 1, top, max_index=top)
+            edges, minimals = pairwise_covers(top - 1, top)
+            assert list(diagram.cover_edges()) == edges
+            assert diagram.minimal_vertices == minimals
+
+    def test_a_vertex_order_that_is_no_linear_extension_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(oracle, "grid_elements", lambda k, n: grid_elements(k, n)[::-1])
+        with pytest.raises(ValueError, match=r"^\(2, 3\) >= \(\d, \d\) comes before "):
+            build_grid_hasse(2, 3)
 
     def test_scale_guard(self):
         with pytest.raises(ScaleLimitError, match="12"):

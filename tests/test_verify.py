@@ -9,8 +9,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cobweb import cli, gridposet, oracle, pnfposet, sequences, verify
 from cobweb.gridposet import grid_leq
@@ -48,35 +46,13 @@ def bell_without_top_rank(k, n):
     return sum(gridposet.grid_whitney(k, n)[:-1])
 
 
-ORDER_LAWS = "reflexive, antisymmetric, transitive"
+GRID_ORDER = "grid_leq = oracle order"
 
 
-def cubic_order_laws(elements, leq):
-    """Reference: the three partial-order laws over every element, pair and triple."""
-    return (
-        all(leq(a, a) for a in elements),
-        all(
-            not (leq(a, b) and leq(b, a))
-            for a in elements
-            for b in elements
-            if a != b
-        ),
-        all(
-            not (leq(a, b) and leq(b, c)) or leq(a, c)
-            for a in elements
-            for b in elements
-            for c in elements
-        ),
-    )
-
-
-@st.composite
-def relations(draw):
-    """A random relation on 1..6 elements, as (elements, related pairs)."""
-    elements = list(range(draw(st.integers(1, 6))))
-    element = st.sampled_from(elements)
-    pairs = draw(st.sets(st.tuples(element, element)))
-    return elements, pairs
+def up_sets(k, n, leq):
+    """repr of every vertex of grid (k, n)'s up-set under ``leq``, in vertex order."""
+    vertices = gridposet.grid_elements(k, n)
+    return repr({a: [b for b in vertices if leq(a, b)] for a in vertices})
 
 
 class TestSuites:
@@ -144,7 +120,7 @@ class TestSuites:
             "oracle rank census = Whitney vector": 77,
             "chain-count closed form = DP count over cover edges": 77,
             "all maximal chains have k+n elements": 77,
-            "reflexive, antisymmetric, transitive": 35,
+            GRID_ORDER: 35,
             "near-diagonal chain count = Catalan number": 12,
             "oracle rank census = F-binomial level sizes": 48,
             "per-level Whitney numbers = oracle census": 48,
@@ -206,17 +182,6 @@ class TestSuites:
             # 4 checks per n, the Bell sequence under 2 policies, 12 for naturals
             assert (suite.cases, suite.skipped, suite.failures) == (62, 0, [])
             assert peak < 8 * 2**20
-
-    @given(relations())
-    @settings(max_examples=200, deadline=None)
-    def test_bitset_order_laws_equal_the_triple_loop(self, relation):
-        elements, pairs = relation
-
-        def leq(a, b):
-            return (a, b) in pairs
-
-        with mock.patch("cobweb.gridposet.grid_leq", leq):
-            assert verify._order_laws(elements) == cubic_order_laws(elements, leq)
 
 
 class TestFaultInjection:
@@ -480,35 +445,61 @@ class TestFaultInjection:
         assert suite.failures[1].expected == repr([comb(2 * m, m) for m in range(1, 21)])
 
     @pytest.mark.parametrize(
-        "relation, laws, passing",
+        "relation, passing",
         [
             (
                 lambda a, b: a == b or (grid_leq(a, b) and sum(b) == sum(a) + 1),
-                (True, True, False),
                 ["(k, n) = (0, 2)"],  # the only input without a 3-element chain
             ),
-            (lambda a, b: True, (True, False, True), []),
-            (lambda a, b: a != b and grid_leq(a, b), (False, True, True), []),
+            (lambda a, b: True, []),
+            (lambda a, b: a != b and grid_leq(a, b), []),
         ],
         ids=["covers-only", "all-pairs", "strict"],
     )
-    def test_order_law_breach_is_detected(self, monkeypatch, relation, laws, passing):
+    def test_order_law_breach_is_detected(self, monkeypatch, relation, passing):
         healthy = verify.check_grid_chains(4)
         monkeypatch.setattr("cobweb.gridposet.grid_leq", relation)
         suite = verify.check_grid_chains(4)
         assert suite.cases == healthy.cases
-        # the oracle binds its own grid_leq, so only the order laws can fail
-        assert {f.identity for f in suite.failures} == {ORDER_LAWS}
-        assert {f.actual for f in suite.failures} == {repr(laws)}
+        # the oracle never calls grid_leq, so only the order check can fail
+        assert {f.identity for f in suite.failures} == {GRID_ORDER}
         assert len(suite.failures) == 9 - len(passing)  # 0 <= k < n, 2 <= n <= 4
         assert all(f.inputs not in passing for f in suite.failures)
+        for failure in suite.failures:
+            k, n = map(int, re.findall(r"\d+", failure.inputs))
+            assert failure.expected == up_sets(k, n, grid_leq)
+            assert failure.actual == up_sets(k, n, relation)
+
+    @pytest.mark.parametrize(
+        "relation, failing",
+        [
+            # lexicographic: wrong only where a grid has an incomparable pair
+            (lambda a, b: a <= b, [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]),
+            # reversed: wrong on every input
+            (lambda a, b: grid_leq(b, a), [(k, n) for n in range(2, 5) for k in range(n)]),
+        ],
+        ids=["lexicographic", "reversed"],
+    )
+    def test_lawful_but_wrong_order_fails_verify(
+        self, monkeypatch, capsys, relation, failing
+    ):
+        healthy = verify.check_grid_chains(4)
+        monkeypatch.setattr("cobweb.gridposet.grid_leq", relation)
+        suite = verify.check_grid_chains(4)
+        assert suite.cases == healthy.cases
+        assert {f.identity for f in suite.failures} == {GRID_ORDER}
+        assert [f.inputs for f in suite.failures] == [f"(k, n) = {p}" for p in failing]
+        assert cli.main(["verify", "--max-n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\nFAIL ") == len(failing)
+        assert captured.err == ""
 
     def test_raising_order_relation_fails_verify_not_the_command_line(
         self, monkeypatch, capsys
     ):
         monkeypatch.setattr("cobweb.gridposet.grid_leq", boom)
         failures = [f for suite in verify.run_verify(4) for f in suite.failures]
-        assert {f.identity for f in failures} == {ORDER_LAWS}
+        assert {f.identity for f in failures} == {GRID_ORDER}
         assert {f.actual for f in failures} == {"raised ArithmeticError: boom"}
         assert len(failures) == 9
         assert cli.main(["verify", "--max-n", "4"]) == 1
