@@ -22,9 +22,14 @@ It never reuses a closed form it is meant to validate:
   through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one running
   product and one checked division per entry, never from the F-binomial
   engine: whole triangle rows, the central column, and the level sizes
-  ``(n-k choose k)_F`` of P(n, F) (``layer_sizes``).  P(n, F) is an
-  ordinal sum of antichains, so its level sizes fix its covers, chains
-  and census, and no layered diagram is built;
+  ``(n-k choose k)_F`` of P(n, F), k = 0..n // 2 (``layer_sizes``).
+  P(n, F) is an ordinal sum of antichains, so its level sizes fix its
+  covers, chains and census, and no layered diagram is built; the level
+  sizes also fix its Bell-like numbers under both degenerate-level
+  policies, since ``exclude`` drops level n/2 of an even n;
+* shipped sequence values (``recurrence_values``) come from each
+  sequence's defining recurrence, one step per value, never from its
+  closed form or factory;
 * maximal chains are counted two ways along cover edges: one by one by
   a batched depth-first walk (``enumerate_maximal_chains``), which
   extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, islice
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .gridposet import grid_elements, grid_rank
 from .sequences import FSequence, NonIntegralError, _Record, seq_eval
@@ -115,7 +120,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDiagram:
+def build_grid_hasse(k: int, n: int, max_index: int | None = None) -> HasseDiagram:
     """Explicit Hasse diagram of the interval poset with top (k, n).
 
     Cover edges come from transitive reduction of the componentwise order,
@@ -135,32 +140,27 @@ def build_grid_hasse(k: int, n: int, max_index: Optional[int] = None) -> HasseDi
             f"pass an explicit max_index to go further"
         )
     elements = grid_elements(k, n)
-    at_least: list[dict[int, int]] = [{}, {}]  # per coordinate: value -> {b : b[i] >= value}
+    at_least = [{}, {}]  # per coordinate: value -> {b : b[i] >= value}
     for i, masks in enumerate(at_least):
         above = 0  # descending b[i]: a value's last write holds every b at or above it
         for j, b in sorted(enumerate(elements), key=lambda jb: -jb[1][i]):
             above = masks[b[i]] = above | 1 << j
     up = [at_least[0][a[0]] & at_least[1][a[1]] for a in elements]
-    successors: dict[Vertex, list[Vertex]] = {}
+    successors = {}
     covered = 0
     for j, a in enumerate(elements):
         if up[j] & ((1 << j) - 1):
-            before = elements[(up[j] & -up[j]).bit_length() - 1]
+            before = elements[next(_bits(up[j]))]
             raise ValueError(f"{before} >= {a} comes before {a} in the vertex order")
         rest = up[j] ^ 1 << j
         covered |= rest
         successors[a] = covers = []
         while rest:
-            cover = (rest & -rest).bit_length() - 1
+            cover = next(_bits(rest))
             covers.append(elements[cover])
             rest &= ~up[cover]
     minimals = tuple(v for j, v in enumerate(elements) if not covered >> j & 1)
-    return HasseDiagram(
-        vertices=elements,
-        rank_of=grid_rank,
-        successors=successors.__getitem__,
-        minimal_vertices=minimals,
-    )
+    return HasseDiagram(elements, grid_rank, successors.__getitem__, minimals)
 
 
 def _combined(reports: list[ChainReport], step: int) -> ChainReport:
@@ -185,10 +185,10 @@ def _sweep(
     """
     rank = {v: diagram.rank_of(v) for v in diagram.vertices}
     down = {v: 1 << i for i, v in enumerate(diagram.vertices)}
-    lower: dict[Vertex, list[Vertex]] = {}
+    lower = {}
     for a, b in diagram.cover_edges():
         lower.setdefault(b, []).append(a)
-    paths: dict[Vertex, ChainReport] = {}
+    paths = {}
     start = [ChainReport(1, 0, 0, True)]  # the one path of no elements
     for vertex in sorted(rank, key=rank.__getitem__):
         below = lower.get(vertex, ())
@@ -197,8 +197,7 @@ def _sweep(
                 raise ValueError(f"rank does not increase along the cover {a} < {vertex}")
             down[vertex] |= down[a]
         paths[vertex] = _combined([paths[a] for a in below] or start, 1)
-    covered = set(chain.from_iterable(lower.values()))
-    return down, paths, [v for v in diagram.vertices if v not in covered]
+    return down, paths, [v for v in diagram.vertices if not diagram.successors(v)]
 
 
 def principal_ideals(
@@ -246,15 +245,56 @@ def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[i
     return ratios
 
 
-def layer_sizes(n: int, seq: FSequence, top: int) -> list[int]:
-    """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) for k = 0..top, from F_1..F_n."""
-    if not 0 <= top <= n // 2:
-        raise ValueError(f"P({n}, {seq.name}) has levels 0..{n // 2}, not 0..{top}")
-    return factorial_ratios(seq, [(n - k, k) for k in range(top + 1)])
+def layer_sizes(n: int, seq: FSequence) -> list[int]:
+    """Level sizes F_{n-k}! / (F_k! F_{n-2k}!) of P(n, F), k = 0..n // 2, from F_1..F_n."""
+    if n < 0:
+        raise ValueError(f"poset degree must be >= 0, got {n}")
+    return factorial_ratios(seq, [(n - k, k) for k in range(n // 2 + 1)])
+
+
+def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
+    """[F_n for n in indices] of a shipped sequence, from its defining recurrence.
+
+    ``spec`` is a sequence spec: a name, then gauss's base q.  Every shipped
+    sequence has F_1 = 1 and, for n >= 1, F_{n+1} = a F_n + b F_{n-1} + c:
+
+        ==========  ===  ============  ==========================
+        sequence    F_0  (a, b, c)     recurrence
+        ==========  ===  ============  ==========================
+        fib         0    (1, 1, 0)     F_{n+1} = F_n + F_{n-1}
+        lucas       2    (1, 1, 0)     L_{n+1} = L_n + L_{n-1}
+        naturals    0    (1, 0, 1)     F_{n+1} = F_n + 1
+        ones        1    (1, 0, 0)     F_{n+1} = F_n
+        gauss<q>    0    (q, 0, 1)     F_{n+1} = q F_n + 1
+        ==========  ===  ============  ==========================
+
+    F_0 is each sequence's value at 0, so index 0 is answered too.  The
+    recurrence runs one step per index up to the largest and keeps only the
+    values asked for, so a few large indices cost no more memory than small
+    ones.  No closed form or factory of a shipped sequence is read: the
+    point is to check those (fast doubling for fib and lucas, the geometric
+    sum for gauss) against their definitions.  An unknown name, or an index
+    below 0, raises ``KeyError``.
+    """
+    name = spec.rstrip("0123456789")
+    before, a, b, c = {
+        "fib": (0, 1, 1, 0),
+        "lucas": (2, 1, 1, 0),
+        "naturals": (0, 1, 0, 1),
+        "ones": (1, 1, 0, 0),
+        "gauss": (0, int(spec[len(name):] or 0), 0, 1),
+    }[name]
+    wanted = set(indices)
+    values, value = {}, 1
+    for n in range(max(wanted, default=0) + 1):
+        if n in wanted:
+            values[n] = before
+        before, value = value, a * value + b * before + c
+    return [values[n] for n in indices]
 
 
 def enumerate_maximal_chains(
-    diagram: HasseDiagram, max_chains: Optional[int] = None
+    diagram: HasseDiagram, max_chains: int | None = None
 ) -> ChainReport:
     """Count every maximal chain exactly once by a batched depth-first walk.
 
@@ -277,19 +317,18 @@ def enumerate_maximal_chains(
     is rejected rather than walked forever.
     """
     limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    successors = diagram.successors
     size = len(diagram)
     count = 0  # finished chains
     pending = len(diagram.minimal_vertices)  # open chains on the stack
-    lengths: set[int] = set()
-    stack: list[tuple[int, Iterator[Vertex]]] = [(1, iter(diagram.minimal_vertices))]
+    lengths = set()
+    stack = [(1, iter(diagram.minimal_vertices))]
     while stack:
         depth, chain_ends = stack[-1]
         batch = list(islice(chain_ends, _CHAIN_BATCH))
         if len(batch) < _CHAIN_BATCH:
             stack.pop()
         pending -= len(batch)
-        uppers = list(filter(None, map(successors, batch)))
+        uppers = list(filter(None, map(diagram.successors, batch)))
         if len(uppers) < len(batch):
             count += len(batch) - len(uppers)
             lengths.add(depth)
@@ -307,9 +346,8 @@ def enumerate_maximal_chains(
                 )
             pending += width
             stack.append((depth + 1, chain.from_iterable(uppers)))
-    if not lengths:  # no vertices at all; not produced by the builders
-        return ChainReport(0, 0, 0, True)
-    return ChainReport(count, min(lengths), max(lengths), len(lengths) == 1)
+    # no lengths only for a diagram with no vertices, which no builder makes
+    return ChainReport(count, min(lengths, default=0), max(lengths, default=0), len(lengths) <= 1)
 
 
 def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
@@ -327,11 +365,10 @@ def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
 def _census(vertices: Collection[Vertex], rank_of: Callable[[Vertex], int]) -> list[int]:
     """Entry j counts ``vertices`` of rank j, densely from 0."""
     census = Counter(map(rank_of, vertices))
-    if census and min(census) < 0:
+    if min(census, default=0) < 0:
         vertex = next(v for v in vertices if rank_of(v) < 0)
         raise ValueError(f"vertex {vertex} has negative rank {rank_of(vertex)}")
-    top = max(census) if census else -1
-    return [census.get(j, 0) for j in range(top + 1)]
+    return [census[j] for j in range(max(census, default=-1) + 1)]
 
 
 def rank_level_counts(diagram: HasseDiagram) -> list[int]:

@@ -5,19 +5,23 @@ independently computed value.  Enumeration and every reference value
 come from the oracle: the one grid suite builds one oracle diagram, with
 top (max_n - 1, max_n), and reads each grid (k, n) from one bottom-up
 sweep of it as the principal down-set of (k, n), with its rank census
-and chain report; the one layered suite asks the oracle for one census
-per (n, F); the one F-binomial suite asks it for one factorial-ratio
-table per shipped sequence; and every check of a suite reads the result
-for its inputs.  Every identity is recorded one way, by
-``SuiteResult.check``: the closed form runs inside the check, and a
-mismatch, or an exception it raises, is a failure of that identity
-naming its inputs and both values.  Only identities that can fail on
-their own are checked: none compares a function with itself, a copy of
-itself, or a value another check already pins.  Poset suites scale with
-``max_n`` over the given sequences; the F-binomial suite and the
-GCD-morphism gate always run over the whole shipped GCD-morphic family
-at fixed bounds, a fixed cost of every run: about 10-14 ms for the
-F-binomial suite and 3 ms for the gate (2-vCPU VM, Python 3.11).
+and chain report; the one layered suite asks the oracle for the whole
+census of each (n, F), levels 0..n // 2, and takes its Bell-like numbers
+under both policies from it; the one F-binomial suite asks it for one
+factorial-ratio table per shipped sequence; the GCD-morphism gate asks
+it for each shipped sequence's values by recurrence; and every check of
+a suite reads the result for its inputs.  Every identity is recorded one
+way, by ``SuiteResult.check``: the closed form runs inside the check,
+and a mismatch, or an exception it raises, is a failure of that identity
+naming its inputs and both values.  No library function computes an
+expected value: every call into ``gridposet`` or ``pnfposet`` sits in a
+check's compute callable.  Only identities that can fail on their own
+are checked: none compares a function with itself, a copy of itself, or
+a value another check already pins.  Poset suites scale with ``max_n``
+over the given sequences; the F-binomial suite and the GCD-morphism gate
+always run over the whole shipped family at fixed bounds, a fixed cost
+of every run: about 10-16 ms for the F-binomial suite and 6 ms for the
+gate in process (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: the grid
 diagram is built with ``max_index=max_n``, the grid chain checks read
@@ -46,7 +50,6 @@ from .sequences import (
     gcd_morphic_check,
     gcd_morphic_family,
     lucas,
-    make_sequence,
     sequence_from_spec,
 )
 
@@ -116,7 +119,9 @@ def check_grid_chains(max_n: int) -> SuiteResult:
     Whitney vector against its rank census, the ballot form and gradedness
     against the DP chain report over its cover edges, and for
     n <= ``ORDER_LAW_BOUND`` ``grid_leq`` on its vertices against the
-    oracle's order: ``a <= b`` iff ``a`` lies in the down-set of ``b``.  The
+    oracle's order: ``a <= b`` iff ``a`` lies in the down-set of ``b``.
+    Last, the Catalan numbers C_{n-1} are checked against the DP count of
+    the near-diagonal (n - 1, n), n = 1..max_n.  The
     oracle orders by reachability over covers that raise the rank, a
     partial order, so this equality also gives ``grid_leq`` the three
     partial-order laws.  The name dates from a chains-only suite; it is
@@ -126,9 +131,13 @@ def check_grid_chains(max_n: int) -> SuiteResult:
     whole = oracle.build_grid_hasse(max_n - 1, max_n, max_index=max_n)
     tops = [(k, n) for n in range(2, max_n + 1) for k in range(n)]
     ideals = oracle.principal_ideals(whole, [(0, 1), *tops])
-    downs = {(0, 1): set(next(ideals)[0])}  # {v <= top}, for tops with n <= ORDER_LAW_BOUND
+    vertices, _, report = next(ideals)
+    downs = {(0, 1): set(vertices)}  # {v <= top}, for tops with n <= ORDER_LAW_BOUND
+    near_diagonal = [report.chain_count]  # DP count for top (n - 1, n), n = 1..max_n
     for (k, n), (vertices, census, report) in zip(tops, ideals):
         inputs = f"(k, n) = ({k}, {n})"
+        if k == n - 1:
+            near_diagonal.append(report.chain_count)
         suite.check(
             "grid size closed form = enumerated cardinality",
             inputs,
@@ -167,12 +176,12 @@ def check_grid_chains(max_n: int) -> SuiteResult:
                 {a: [b for b in vertices if a in downs[b]] for a in vertices},
                 lambda: {a: [b for b in vertices if gridposet.grid_leq(a, b)] for a in vertices},
             )
-    for n in range(1, max_n + 1):
+    for n, count in enumerate(near_diagonal, 1):
         suite.check(
             "near-diagonal chain count = Catalan number",
             f"n = {n}",
-            gridposet.catalan(n - 1),
-            lambda: gridposet.grid_chain_count(n - 1, n),
+            count,
+            lambda: gridposet.catalan(n - 1),
         )
     return suite
 
@@ -182,21 +191,23 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
 
     The one layered suite.  Each (n, F) asks ``oracle.layer_sizes`` once,
     for factorial ratios of raw sequence values, and every check reads that
-    census: the F-binomial walk and the per-level Whitney numbers (the
-    per-entry product) against it, the Bell-like number against its sum,
-    and the policy step against the sum it loses when the degenerate level
-    is excluded.  The per-n sums under both policies are what the Bell
-    sequence by diagonal row sums (``pnf_bell_sequence``) must give; the
-    naturals' Bell-like numbers must give shifted Fibonacci.
+    census, levels 0..n // 2: the F-binomial walk and the per-level
+    Whitney numbers (the per-entry product) against it, the Bell-like
+    number against its sum, and the policy step against the degenerate
+    level k = n/2 of an even n, which ``exclude`` drops.  The per-n sums
+    under both policies are what the Bell sequence by diagonal row sums
+    (``pnf_bell_sequence``) must give; the naturals' Bell-like numbers
+    must give the oracle's Fibonacci numbers, shifted by one.
     """
     suite = SuiteResult("layered poset vs oracle")
     for seq in seqs:
-        bells = {policy: [] for policy in pnfposet.POLICIES}
+        bells = {"include": [], "exclude": []}
         for n in range(1, max_n + 1):
             inputs = f"(n, F) = ({n}, {seq.name})"
-            sizes = oracle.layer_sizes(n, seq, pnfposet.pnf_max_rank(n))
-            for policy, totals in bells.items():
-                totals.append(sum(sizes[: pnfposet.pnf_max_rank(n, policy) + 1]))
+            sizes = oracle.layer_sizes(n, seq)
+            degenerate = 0 if n % 2 else sizes[-1]  # level n/2, dropped by "exclude"
+            bells["include"].append(sum(sizes))
+            bells["exclude"].append(sum(sizes) - degenerate)
             suite.check(
                 "oracle rank census = F-binomial level sizes",
                 inputs,
@@ -218,7 +229,7 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
             suite.check(
                 "including the degenerate level adds 1 for even n, 0 for odd",
                 inputs,
-                bells["include"][-1] - bells["exclude"][-1],
+                degenerate,
                 lambda: pnfposet.pnf_bell(n, seq, "include")
                 - pnfposet.pnf_bell(n, seq, "exclude"),
             )
@@ -229,16 +240,15 @@ def check_pnf_census(max_n: int, seqs: list[FSequence]) -> SuiteResult:
                 totals,
                 lambda: pnfposet.pnf_bell_sequence(seq, max_n, policy),
             )
-    fib_pair = [1, 1]  # Fib(1), Fib(2)
-    nat = make_sequence("naturals")
-    for n in range(1, max_n + 1):
+    shifted = oracle.recurrence_values("fib", range(2, max_n + 2))  # Fib(n + 1)
+    nat = sequence_from_spec("naturals")
+    for n, fib in enumerate(shifted, 1):
         suite.check(
             "Bell-like numbers of naturals = shifted Fibonacci",
             f"n = {n}",
-            fib_pair[-1],
+            fib,
             lambda: pnfposet.pnf_bell(n, nat),
         )
-        fib_pair.append(fib_pair[-1] + fib_pair[-2])
     return suite
 
 
@@ -262,7 +272,8 @@ def check_fbinom_algebra() -> SuiteResult:
     fail first at (4 choose 2) in the rows and the central column.  For
     each n <= ``FBINOM_BOUND``, its Whitney line of P(n, F) (the walk) and
     its per-level Whitney numbers (the per-entry product) must give the
-    oracle's census, or fail at the same first non-integral level.
+    oracle's whole census, levels 0..n // 2, or fail at the same first
+    non-integral level.
     """
     suite = SuiteResult("F-binomial algebra")
     triangle = [(n, k) for n in range(FBINOM_BOUND + 1) for k in range(n + 1)]
@@ -299,8 +310,7 @@ def check_fbinom_algebra() -> SuiteResult:
         lambda: _non_integral_text(lambda: f_binomial_diagonal(lucas(), (2, 1), (2, 1), count)),
     )
     for n in range(1, FBINOM_BOUND + 1):
-        levels = range(pnfposet.pnf_max_rank(n) + 1)
-        census = _non_integral_text(lambda: oracle.layer_sizes(n, lucas(), levels[-1]))
+        census = _non_integral_text(lambda: oracle.layer_sizes(n, lucas()))
         suite.check(
             "lucas Whitney line = oracle census, or its first non-integral level",
             f"(F, n) = (lucas, {n})",
@@ -312,14 +322,20 @@ def check_fbinom_algebra() -> SuiteResult:
             f"(F, n) = (lucas, {n})",
             census,
             lambda: _non_integral_text(
-                lambda: [pnfposet.pnf_whitney(n, k, lucas()) for k in levels]
+                lambda: [pnfposet.pnf_whitney(n, k, lucas()) for k in range(n // 2 + 1)]
             ),
         )
     return suite
 
 
 def check_gcd_morphism() -> SuiteResult:
-    """The shipped GCD-morphic family passes at the fixed bound; lucas fails."""
+    """The shipped GCD-morphic family passes at the fixed bound; lucas fails.
+
+    Then every shipped sequence, lucas included, against its defining
+    recurrence (``oracle.recurrence_values``), at n = 1..``GCD_BOUND`` and
+    a few large n.  No other check sees a constant factor c in F, since
+    (n choose k)_{cF} = (n choose k)_F and gcd(cF_n, cF_m) = c F_{gcd(n, m)}.
+    """
     suite = SuiteResult("GCD-morphism gate")
     for seq in gcd_morphic_family():
         suite.check(
@@ -340,6 +356,16 @@ def check_gcd_morphism() -> SuiteResult:
         (False, 2, 4),
         lucas_witness,
     )
+    # fast doubling branches on the bits of n, so a few large n join the bound
+    indices = [*range(1, GCD_BOUND + 1), 511, 512, 1023, 1024]
+    for spec in (*GCD_MORPHIC_SPECS, "lucas"):
+        seq = sequence_from_spec(spec)
+        suite.check(
+            "shipped values = defining recurrence",
+            f"(F, n) = ({seq.name}, 1..{GCD_BOUND}, 511, 512, 1023, 1024)",
+            oracle.recurrence_values(spec, indices),
+            lambda: [seq.value_at(i) for i in indices],
+        )
     return suite
 
 

@@ -121,7 +121,7 @@ def test_criterion_5_layered_whitney_identity():
     with criterion(5, "oracle level sizes of P(n, F) = F-binomial levels, n <= 12"):
         for seq in (naturals(), fibonacci(), ones(), gaussian(2)):
             for n in range(1, 13):
-                census = layer_sizes(n, seq, n // 2)
+                census = layer_sizes(n, seq)
                 assert census == [
                     f_binomial(seq, n - k, k) for k in range(n // 2 + 1)
                 ]

@@ -32,9 +32,11 @@ from cobweb.oracle import (
     layer_sizes,
     principal_ideals,
     rank_level_counts,
+    recurrence_values,
 )
 from cobweb.pnfposet import POLICIES, pnf_max_rank, pnf_whitney_vector
 from cobweb.sequences import (
+    GCD_MORPHIC_SPECS,
     FSequence,
     NonIntegralError,
     fibonacci,
@@ -42,6 +44,7 @@ from cobweb.sequences import (
     lucas,
     naturals,
     ones,
+    sequence_from_spec,
 )
 
 FIB = fibonacci()
@@ -314,18 +317,18 @@ class TestLayerSizes:
     the chain counters on the layered shape they give."""
 
     def test_level_sizes(self):
-        assert layer_sizes(4, NAT, 2) == [1, 3, 1]
-        assert layer_sizes(6, FIB, 3) == [1, 5, 6, 1]
+        assert layer_sizes(4, NAT) == [1, 3, 1]
+        assert layer_sizes(6, FIB) == [1, 5, 6, 1]
 
     def test_single_vertex(self):
-        diagram = layered(layer_sizes(1, FIB, 0))
+        diagram = layered(layer_sizes(1, FIB))
         assert len(diagram) == 1
         assert list(diagram.cover_edges()) == []
         assert count_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
         assert enumerate_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
 
     def test_complete_bipartite_between_consecutive_levels(self):
-        diagram = layered(layer_sizes(5, NAT, 2))  # levels 1, 4, 3
+        diagram = layered(layer_sizes(5, NAT))  # levels 1, 4, 3
         edges = list(diagram.cover_edges())
         assert len(edges) == 1 * 4 + 4 * 3
         for lower, upper in edges:
@@ -335,16 +338,16 @@ class TestLayerSizes:
         for seq in LAYERED_SEQS:
             for policy in POLICIES:
                 for n in range(1, 31):
-                    sizes = layer_sizes(n, seq, pnf_max_rank(n, policy))
+                    sizes = layer_sizes(n, seq)[: pnf_max_rank(n, policy) + 1]
                     assert sizes == pnf_whitney_vector(n, seq, policy)
 
     def test_policy_changes_top_level(self):
-        assert layer_sizes(4, NAT, pnf_max_rank(4, "include")) == [1, 3, 1]
-        assert layer_sizes(4, NAT, pnf_max_rank(4, "exclude")) == [1, 3]
+        assert layer_sizes(4, NAT)[: pnf_max_rank(4, "include") + 1] == [1, 3, 1]
+        assert layer_sizes(4, NAT)[: pnf_max_rank(4, "exclude") + 1] == [1, 3]
 
     def test_non_integral_level_names_the_entry(self):
         with pytest.raises(NonIntegralError) as raised:
-            layer_sizes(6, lucas(), 3)
+            layer_sizes(6, lucas())
         assert str(raised.value) == (
             "(4 choose 2)_F is not an integer for F = lucas: "
             "F_4! leaves remainder 3 after dividing by F_2! F_2! = 9"
@@ -353,17 +356,44 @@ class TestLayerSizes:
     def test_inadmissible_value_is_rejected(self):
         zero_at_3 = FSequence("zero-at-3", lambda i: 0 if i == 3 else 1)
         with pytest.raises(ValueError, match="F_3 = 0"):
-            layer_sizes(4, zero_at_3, 2)
+            layer_sizes(4, zero_at_3)
 
-    @pytest.mark.parametrize(
-        "n, seq, top",
-        [(4, ONES, 3), (5, NAT, 3), (4, NAT, -1)],
-        ids=["ones-above", "naturals-above", "negative"],
-    )
-    def test_layer_sizes_rejects_a_top_level_outside_the_poset(self, n, seq, top):
-        levels = rf"P\({n}, {seq.name}\) has levels 0\.\.{n // 2}, not 0\.\.{top}$"
-        with pytest.raises(ValueError, match=levels):
-            layer_sizes(n, seq, top)
+    def test_every_level_from_0_to_half_n(self):
+        assert [len(layer_sizes(n, ONES)) for n in range(7)] == [1, 1, 2, 2, 3, 3, 4]
+        assert layer_sizes(0, FIB) == [1]
+
+    @pytest.mark.parametrize("n", [-1, -2, -7])
+    def test_layer_sizes_rejects_a_negative_degree(self, n):
+        with pytest.raises(ValueError, match=rf"^poset degree must be >= 0, got {n}$"):
+            layer_sizes(n, NAT)
+
+
+class TestRecurrenceValues:
+    """``recurrence_values``: shipped sequences from their defining recurrences."""
+
+    def test_first_values(self):
+        assert recurrence_values("fib", range(1, 11)) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+        assert recurrence_values("lucas", range(1, 9)) == [1, 3, 4, 7, 11, 18, 29, 47]
+        assert recurrence_values("naturals", [5, 1, 3]) == [5, 1, 3]
+        assert recurrence_values("ones", [1, 2, 9]) == [1, 1, 1]
+        assert recurrence_values("gauss2", range(1, 6)) == [1, 3, 7, 15, 31]
+        assert recurrence_values("gauss3", [4, 4]) == [40, 40]
+        assert recurrence_values("fib", []) == []
+
+    @pytest.mark.parametrize("spec", [*GCD_MORPHIC_SPECS, "lucas", "gauss10"])
+    def test_equal_to_the_shipped_values_from_f_0(self, spec):
+        seq = sequence_from_spec(spec)
+        indices = [*range(301), 1024]
+        assert recurrence_values(spec, indices) == [seq.value_at(n) for n in indices]
+
+    @pytest.mark.parametrize("spec", ["catalan", "", "42"])
+    def test_an_unknown_name_is_rejected(self, spec):
+        with pytest.raises(KeyError):
+            recurrence_values(spec, [1])
+
+    def test_a_negative_index_is_rejected(self):
+        with pytest.raises(KeyError):
+            recurrence_values("fib", [3, -1])
 
 
 class TestFactorialRatios:
@@ -400,7 +430,7 @@ class TestChainEnumeration:
         assert enumerate_maximal_chains(build_grid_hasse(2, 3)) == ChainReport(2, 5, 5, True)
 
     def test_ordinal_sum_chains_are_level_products(self):
-        report = enumerate_maximal_chains(layered(layer_sizes(4, NAT, 2)))
+        report = enumerate_maximal_chains(layered(layer_sizes(4, NAT)))
         assert report == ChainReport(3, 3, 3, True)
 
     def test_gradedness_across_grid_family(self):
@@ -484,7 +514,7 @@ class TestChainEnumeration:
         "build, limit",
         [
             # level 2 of P(12, gauss2) alone
-            (lambda: layered(layer_sizes(12, gaussian(2), 2)), DEFAULT_MAX_CHAINS),
+            (lambda: layered(layer_sizes(12, gaussian(2))[:3]), DEFAULT_MAX_CHAINS),
             (lambda: layered((1, 1000, 1000)), 10_000),  # only a batch of level 1 is over
         ],
         ids=["gauss2-12", "batch-over"],
@@ -523,7 +553,7 @@ class TestChainEnumeration:
                         product *= size
                     if product > DEFAULT_MAX_CHAINS:
                         continue
-                    diagram = layered(layer_sizes(n, seq, pnf_max_rank(n, policy)))
+                    diagram = layered(layer_sizes(n, seq)[: pnf_max_rank(n, policy) + 1])
                     report = count_maximal_chains(diagram)
                     assert report == enumerate_maximal_chains(diagram)
                     assert report.chain_count == product
@@ -589,7 +619,7 @@ class TestChainEnumeration:
                 for size in pnf_whitney_vector(n, seq):
                     product *= size
                 report = enumerate_maximal_chains(
-                    layered(layer_sizes(n, seq, pnf_max_rank(n))), max_chains=product
+                    layered(layer_sizes(n, seq)), max_chains=product
                 )
                 assert report.chain_count == product
                 assert report.graded

@@ -1,6 +1,6 @@
 """The oracle must not reuse any closed form that ``verify`` checks against it,
-and ``verify`` must leave enumeration to the oracle and check closed forms,
-not one oracle method against another."""
+and ``verify`` must leave enumeration to the oracle, take every reference
+value from it, and check closed forms, not one oracle method against another."""
 
 import ast
 from pathlib import Path
@@ -57,6 +57,39 @@ def is_checked_closed_form(name: str) -> bool:
     return name in CHECKED_CLOSED_FORMS or name.startswith(CHECKED_PREFIXES)
 
 
+def is_library_call(call: ast.Call) -> bool:
+    """A call to a ``pnfposet.*`` or ``gridposet.*`` attribute or to a checked closed form."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id in ("pnfposet", "gridposet"):
+            return True
+        return is_checked_closed_form(func.attr)
+    return isinstance(func, ast.Name) and is_checked_closed_form(func.id)
+
+
+def library_calls_outside_compute_callables(tree: ast.AST) -> list[str]:
+    """``line N: callee`` for each library call in no lambda and no nested function.
+
+    A check's compute callable is a lambda or a function defined inside a
+    suite; everything else in a suite computes a reference value.
+    """
+    found = []
+
+    def walk(node: ast.AST, functions: int, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and not inside and is_library_call(child):
+                found.append(f"line {child.lineno}: {ast.unparse(child.func)}")
+            if isinstance(child, ast.Lambda):
+                walk(child, functions, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, functions + 1, inside or functions >= 1)
+            else:
+                walk(child, functions, inside)
+
+    walk(tree, 0, False)
+    return found
+
+
 def test_oracle_uses_no_checked_closed_form():
     names = referenced_names(module_tree(cobweb.oracle))
     assert "grid_elements" in names  # the walk does see the oracle's own imports
@@ -75,6 +108,12 @@ def test_guard_recognises_every_listed_form():
         "grid_leq", "grid_rank", "grid_elements", "pnf_max_rank", "seq_eval", "factorial_ratios"
     ):
         assert not is_checked_closed_form(name)
+
+
+def test_oracle_reads_sequence_values_only_through_seq_eval():
+    # the allowed imports keep out every factory; this keeps out their lambdas,
+    # so recurrence_values cannot read the shipped values it is a reference for
+    assert "value_at" not in referenced_names(module_tree(cobweb.oracle))
 
 
 def test_oracle_imports_only_allowed_package_names():
@@ -113,3 +152,27 @@ def test_verify_takes_every_f_binomial_reference_from_the_oracle():
     # the per-entry product is only ever under test, never a reference
     found = sorted(names & {"seq_eval", "f_factorial", "f_binomial"})
     assert found == [], f"verify.py computes F-binomial references itself: {found}"
+
+
+def test_verify_calls_the_library_only_inside_compute_callables():
+    found = library_calls_outside_compute_callables(module_tree(cobweb.verify))
+    assert "oracle" in referenced_names(module_tree(cobweb.verify))
+    assert found == [], f"verify.py takes reference values from the library: {found}"
+
+
+def test_compute_callable_guard_sees_every_call_outside_a_callable():
+    tree = ast.parse(
+        "def suite(seq):\n"
+        "    top = pnfposet.pnf_max_rank(3)\n"
+        "    expected = catalan(2)\n"
+        "    check(expected, lambda: gridposet.grid_size(1, 2))\n"
+        "    def compute():\n"
+        "        return f_binomial(seq, 4, 2) + gridposet.catalan(3)\n"
+        "    check(sizes.f_binomial_rows(seq, 4), compute)\n"
+        "    return oracle.layer_sizes(3, seq), pnfposet.POLICIES, seq_eval(seq, 1)\n"
+    )
+    assert library_calls_outside_compute_callables(tree) == [
+        "line 2: pnfposet.pnf_max_rank",
+        "line 3: catalan",
+        "line 7: sizes.f_binomial_rows",
+    ]

@@ -112,7 +112,7 @@ class TestSeqEval:
         [
             lambda seq: f_binomial(seq, 6, 3),
             lambda seq: pnf_bell(6, seq),
-            lambda seq: layer_sizes(6, seq, 3),
+            lambda seq: layer_sizes(6, seq),
         ],
         ids=["f_binomial", "pnf_bell", "layer_sizes"],
     )
@@ -510,7 +510,7 @@ class TestLucasSequences:
             rows[2 * m][m] for m in range(1, 13)
         ]
         for n in range(1, 25):
-            sizes = layer_sizes(n, seq, pnf_max_rank(n))
+            sizes = layer_sizes(n, seq)
             assert f_binomial_diagonal(seq, (n, 0), (-1, 1), len(sizes)) == sizes
             assert pnf_whitney_vector(n, seq) == sizes
 

@@ -12,7 +12,7 @@ import pytest
 
 from cobweb import cli, gridposet, oracle, pnfposet, sequences, verify
 from cobweb.gridposet import grid_leq
-from cobweb.sequences import NonIntegralError, gaussian, naturals
+from cobweb.sequences import FSequence, NonIntegralError, gaussian, naturals
 
 
 def broken_chain_count(k, n):
@@ -107,10 +107,10 @@ class TestSuites:
             "grid poset vs oracle": 432,
             "layered poset vs oracle": 212,
             "F-binomial algebra": 292,
-            "GCD-morphism gate": 6,
+            "GCD-morphism gate": 12,
         }
         total = sum(s.cases for s in suites.values())
-        assert total == 942
+        assert total == 948
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         documented = re.search(r"At `--max-n 12`[^.]*? (\d+) checks", readme)
         assert documented and int(documented[1]) == total
@@ -136,6 +136,7 @@ class TestSuites:
             "lucas per-level Whitney numbers = oracle census, or its first non-integral level": 40,
             "sequence is GCD-morphic up to the bound": 5,
             "lucas fails with first counterexample (2, 4)": 1,
+            "shipped values = defining recurrence": 6,
         })
         assert not any(s.failures for s in suites.values())
         assert not any(s.skipped for s in suites.values())
@@ -253,15 +254,14 @@ class TestFaultInjection:
         monkeypatch.setattr("cobweb.gridposet.grid_chain_count", raising)
         suite = verify.check_grid_chains(4)
         assert suite.cases == healthy.cases
+        # the near-diagonal check computes catalan, not the ballot form
         assert {f.identity for f in suite.failures} == {
             "chain-count closed form = DP count over cover edges",
-            "near-diagonal chain count = Catalan number",
         }
-        # 9 grid inputs 0 <= k < n <= 4, then the near-diagonal n = 1..4
-        assert len(suite.failures) == 9 + 4
+        assert len(suite.failures) == 9  # 0 <= k < n <= 4
         assert all(f.actual.startswith("raised ") for f in suite.failures)
         last = suite.failures[-1]
-        assert (last.inputs, last.expected) == ("n = 4", "5")
+        assert (last.inputs, last.expected) == ("(k, n) = (3, 4)", "5")
         assert last.actual == "raised ArithmeticError: no chain count at (3, 4)"
 
     def test_dp_count_mismatch_prints_both_fail_lines(self, monkeypatch, capsys):
@@ -281,7 +281,78 @@ class TestFaultInjection:
             "expected 2, got 1",
             "FAIL chain-count closed form = DP count over cover edges at (k, n) = (1, 2): "
             "expected 2, got 1",
+            # the Catalan line reads the DP count of (0, 1) and (1, 2)
+            "FAIL near-diagonal chain count = Catalan number at n = 1: expected 2, got 1",
+            "FAIL near-diagonal chain count = Catalan number at n = 2: expected 2, got 1",
         ]
+
+    def test_wrong_catalan_fails_against_the_dp_count(self, monkeypatch):
+        def catalan_over_i_plus_2(i):
+            return comb(2 * i, i) // (i + 2)
+
+        monkeypatch.setattr(gridposet, "catalan", catalan_over_i_plus_2)
+        suite = verify.check_grid_chains(6)
+        assert [(f.identity, f.inputs) for f in suite.failures] == [
+            ("near-diagonal chain count = Catalan number", f"n = {n}") for n in range(1, 7)
+        ]
+        for n, failure in enumerate(suite.failures, 1):
+            dp = oracle.count_maximal_chains(oracle.build_grid_hasse(n - 1, n))
+            assert failure.expected == str(dp.chain_count)
+            assert failure.actual == str(catalan_over_i_plus_2(n - 1))
+
+    def test_exclude_policy_one_level_short_fails_at_odd_n(self, monkeypatch):
+        max_rank = pnfposet.pnf_max_rank
+
+        def exclude_one_level_short(n, policy=pnfposet.DEFAULT_POLICY):
+            return max(0, n // 2 - 1) if policy == "exclude" else max_rank(n, policy)
+
+        monkeypatch.setattr(pnfposet, "pnf_max_rank", exclude_one_level_short)
+        failures = [f for suite in verify.run_verify(12) for f in suite.failures]
+        # the exclude total comes from the oracle's census, not from pnf_max_rank
+        assert [(f.identity, f.inputs, f.expected) for f in failures] == [
+            (
+                "including the degenerate level adds 1 for even n, 0 for odd",
+                f"(n, F) = ({n}, {name})",
+                "0",
+            )
+            for name in ("fibonacci", "naturals", "ones", "gauss(q=2)")
+            for n in (3, 5, 7, 9, 11)
+        ]
+
+    @pytest.mark.parametrize(
+        "patch, failing",
+        [
+            (
+                lambda mp: mp.setitem(
+                    sequences._FACTORIES, "ones", lambda: FSequence("ones", lambda n: 2)
+                ),
+                "ones",
+            ),
+            (
+                lambda mp: mp.setattr(
+                    sequences,
+                    "gaussian",
+                    lambda q: FSequence(
+                        f"gauss(q={q})", lambda n: (q**n - 1) // (q - 1) * (q - 1)
+                    ),
+                ),
+                "gauss(q=3)",  # for q = 2 the factor q - 1 is 1
+            ),
+        ],
+        ids=["ones-2", "gauss-times-q-1"],
+    )
+    def test_wrong_shipped_values_fail_their_recurrence(
+        self, monkeypatch, capsys, patch, failing
+    ):
+        # a constant factor leaves every F-binomial and gcd relation intact
+        patch(monkeypatch)
+        assert cli.main(["verify", "--max-n", "12"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+        assert len(fails) == 1
+        assert fails[0].startswith(
+            f"FAIL shipped values = defining recurrence at (F, n) = "
+            f"({failing}, 1..60, 511, 512, 1023, 1024): expected [1, "
+        )
 
     def test_failure_records_name_identity_and_values(self, monkeypatch):
         monkeypatch.setattr("cobweb.gridposet.grid_chain_count", broken_chain_count)
