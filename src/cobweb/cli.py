@@ -15,10 +15,16 @@ integers parsed from the command line keep the interpreter's default limit.
 The environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
 top-index scale guard for ``verify``.
 
-``_emit`` writes every csv and json document; only ``--format json`` loads
-``json``.  Only ``verify`` loads the oracle and the verify suites: the package
-registers both lazily, so their bodies run on the first attribute read, in
-``cmd_verify``.
+``_emit`` writes every document but verify's table one row at a time, and
+converts each cell to decimal as its row is written: it reads the rows of
+a nested document twice, first to raise any error before a byte is written
+and to size the table's columns, then to write.  So ``fbinom`` holds one
+row of the F-binomial triangle, never the whole triangle.  Only
+``--format json`` loads ``json``.  Only ``verify`` loads the oracle, the
+verify suites and ``verify_command`` (the scale guard and the report):
+``cmd_verify`` imports ``verify_command`` when it runs, and the package
+registers the other two lazily, so their bodies run on the first
+attribute read.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import argparse
 import os
 import sys
 
-from . import oracle, verify
 from .gridposet import grid_bell, grid_chain_count, grid_size, grid_whitney
 from .pnfposet import POLICIES, pnf_bell, pnf_bell_sequence, pnf_whitney_vector
 from .sequences import (
@@ -51,30 +56,40 @@ def _emit(
     labels: list[str] | None = None,
     **keys,
 ) -> None:
-    """Write a document row by row; ``values`` is [str] or [[str]], json adds keys."""
-    nested = bool(values) and isinstance(values[0], list)
-    rows = values if nested else [values]
+    """Write a document one row at a time; json adds ``keys`` after ``values``.
+
+    ``values`` is one row, or a function that returns a fresh iterator over
+    the rows of a nested document.  A cell is an int, or a str where it is
+    text (only in csv).  The rows are read twice: the first pass raises any
+    error of the rows before a byte is written and finds each table
+    column's width, the second converts each cell to decimal as its row is
+    written, so one row's digits are held at a time.
+    """
+    nested = callable(values)
+    rows = values if nested else lambda: [values]
+    widths = []  # a nested table's column maxima, then widths: no cell is negative
+    for row in rows():
+        if fmt == "table" and nested:
+            widths = [*map(max, widths, row), *widths[len(row) :], *row[len(widths) :]]
+    widths = [len(str(x)) for x in widths]
+    write = sys.stdout.write
     if fmt == "json":  # json.dumps(doc) + "\n", in pieces; keys follow values
         import json
 
-        write = sys.stdout.write
         write(json.dumps({"object": kind, "params": params, "values": None})[:-5])
-        for i, row in enumerate(rows):
-            write(", " if i else "[" * nested)
-            write(json.dumps(row))
+        for i, row in enumerate(rows()):  # decimal cells need no escaping
+            write(', ["' if i else "[" * nested + '["')
+            write('", "'.join(map(str, row)))
+            write('"]')
         write("]" * nested + ", " * bool(keys) + json.dumps(keys)[1:] + "\n")
     elif fmt == "csv":  # unquoted: no cell is empty or has a comma, quote or newline
-        sys.stdout.writelines(",".join(row) + "\n" for row in rows)
-    else:  # labels left-, cells right-justified
-        widths: dict[int, int] = {}
-        for row in rows:
-            for j, cell in enumerate(row):
-                widths[j] = max(widths.get(j, 0), len(cell))
-        for i, row in enumerate(rows):
-            cells = [cell.rjust(widths[j]) for j, cell in enumerate(row)]
-            if labels:
-                cells.insert(0, labels[i].ljust(max(map(len, labels))))
-            print(" ".join(cells).rstrip())
+        for row in rows():
+            write(",".join(map(str, row)) + "\n")
+    else:  # labels left-, cells right-justified; one row needs no padding
+        for i, row in enumerate(rows()):
+            label = [labels[i].ljust(max(map(len, labels)))] if labels else []
+            cells = map(str.rjust, map(str, row), widths) if nested else map(str, row)
+            write(" ".join([*label, *cells]).rstrip() + "\n")
 
 
 def _seq_params(args) -> dict[str, str]:
@@ -88,7 +103,7 @@ def cmd_seq(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seq = make_sequence(args.seq, args.q)
-    values = [str(seq_eval(seq, i)) for i in range(1, args.count + 1)]
+    values = [seq_eval(seq, i) for i in range(1, args.count + 1)]
     _emit("seq", _seq_params(args) | {"count": str(args.count)}, values, args.format)
     return 0
 
@@ -97,28 +112,28 @@ def cmd_fbinom(args) -> int:
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     seq = make_sequence(args.seq, args.q)
-    triangle = [[str(x) for x in row] for row in f_binomial_rows(seq, args.rows)]
-    _emit(
-        "fbinom", _seq_params(args) | {"rows": str(args.rows)}, triangle, args.format
-    )
+    params = _seq_params(args) | {"rows": str(args.rows)}
+    _emit("fbinom", params, lambda: f_binomial_rows(seq, args.rows), args.format)
     return 0
 
 
-# --show name -> the quantity's decimal cells; "all" shows every one, labeled
+# --show name -> the quantity's cells; "all" shows every one, labeled
 GRID_QUANTITIES = {
-    "size": lambda k, n: [str(grid_size(k, n))],
-    "whitney": lambda k, n: [str(w) for w in grid_whitney(k, n)],
-    "bell": lambda k, n: [str(grid_bell(k, n))],
-    "chains": lambda k, n: [str(grid_chain_count(k, n))],
+    "size": lambda k, n: [grid_size(k, n)],
+    "whitney": lambda k, n: grid_whitney(k, n),  # the name is looked up per call
+    "bell": lambda k, n: [grid_bell(k, n)],
+    "chains": lambda k, n: [grid_chain_count(k, n)],
 }
 
 
 # Largest k + n for every --show value but size.  whitney, bell and all
 # build the rank census, a list of k + n numbers (bell sums it): at the
-# limit --show whitney takes about 0.6 s and 64 MB of peak RSS, and cost
-# grows linearly beyond it (5.4 s and 610 MB at 3*10^6, a MemoryError at
-# 3*10^8).  chains computes and prints comb(n + k - 1, k), superlinear in
-# k + n: 0.5-0.9 s at k + n = 300000, 7.5 s at 10^6.  size is O(1).
+# limit --show whitney takes 0.3-0.45 s and 48-49 MB of peak RSS in every
+# format (the census, and each cell's decimal string while the row is
+# written), and cost grows linearly beyond it (2.8-3.8 s and 355-364 MB at
+# 3*10^6, a MemoryError at 3*10^8).  chains computes and prints
+# comb(n + k - 1, k), superlinear in k + n: 0.5-0.9 s at k + n = 300000,
+# 7.5 s at 10^6.  size is O(1).
 GRID_CENSUS_LIMIT = 300_000
 
 
@@ -133,7 +148,7 @@ def cmd_grid(args) -> int:
     if args.show == "all":
         labels = list(GRID_QUANTITIES)
         values = [GRID_QUANTITIES[name](args.k, args.n) for name in labels]
-        _emit("grid", params, values, args.format, labels)
+        _emit("grid", params, lambda: values, args.format, labels)
     else:
         _emit("grid", params, GRID_QUANTITIES[args.show](args.k, args.n), args.format)
     return 0
@@ -149,67 +164,17 @@ def cmd_pnf(args) -> int:
         "degenerate": args.degenerate,
     }
     if args.show == "whitney":
-        values = [str(w) for w in pnf_whitney_vector(args.n, seq, args.degenerate)]
+        values = pnf_whitney_vector(args.n, seq, args.degenerate)
     else:
-        values = [str(pnf_bell(args.n, seq, args.degenerate))]
+        values = [pnf_bell(args.n, seq, args.degenerate)]
     _emit("pnf", params, values, args.format)
     return 0
 
 
-def _scale_limit() -> int:
-    raw = os.environ.get("COBWEB_SCALE_LIMIT")
-    if raw is None:
-        return oracle.DEFAULT_MAX_INDEX
-    try:
-        return int(raw)
-    except ValueError:
-        message = f"COBWEB_SCALE_LIMIT must be an integer, got {raw!r}"
-        raise ValueError(message) from None
-
-
 def cmd_verify(args) -> int:
-    if args.max_n < 2:
-        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
-    limit = _scale_limit()
-    if args.max_n > limit:
-        raise ValueError(
-            f"--max-n {args.max_n} exceeds the scale guard {limit}; "
-            f"set COBWEB_SCALE_LIMIT to go further"
-        )
-    tokens = args.seq.split(",") if args.seq is not None else None
-    suites = verify.run_verify(args.max_n, tokens)
-    cases = sum(suite.cases for suite in suites)
-    failures = [failure for suite in suites for failure in suite.failures]
-    params = {
-        "max_n": str(args.max_n),
-        "seqs": ",".join(tokens if tokens else verify.DEFAULT_VERIFY_SEQS),
-    }
-    if args.format == "table":
-        for suite in suites:
-            line = f"{suite.name}: {suite.cases} checks, {len(suite.failures)} failed"
-            if suite.skipped:
-                line += f", {suite.skipped} skipped (scale guard)"
-            sys.stdout.write(f"{line} in {suite.seconds:.2f} s\n")
-        for failure in failures:
-            sys.stdout.write(
-                f"FAIL {failure.identity} at {failure.inputs}: "
-                f"expected {failure.expected}, got {failure.actual}\n"
-            )
-        sys.stdout.write(f"checks {cases}\nfailures {len(failures)}\n")
-        return 1 if failures else 0
-    totals = [str(cases), str(len(failures))]
-    # skipped stays the last field, where existing consumers read it
-    rows = [
-        [s.name, str(s.cases), str(len(s.failures)), f"{s.seconds:.3f}", str(s.skipped)]
-        for s in suites
-    ]
-    if args.format == "json":
-        fields = ("name", "cases", "failed", "seconds", "skipped")
-        keys = {"suites": [dict(zip(fields, row)) for row in rows]}
-        _emit("verify", params, totals, args.format, **keys)
-    else:  # csv: the totals row, then name,cases,failed,seconds,skipped per suite
-        _emit("verify", params, [totals, *rows], args.format)
-    return 1 if failures else 0
+    from .verify_command import run  # only verify compiles the report code
+
+    return run(args)
 
 
 def cmd_export(args) -> int:

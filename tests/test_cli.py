@@ -14,7 +14,7 @@ import pytest
 
 import cobweb
 from cobweb import verify
-from cobweb.cli import GRID_CENSUS_LIMIT, main
+from cobweb.cli import FORMATS, GRID_CENSUS_LIMIT, main
 from cobweb.sequences import f_binomial_rows, make_sequence
 
 SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
@@ -138,7 +138,7 @@ class TestFbinomCommand:
         assert "not an integer" in err
 
     def test_lucas_error_text_is_stable(self, capsys):
-        # the whole triangle is computed before its first row is written
+        # every row is computed once before the first row is written
         for fmt in ("table", "csv", "json"):
             code, out, err = run_cli(
                 ["fbinom", "--seq", "lucas", "--rows", "5", "--format", fmt], capsys
@@ -178,20 +178,30 @@ class TestFbinomCommand:
         doc = {"object": "fbinom", "params": params, "values": values}
         assert (code, out) == (0, json.dumps(doc) + "\n")
 
-    def test_peak_memory_is_about_one_copy_in_every_format(self, monkeypatch):
-        # table and json once held several copies of the document; csv never did
-        peaks = {}
+    def test_peak_memory_is_one_row_not_the_document_in_every_format(self, monkeypatch):
+        # table and json once held several copies of the document, and every
+        # format once held the whole triangle as text before its first write
+        argv = ["fbinom", "--seq", "fib", "--rows", "120", "--format"]
+        peaks, sizes = {}, {}
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
-            for fmt in ("csv", "table", "json"):
+            for fmt in FORMATS:  # first use (json's import) is not the document
+                main(argv + [fmt])
+            for fmt in FORMATS:
                 tracemalloc.start()
                 try:
-                    main(["fbinom", "--seq", "fib", "--rows", "120", "--format", fmt])
+                    main(argv + [fmt])
                     peaks[fmt] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
+            for fmt in FORMATS:
+                text = io.StringIO()
+                monkeypatch.setattr(sys, "stdout", text)
+                main(argv + [fmt])
+                sizes[fmt] = len(text.getvalue())
         assert peaks["table"] <= 1.1 * peaks["csv"]
         assert peaks["json"] <= 1.1 * peaks["csv"]
+        assert all(peaks[fmt] < sizes[fmt] / 4 for fmt in FORMATS), (peaks, sizes)
 
 
 class TestGridCommand:
@@ -647,6 +657,37 @@ class TestEntryPoints:
                 monkeypatch.setattr(sys, "stdout", stdout)
                 assert main(["seq", "--seq", "fib", "--count", "5"]) == 3
         assert open_fds() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fbinom", "--seq", "fib", "--rows", "6"],
+            ["grid", "--k", "2", "--n", "4", "--show", "all"],
+            ["verify", "--max-n", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_stdout_needs_only_write_and_flush(self, argv, capsys, monkeypatch):
+        class Sink:  # what a caller that counts bytes may install as sys.stdout
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        suites = verify.run_verify(4)  # the same suite seconds in every run
+        monkeypatch.setattr(verify, "run_verify", lambda max_n, tokens: suites)
+        for fmt in FORMATS:
+            code, expected, _ = run_cli(argv + ["--format", fmt], capsys)
+            sink = Sink()
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", sink)
+                assert main(argv + ["--format", fmt]) == code == 0
+            assert "".join(sink.parts) == expected
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
