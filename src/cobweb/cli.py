@@ -12,8 +12,6 @@ turns either into a usage error naming the cause, exit 2.
 Integers cross the output boundary as decimal strings at every magnitude:
 the subcommand runs with Python's int-to-str digit limit lifted, while
 integers parsed from the command line keep the interpreter's default limit.
-The environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
-top-index scale guard for ``verify``.
 
 ``_emit`` writes every document but verify's table one row at a time, and
 converts each cell to decimal as its row is written: it reads the rows of
@@ -21,7 +19,7 @@ a nested document twice, first to raise any error before a byte is written
 and to size the table's columns, then to write.  So ``fbinom`` holds one
 row of the F-binomial triangle, never the whole triangle.  Only
 ``--format json`` loads ``json``.  Only ``verify`` loads the oracle, the
-verify suites and ``verify_command`` (the scale guard and the report):
+verify suites and ``verify_command`` (the ``--max-n`` limit and the report):
 ``cmd_verify`` imports ``verify_command`` when it runs, and the package
 registers the other two lazily, so their bodies run on the first
 attribute read.

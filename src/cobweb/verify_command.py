@@ -1,43 +1,29 @@
-"""The ``verify`` subcommand: scale guard, suite run and report.
+"""The ``verify`` subcommand: the ``--max-n`` limit, the suite run and the report.
 
 ``cli.cmd_verify`` imports this module when it runs, so only ``verify``
-compiles the report code; the other subcommands start without it.  The
-environment variable ``COBWEB_SCALE_LIMIT`` overrides the oracle's
-top-index scale guard.  The table report is one line per suite, then a
-``FAIL`` line per failure and the totals; csv and json go through
-``cli._emit``.
+compiles the report code; the other subcommands start without it.
+``--max-n`` runs from 2 to ``VERIFY_MAX_N_LIMIT``, set from a 0.6 s budget
+for the whole process (README, "Scale guards").  The table report is one
+line per suite, then a ``FAIL`` line per failure and the totals; csv and
+json go through ``cli._emit``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
-from . import oracle, verify
+from . import verify
 from .cli import _emit
 
-
-def _scale_limit() -> int:
-    raw = os.environ.get("COBWEB_SCALE_LIMIT")
-    if raw is None:
-        return oracle.DEFAULT_MAX_INDEX
-    try:
-        return int(raw)
-    except ValueError:
-        message = f"COBWEB_SCALE_LIMIT must be an integer, got {raw!r}"
-        raise ValueError(message) from None
+VERIFY_MAX_N_LIMIT = 48
 
 
 def run(args) -> int:
-    """Check the scale guard, run the suites and write their report."""
+    """Check ``--max-n``, run the suites and write their report."""
     if args.max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
-    limit = _scale_limit()
-    if args.max_n > limit:
-        raise ValueError(
-            f"--max-n {args.max_n} exceeds the scale guard {limit}; "
-            f"set COBWEB_SCALE_LIMIT to go further"
-        )
+    if args.max_n > VERIFY_MAX_N_LIMIT:
+        raise ValueError(f"--max-n {args.max_n} exceeds the limit of {VERIFY_MAX_N_LIMIT}")
     tokens = args.seq.split(",") if args.seq is not None else None
     suites = verify.run_verify(args.max_n, tokens)
     cases = sum(suite.cases for suite in suites)

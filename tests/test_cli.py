@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cobweb
-from cobweb import verify
+from cobweb import verify, verify_command
 from cobweb.cli import FORMATS, GRID_CENSUS_LIMIT, main
 from cobweb.sequences import f_binomial_rows, make_sequence
 
@@ -395,19 +395,20 @@ class TestVerifyCommand:
             assert out == ""
             assert "unknown verify sequence ''" in err
 
-    def test_scale_limit_env_blocks_large_n(self, capsys, monkeypatch):
-        monkeypatch.setenv("COBWEB_SCALE_LIMIT", "8")
-        code, _, err = run_cli(["verify", "--max-n", "10"], capsys)
+    def test_max_n_over_the_limit_is_usage_error_naming_both_numbers(self, capsys):
+        limit = verify_command.VERIFY_MAX_N_LIMIT
+        code, out, err = run_cli(["verify", "--max-n", str(limit + 1)], capsys)
         assert code == 2
-        assert "COBWEB_SCALE_LIMIT" in err
-
-    def test_scale_limit_env_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("COBWEB_SCALE_LIMIT", "lots")
-        code, _, err = run_cli(["verify", "--max-n", "10"], capsys)
-        assert code == 2
+        assert out == ""
         assert err.splitlines()[-1] == (
-            "cobweb: error: COBWEB_SCALE_LIMIT must be an integer, got 'lots'"
+            f"cobweb: error: --max-n {limit + 1} exceeds the limit of {limit}"
         )
+
+    def test_scale_limit_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("COBWEB_SCALE_LIMIT", "8")
+        code, out, _ = run_cli(["verify", "--max-n", "10"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "failures 0"
 
 
 class TestExportCommand:

@@ -64,6 +64,7 @@ def corpus():
     for fmt in FORMATS:
         argvs.append(["verify", "--max-n", "6", "--format", fmt])
     argvs.append(["verify", "--max-n", "2", "--seq", "gauss3,ones"])
+    argvs.append(["verify", "--max-n", "40"])
     for what, seq, count in product(("bell", "fbinom-diagonal"), SEQS, ("1", "2", "10")):
         argvs.append(["export", "--what", what, *seq, "--count", count, "--bfile", "{bfile}"])
     argvs += [  # answers over 4300 digits
@@ -83,7 +84,7 @@ def corpus():
         ["grid", "--k", "5", "--n", "3"],
         ["grid", "--k", "200000", "--n", "200000", "--show", "whitney"],
         ["verify", "--max-n", "1"],
-        ["verify", "--max-n", "40"],
+        ["verify", "--max-n", "49"],
         ["verify", "--max-n", "4", "--seq", "lucas"],
         ["verify", "--max-n", "4", "--seq", "fib,fib"],
         ["export", "--what", "bell", "--seq", "fib", "--count", "0", "--bfile", "{bfile}"],

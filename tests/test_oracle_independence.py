@@ -1,6 +1,8 @@
 """The oracle must not reuse any closed form that ``verify`` checks against it,
 and ``verify`` must leave enumeration to the oracle, take every reference
-value from it, and check closed forms, not one oracle method against another."""
+value from it, and check closed forms, not one oracle method against another.
+No module of the package reads the environment, so no hidden knob sets what
+a command computes."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import cobweb.oracle
 import cobweb.verify
 
+ENVIRONMENT_READS = ("environ", "environb", "getenv")
 CHECKED_CLOSED_FORMS = ("grid_size", "grid_whitney", "grid_bell", "grid_chain_count", "catalan")
 CHECKED_PREFIXES = ("pnf_whitney", "pnf_bell", "f_binomial")
 
@@ -51,6 +54,18 @@ def package_imports(tree: ast.AST) -> dict[str, set[str]]:
             module = (node.module or "").rpartition(".")[2]
             imports.setdefault(module, set()).update(alias.name for alias in node.names)
     return imports
+
+
+def environment_reads(tree: ast.AST) -> list[str]:
+    """``line N: name`` for each read of the environment through ``os``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ENVIRONMENT_READS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def is_checked_closed_form(name: str) -> bool:
@@ -136,6 +151,35 @@ def test_package_imports_sees_every_import_form():
         "sequences": {"seq_eval"},
         "gridposet": {"grid_rank"},
     }
+
+
+def test_no_package_module_reads_the_environment():
+    package = Path(cobweb.oracle.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "verify_command.py" in modules  # the glob does see the package
+    found = {
+        path.name: reads
+        for path in modules
+        if (reads := environment_reads(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}, f"package modules read the environment: {found}"
+
+
+def test_environment_guard_sees_every_read():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv as env\n"
+        "limit = os.environ.get('LIMIT')\n"
+        "raw = os.environb[b'RAW']\n"
+        "seed = os.getenv('SEED')\n"
+        "path = os.path.join(os.sep, 'x')\n"
+    )
+    assert environment_reads(tree) == [
+        "line 2: getenv",
+        "line 3: environ",
+        "line 4: environb",
+        "line 5: getenv",
+    ]
 
 
 def test_verify_enumerates_no_grid():
