@@ -22,6 +22,7 @@ import sys
 import tempfile
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import cobweb
 from cobweb.cli import main
@@ -38,6 +39,7 @@ SEQS = (
 )
 FORMATS = ("table", "csv", "json")
 CHILD_PREFIXES = (("python", "-m", "cobweb"), ("python", "-O", "-m", "cobweb"))
+COMMANDS = ("seq", "fbinom", "grid", "pnf", "verify", "export")
 
 
 def corpus():
@@ -91,6 +93,16 @@ def corpus():
         ["export", "--what", "bell", "--seq", "fib", "--count", "3",
          "--bfile", "/nonexistent-cobweb-dir/b"],
     ]
+    argvs += [["-h"], ["--help"], *([command, "-h"] for command in COMMANDS)]
+    argvs += [  # argv shapes: an unknown command, options around the command
+        ["bogus"],
+        ["--", "seq", "--seq", "fib", "--count", "3"],
+        ["--format", "json", "seq", "--seq", "fib", "--count", "3"],
+        ["-5", "grid", "--k", "2", "--n", "5"],
+        ["seq", "--seq", "fib", "--cou", "3"],
+        ["seq", "--seq=fib", "--count=3"],
+        ["grid", "--k", "2", "--n", "5", "seq"],
+    ]
     argvs += [
         [*prefix, "fbinom", "--seq", "lucas", "--rows", "5"] for prefix in CHILD_PREFIXES
     ]
@@ -121,7 +133,8 @@ def run(argv, bfile):
 def digests():
     """{" ".join(argv): SHA-256 of what the command printed and wrote}."""
     result = {}
-    with tempfile.TemporaryDirectory() as scratch:
+    # argparse wraps help and usage at the terminal width, read from COLUMNS
+    with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as scratch:
         bfile = os.path.join(scratch, "b.txt")
         for argv in corpus():
             code, out, err = run(argv, bfile)
