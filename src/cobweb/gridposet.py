@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from math import comb
 
-from .sequences import NonIntegralError
-
 
 def _check_bounds(k: int, n: int) -> None:
     if not 0 <= k < n:
@@ -81,6 +79,8 @@ def grid_chain_count(k: int, n: int) -> int:
     count, remainder = divmod((n - k) * comb(n + k - 1, k), n)
     if remainder:
         # ballot numbers are integers; a remainder would mean the formula is wrong
+        from .sequences import NonIntegralError  # here only: `cobweb grid` skips sequences
+
         raise NonIntegralError(
             f"chains(k, n) at (k, n) = ({k}, {n}) is not an integer: "
             f"the ballot form leaves remainder {remainder} after dividing by n = {n}"

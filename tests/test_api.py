@@ -1,6 +1,7 @@
 """The package namespace: ``__all__`` is exactly what a star import binds,
-a subcommand other than ``verify`` starts without the oracle or the
-verify command's module, and no command loads ``dataclasses``."""
+each subcommand runs only its own layer modules (a subcommand other than
+``verify`` starts without the oracle or the verify command's module), and
+no command loads ``dataclasses``."""
 
 import copy
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import cobweb
+import layer_check
 
 ORACLE_NAMES = {
     "ChainReport",
@@ -112,6 +114,11 @@ def test_non_verify_subcommands_do_not_load_the_oracle(tmp_path):
         "verify": 0,
         "loaded_by_verify": ["cobweb.oracle", "cobweb.verify", "cobweb.verify_command"],
     }
+
+
+@pytest.mark.parametrize("argv", layer_check.EXPECTED)
+def test_each_subcommand_runs_only_its_layers(argv):
+    assert layer_check.layers_run(argv) == (0, layer_check.EXPECTED[argv])
 
 
 @pytest.mark.parametrize(

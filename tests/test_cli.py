@@ -228,6 +228,26 @@ class TestGridCommand:
         assert lines["bell"].strip() == "6"
         assert lines["chains"].strip() == "2"
 
+    def test_main_calls_the_module_bindings_at_call_time(self, capsys, monkeypatch):
+        # the benchmark's tracer wraps functions by rebinding them in their modules
+        from cobweb import cli, gridposet
+
+        calls = []
+
+        def wrap(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        wrap(cli, "cmd_grid")
+        wrap(gridposet, "grid_whitney")
+        code, out, _ = run_cli(["grid", "--k", "2", "--n", "5", "--show", "whitney"], capsys)
+        assert (code, out, calls) == (0, "1 1 2 2 3 2 1\n", ["cmd_grid", "grid_whitney"])
+
     def test_invalid_bounds_is_usage_error(self, capsys):
         code, _, err = run_cli(["grid", "--k", "3", "--n", "2", "--show", "size"], capsys)
         assert code == 2
