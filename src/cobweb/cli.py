@@ -31,9 +31,10 @@ layer after ``argparse`` left a larger heap behind, so ``fbinom --seq
 naturals --rows 124`` peaked at 14.61 MB of RSS against 14.34 MB with its
 layer compiled first (medians of 9, no bytecode cache).  Where that
 argument is not the command argparse parses (``-5 grid``), argparse
-rejects the argv at the command, before any option counts.  ``main`` reads each handler, and handlers each layer function,
-through its module binding when called, so a rebinding (a test's, or the
-benchmark's tracing wrappers) takes effect.
+rejects the argv at the command, before any option counts.  ``main``
+reads each handler, and each handler its layer functions, through their
+module bindings when called, so a rebinding (a test's, or the benchmark's
+tracing wrappers) takes effect.
 """
 
 from __future__ import annotations
@@ -265,8 +266,7 @@ SUBCOMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    _, layers, options = SUBCOMMANDS.get(command, (None, (), list))
-    for module in layers:
+    for module in SUBCOMMANDS[command][1] if command in SUBCOMMANDS else ():
         module.__name__  # the first attribute read runs a lazily registered body
     import argparse  # after the layers: see the module docstring
 
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact layer combinatorics of cobweb posets.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (about, _, _) in SUBCOMMANDS.items():
+    for name, (about, _, options) in SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=about)
         if name == command:
             for flag, keywords in options():
