@@ -294,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 3
-    except (ValueError, sequences.NonIntegralError) as exc:  # grid's errors load sequences
+    except ValueError as exc:  # its own clause: a grid usage error never loads sequences
+        parser.error(str(exc))
+    except sequences.NonIntegralError as exc:
         parser.error(str(exc))
     finally:
         sys.set_int_max_str_digits(digit_limit)

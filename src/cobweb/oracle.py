@@ -71,21 +71,13 @@ class HasseDiagram(_Record):
     ``vertices`` is a sized collection of opaque labels in lexicographic
     order (a list for grid diagrams).  ``rank_of`` is total on them and
     strictly increases along every cover edge; ``successors(v)`` lists the
-    upper covers of ``v`` in lexicographic order.
+    upper covers of ``v`` in lexicographic order; ``minimal_vertices`` is
+    a tuple of the minimal ones.
     """
 
     __slots__ = ("vertices", "rank_of", "successors", "minimal_vertices")
     __eq__ = object.__eq__  # two diagrams are equal only if they are one
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        vertices: Collection[Vertex],
-        rank_of: Callable[[Vertex], int],
-        successors: Callable[[Vertex], Sequence[Vertex]],
-        minimal_vertices: tuple[Vertex, ...],
-    ) -> None:
-        super().__init__(vertices, rank_of, successors, minimal_vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -98,18 +90,11 @@ class HasseDiagram(_Record):
 
 
 class ChainReport(_Record):
-    """Exhaustive maximal-chain statistics of one diagram."""
+    """Exhaustive maximal-chain statistics of one diagram: ``min_length`` and
+    ``max_length`` count the elements of its shortest and longest maximal
+    chains, and ``graded`` is true when all are equally long."""
 
     __slots__ = ("chain_count", "min_length", "max_length", "graded")
-
-    def __init__(
-        self,
-        chain_count: int,
-        min_length: int,  # elements in the shortest maximal chain
-        max_length: int,
-        graded: bool,  # all maximal chains equally long
-    ) -> None:
-        super().__init__(chain_count, min_length, max_length, graded)
 
 
 def _bits(mask: int) -> Iterator[int]:

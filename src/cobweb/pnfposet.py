@@ -48,7 +48,8 @@ def pnf_max_rank(n: int, policy: str = DEFAULT_POLICY) -> int:
 
 def pnf_whitney(n: int, k: int, seq: FSequence, policy: str = DEFAULT_POLICY) -> int:
     """Number of elements at rank k: (n-k choose k)_F, or 0 beyond the top level."""
-    if k < 0 or k > pnf_max_rank(n, policy):
+    top = pnf_max_rank(n, policy)  # first, so n and policy are checked for every k
+    if not 0 <= k <= top:
         return 0
     return f_binomial(seq, n - k, k)
 

@@ -45,7 +45,7 @@ call), safe to call from multiple threads, deterministic for equal inputs.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class AdmissibilityError(ValueError):
@@ -57,23 +57,37 @@ class NonIntegralError(ArithmeticError):
 
 
 class _Record:
-    """Immutable fields in ``__slots__`` order, compared, hashed and shown as a tuple.
+    """Immutable fields, compared, hashed and shown as a tuple.
 
     Behaves as a frozen dataclass without importing ``dataclasses`` (which
-    loads ``inspect`` and ``ast`` on every start of the CLI): ``==`` holds
-    only between instances of the same class with equal fields, assignment
-    and deletion raise ``AttributeError``, and ``copy`` rebuilds through the
+    loads ``inspect`` and ``ast`` on every start of the CLI).  A record's
+    fields are its parent record's, then the names in its own
+    ``__slots__``; a subclass that declares ``__slots__ = ()`` keeps its
+    parent's.  The constructor binds positional values, then keywords, to
+    the fields in that order, and raises ``TypeError`` unless each field is
+    given exactly once.  ``==`` holds only between instances of the same
+    class with equal fields, assignment and deletion raise
+    ``AttributeError``, and ``copy`` and ``pickle`` rebuild through the
     constructor.
     """
 
     __slots__ = ()
+    _field_names = ()  # set per subclass by __init_subclass__
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._field_names += tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._field_names
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes each of {names} once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -84,7 +98,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -98,31 +112,20 @@ class _Record:
 
 
 class FSequence(_Record):
-    """A named integer sequence n -> F_n supplied by a total callable."""
+    """A sequence ``name`` with F_n = ``value_at(n)``, a total callable."""
 
     __slots__ = ("name", "value_at")
-
-    def __init__(self, name: str, value_at: Callable[[int], int]) -> None:
-        super().__init__(name, value_at)
 
     def __repr__(self) -> str:
         return f"FSequence({self.name!r})"
 
 
 class GcdCounterexample(_Record):
-    """Witness that gcd(F_n, F_m) != F_{gcd(n, m)}."""
+    """Witness that gcd(F_n, F_m) != F_{gcd(n, m)}: ``index_gcd`` is
+    gcd(n, m), ``value_gcd`` gcd(F_n, F_m) and ``value_at_index_gcd``
+    F_{gcd(n, m)}."""
 
     __slots__ = ("n", "m", "index_gcd", "value_gcd", "value_at_index_gcd")
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        index_gcd: int,  # gcd(n, m)
-        value_gcd: int,  # gcd(F_n, F_m)
-        value_at_index_gcd: int,  # F_{gcd(n, m)}
-    ) -> None:
-        super().__init__(n, m, index_gcd, value_gcd, value_at_index_gcd)
 
 
 class GcdMorphicReport(_Record):

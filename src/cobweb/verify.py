@@ -77,9 +77,6 @@ class _Raised(str):
 class CheckFailure(_Record):
     __slots__ = ("identity", "inputs", "expected", "actual")
 
-    def __init__(self, identity: str, inputs: str, expected: str, actual: str) -> None:
-        super().__init__(identity, inputs, expected, actual)
-
 
 class SuiteResult:
     __slots__ = ("name", "cases", "skipped", "failures", "seconds")

@@ -6,8 +6,8 @@ body runs.  Needs no test runner and runs the package in ``src`` next to it:
 
     python tests/layer_check.py
 
-prints the layers each command ran and exits 1 if any differ from
-``EXPECTED``.
+prints the exit code and the layers of each command, and exits 1 if any
+differ from ``EXPECTED``.
 """
 
 import json
@@ -19,19 +19,23 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 LAYERS = ("sequences", "pnfposet", "gridposet", "oracle", "verify", "verify_command")
-EXPECTED = {  # argv -> the layers that argv runs
-    "grid --k 2 --n 5": ["gridposet"],
-    "seq --seq fib --count 5": ["sequences"],
-    "fbinom --seq gauss --q 2 --rows 3": ["sequences"],
-    "pnf --seq naturals --n 6 --show whitney": ["sequences", "pnfposet"],
-    "export --what bell --seq fib --count 5 --bfile {bfile}": ["sequences", "pnfposet"],
-    "verify --max-n 4": list(LAYERS),
+EXPECTED = {  # argv -> (its exit code, the layers it runs)
+    "grid --k 2 --n 5": (0, ["gridposet"]),
+    "grid --k 5 --n 3": (2, ["gridposet"]),  # a usage error
+    "seq --seq fib --count 5": (0, ["sequences"]),
+    "fbinom --seq gauss --q 2 --rows 3": (0, ["sequences"]),
+    "pnf --seq naturals --n 6 --show whitney": (0, ["sequences", "pnfposet"]),
+    "export --what bell --seq fib --count 5 --bfile {bfile}": (0, ["sequences", "pnfposet"]),
+    "verify --max-n 4": (0, list(LAYERS)),
 }
 CHILD = f"""
 import json, sys, types
 from cobweb.cli import main
 
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # argparse's usage error
+    code = exc.code
 ran = [name for name in {LAYERS!r} if type(sys.modules.get("cobweb." + name)) is types.ModuleType]
 print(json.dumps([code, ran]))
 """
@@ -58,7 +62,7 @@ def main() -> int:
     wrong = 0
     for argv, expected in EXPECTED.items():
         code, ran = layers_run(argv)
-        wrong += (code, ran) != (0, expected)
+        wrong += (code, ran) != expected
         print(f"{argv}: exit {code}, ran {', '.join(ran)}")
     return 1 if wrong else 0
 

@@ -118,7 +118,7 @@ def test_non_verify_subcommands_do_not_load_the_oracle(tmp_path):
 
 @pytest.mark.parametrize("argv", layer_check.EXPECTED)
 def test_each_subcommand_runs_only_its_layers(argv):
-    assert layer_check.layers_run(argv) == (0, layer_check.EXPECTED[argv])
+    assert layer_check.layers_run(argv) == layer_check.EXPECTED[argv]
 
 
 @pytest.mark.parametrize(
@@ -146,6 +146,42 @@ def test_value_types_behave_as_frozen_dataclasses(value, text):
         setattr(value, type(value).__slots__[0], fields[0])
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and type(clone) is type(value)
+
+
+def test_records_build_from_keywords():
+    assert cobweb.ChainReport(
+        graded=True, max_length=5, min_length=5, chain_count=2
+    ) == cobweb.ChainReport(2, 5, 5, True)
+    assert cobweb.verify.CheckFailure(
+        "law", "(k, n) = (1, 2)", actual="2", expected="1"
+    ) == cobweb.verify.CheckFailure("law", "(k, n) = (1, 2)", "1", "2")
+    diagram = cobweb.build_grid_hasse(1, 2)
+    fields = {name: getattr(diagram, name) for name in cobweb.HasseDiagram.__slots__}
+    twin = cobweb.HasseDiagram(**fields)
+    assert {name: getattr(twin, name) for name in fields} == fields
+    assert list(twin.cover_edges()) == list(diagram.cover_edges())
+
+
+@pytest.mark.parametrize(
+    "record, values",
+    [
+        (cobweb.ChainReport, (2, 5, 5, True)),
+        (cobweb.verify.CheckFailure, ("law", "(k, n) = (1, 2)", "1", "2")),
+        (cobweb.HasseDiagram, ([(0, 0)], len, list, ((0, 0),))),
+    ],
+    ids=["ChainReport", "CheckFailure", "HasseDiagram"],
+)
+def test_records_take_each_field_once(record, values):
+    names = record.__slots__
+    message = rf"{record.__name__} takes each of \({', '.join(map(repr, names))}\) once"
+    for args, kwargs in [
+        (values[:-1], {}),  # the last field missing
+        (values, {"extra": 0}),  # an unknown keyword
+        (values, {names[0]: values[0]}),  # a field by position and by keyword
+        (values + (0,), {}),  # one value too many
+    ]:
+        with pytest.raises(TypeError, match=message):
+            record(*args, **kwargs)
 
 
 def test_hasse_diagrams_are_equal_only_to_themselves():

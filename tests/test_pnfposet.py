@@ -75,6 +75,13 @@ class TestWhitney:
         assert pnf_whitney(4, 2, NAT, "exclude") == 0
         assert pnf_whitney(4, 2, NAT, "include") == 1
 
+    @pytest.mark.parametrize("k", [-1, 0, 9])
+    def test_inputs_are_checked_at_every_rank(self, k):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            pnf_whitney(-5, k, FIB)
+        with pytest.raises(ValueError, match="nonsense"):
+            pnf_whitney(5, k, FIB, "nonsense")
+
 
 class TestBell:
     def test_examples(self):

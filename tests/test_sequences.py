@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -565,6 +566,18 @@ def _identity(n):
     return n
 
 
+class Renamed(GcdMorphicReport):
+    """A record subclass that adds no field; at module level, so it pickles."""
+
+    __slots__ = ()
+
+
+class Located(GcdCounterexample):
+    """A record subclass that appends one field to its parent's."""
+
+    __slots__ = ("label",)
+
+
 class TestRecordClasses:
     """FSequence and the GCD reports behave as the frozen dataclasses they were."""
 
@@ -591,9 +604,6 @@ class TestRecordClasses:
         assert len({GcdMorphicReport(5, True), GcdMorphicReport(5, True, None)}) == 1
 
     def test_equality_is_class_exact(self):
-        class Renamed(GcdMorphicReport):
-            __slots__ = ()
-
         report = GcdMorphicReport(60, True)
         assert report != Renamed(60, True)
         assert report != (60, True, None)
@@ -635,8 +645,37 @@ class TestRecordClasses:
         assert report == GcdMorphicReport(60, True, None)
         with pytest.raises(TypeError):
             GcdMorphicReport(60)
-        with pytest.raises(TypeError):
+        fields = r"\('name', 'value_at'\)"
+        with pytest.raises(TypeError, match=f"FSequence takes each of {fields} once"):
             FSequence("id", _identity, "extra")
+        with pytest.raises(TypeError, match=f"FSequence takes each of {fields} once"):
+            FSequence("id", value=_identity)
+        with pytest.raises(TypeError, match="GcdCounterexample takes each of"):
+            GcdCounterexample(2, 4, 2, 1, 3, n=2)
+
+    def test_a_subclass_without_slots_keeps_its_parents_fields(self):
+        renamed = Renamed(60, True)
+        assert repr(renamed) == "Renamed(checked_bound=60, holds=True, counterexample=None)"
+        assert renamed == Renamed(checked_bound=60, holds=True)
+        assert renamed != Renamed(61, True) and renamed != Renamed(60, False)
+        assert hash(renamed) == hash(Renamed(60, True))
+        for clone in (
+            copy.copy(renamed),
+            copy.deepcopy(renamed),
+            pickle.loads(pickle.dumps(renamed)),
+        ):
+            assert clone == renamed and type(clone) is Renamed
+
+    def test_a_subclass_appends_its_own_fields(self):
+        located = Located(2, 4, 2, 1, 3, label="lucas")
+        assert located.label == "lucas" and located.value_at_index_gcd == 3
+        assert repr(located) == (
+            "Located(n=2, m=4, index_gcd=2, value_gcd=1, value_at_index_gcd=3, label='lucas')"
+        )
+        assert located != Located(2, 4, 2, 1, 3, "lucas-2")
+        assert pickle.loads(pickle.dumps(located)) == located
+        with pytest.raises(TypeError, match="Located takes each of"):
+            Located(2, 4, 2, 1, 3)
 
     @pytest.mark.parametrize("record", RECORDS, ids=repr)
     def test_copy(self, record):
