@@ -52,7 +52,8 @@ from itertools import chain, islice
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .gridposet import grid_elements, grid_rank
-from .sequences import FSequence, NonIntegralError, _Record, seq_eval
+from . import _Record
+from .sequences import FSequence, NonIntegralError, seq_eval
 
 Vertex = tuple[int, int]
 

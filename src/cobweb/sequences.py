@@ -47,6 +47,8 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import Iterator, Optional
 
+from . import _Record
+
 
 class AdmissibilityError(ValueError):
     """A queried sequence value is not an int, or is below 1 at an index n >= 1."""
@@ -54,61 +56,6 @@ class AdmissibilityError(ValueError):
 
 class NonIntegralError(ArithmeticError):
     """An F-binomial division left a remainder (non-admissible sequence)."""
-
-
-class _Record:
-    """Immutable fields, compared, hashed and shown as a tuple.
-
-    Behaves as a frozen dataclass without importing ``dataclasses`` (which
-    loads ``inspect`` and ``ast`` on every start of the CLI).  A record's
-    fields are its parent record's, then the names in its own
-    ``__slots__``; a subclass that declares ``__slots__ = ()`` keeps its
-    parent's.  The constructor binds positional values, then keywords, to
-    the fields in that order, and raises ``TypeError`` unless each field is
-    given exactly once.  ``==`` holds only between instances of the same
-    class with equal fields, assignment and deletion raise
-    ``AttributeError``, and ``copy`` and ``pickle`` rebuild through the
-    constructor.
-    """
-
-    __slots__ = ()
-    _field_names = ()  # set per subclass by __init_subclass__
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._field_names += tuple(cls.__dict__.get("__slots__", ()))
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self._field_names
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__qualname__} takes each of {names} once")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._field_names)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class FSequence(_Record):

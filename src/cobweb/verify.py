@@ -39,12 +39,11 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Optional
 
-from . import gridposet, oracle, pnfposet
+from . import _Record, gridposet, oracle, pnfposet
 from .sequences import (
     GCD_MORPHIC_SPECS,
     FSequence,
     NonIntegralError,
-    _Record,
     f_binomial_diagonal,
     f_binomial_rows,
     gcd_morphic_check,
