@@ -51,8 +51,8 @@ from collections import Counter
 from itertools import chain, islice
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .gridposet import grid_elements, grid_rank
 from . import _Record
+from .gridposet import grid_elements, grid_rank
 from .sequences import FSequence, NonIntegralError, seq_eval
 
 Vertex = tuple[int, int]
