@@ -18,7 +18,10 @@ converts each cell to decimal as its row is written: it reads the rows of
 a nested document twice, first to raise any error before a byte is written
 and to size the table's columns, then to write.  So ``fbinom`` holds one
 row of the F-binomial triangle, never the whole triangle.  Only
-``--format json`` loads ``json``.
+``--format json`` loads ``json``.  A document takes its object and format
+from the parsed command, and its json ``params`` from the parsed options,
+so re-running them reproduces the bytes; only ``verify`` passes its own
+``params``, which name the sequences it ran.
 
 Each command runs only its own layer modules, which the package registers
 lazily: ``grid`` runs ``gridposet``; ``seq`` and ``fbinom`` ``sequences``;
@@ -47,23 +50,19 @@ from . import gridposet, oracle, pnfposet, sequences, verify
 FORMATS = ("table", "csv", "json")
 
 
-def _emit(
-    kind: str,
-    params: dict[str, str],
-    values,
-    fmt: str,
-    labels: list[str] | None = None,
-    **keys,
-) -> None:
-    """Write a document one row at a time; json adds ``keys`` after ``values``.
+def _emit(args, values, labels=None, params=None, **keys) -> None:
+    """Write ``args.command``'s document in ``args.format``, one row at a time.
 
     ``values`` is one row, or a function that returns a fresh iterator over
     the rows of a nested document.  A cell is an int, or a str where it is
-    text (only in csv).  The rows are read twice: the first pass raises any
-    error of the rows before a byte is written and finds each table
-    column's width, the second converts each cell to decimal as its row is
-    written, so one row's digits are held at a time.
+    text (only in csv).  json adds ``keys`` after ``values``; its ``params``
+    default to the parsed options, in declared order, without ``command``,
+    ``format`` and the unset ones.  The rows are read twice: the first pass
+    raises any error of the rows before a byte is written and finds each
+    table column's width, the second converts each cell to decimal as its
+    row is written, so one row's digits are held at a time.
     """
+    fmt = args.format
     nested = callable(values)
     rows = values if nested else lambda: [values]
     widths = []  # a nested table's column maxima, then widths: no cell is negative
@@ -75,7 +74,13 @@ def _emit(
     if fmt == "json":  # json.dumps(doc) + "\n", in pieces; keys follow values
         import json
 
-        write(json.dumps({"object": kind, "params": params, "values": None})[:-5])
+        if params is None:  # argparse sets every default first, so argv order is moot
+            params = {
+                dest: str(v)
+                for dest, v in vars(args).items()
+                if dest not in ("command", "format") and v is not None
+            }
+        write(json.dumps({"object": args.command, "params": params, "values": None})[:-5])
         for i, row in enumerate(rows()):  # decimal cells need no escaping
             write(', ["' if i else "[" * nested + '["')
             write('", "'.join(map(str, row)))
@@ -91,19 +96,12 @@ def _emit(
             write(" ".join([*label, *cells]).rstrip() + "\n")
 
 
-def _seq_params(args) -> dict[str, str]:
-    params = {"seq": args.seq}
-    if args.q is not None:
-        params["q"] = str(args.q)
-    return params
-
-
 def cmd_seq(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seq = sequences.make_sequence(args.seq, args.q)
     values = [sequences.seq_eval(seq, i) for i in range(1, args.count + 1)]
-    _emit("seq", _seq_params(args) | {"count": str(args.count)}, values, args.format)
+    _emit(args, values)
     return 0
 
 
@@ -111,8 +109,7 @@ def cmd_fbinom(args) -> int:
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     seq = sequences.make_sequence(args.seq, args.q)
-    params = _seq_params(args) | {"rows": str(args.rows)}
-    _emit("fbinom", params, lambda: sequences.f_binomial_rows(seq, args.rows), args.format)
+    _emit(args, lambda: sequences.f_binomial_rows(seq, args.rows))
     return 0
 
 
@@ -143,13 +140,12 @@ def cmd_grid(args) -> int:
             f"--show {args.show} takes k + n = {args.k + args.n}, over the limit "
             f"of {GRID_CENSUS_LIMIT}; only --show size has no limit"
         )
-    params = {"k": str(args.k), "n": str(args.n), "show": args.show}
     if args.show == "all":
         labels = list(GRID_QUANTITIES)
         values = [GRID_QUANTITIES[name](args.k, args.n) for name in labels]
-        _emit("grid", params, lambda: values, args.format, labels)
+        _emit(args, lambda: values, labels)
     else:
-        _emit("grid", params, GRID_QUANTITIES[args.show](args.k, args.n), args.format)
+        _emit(args, GRID_QUANTITIES[args.show](args.k, args.n))
     return 0
 
 
@@ -157,16 +153,11 @@ def cmd_pnf(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     seq = sequences.make_sequence(args.seq, args.q)
-    params = _seq_params(args) | {
-        "n": str(args.n),
-        "show": args.show,
-        "degenerate": args.degenerate,
-    }
     if args.show == "whitney":
         values = pnfposet.pnf_whitney_vector(args.n, seq, args.degenerate)
     else:
         values = [pnfposet.pnf_bell(args.n, seq, args.degenerate)]
-    _emit("pnf", params, values, args.format)
+    _emit(args, values)
     return 0
 
 

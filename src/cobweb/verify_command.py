@@ -28,10 +28,6 @@ def run(args) -> int:
     suites = verify.run_verify(args.max_n, tokens)
     cases = sum(suite.cases for suite in suites)
     failures = [failure for suite in suites for failure in suite.failures]
-    params = {
-        "max_n": str(args.max_n),
-        "seqs": ",".join(tokens if tokens else verify.DEFAULT_VERIFY_SEQS),
-    }
     if args.format == "table":
         for suite in suites:
             line = f"{suite.name}: {suite.cases} checks, {len(suite.failures)} failed"
@@ -51,10 +47,11 @@ def run(args) -> int:
         [s.name, str(s.cases), str(len(s.failures)), f"{s.seconds:.3f}", str(s.skipped)]
         for s in suites
     ]
-    if args.format == "json":
+    if args.format == "json":  # params name the sequences run: seqs is not an option
         fields = ("name", "cases", "failed", "seconds", "skipped")
-        keys = {"suites": [dict(zip(fields, row)) for row in rows]}
-        _emit("verify", params, totals, args.format, **keys)
+        seqs = ",".join(tokens if tokens else verify.DEFAULT_VERIFY_SEQS)
+        params = {"max_n": str(args.max_n), "seqs": seqs}
+        _emit(args, totals, params=params, suites=[dict(zip(fields, row)) for row in rows])
     else:  # csv: the totals row, then name,cases,failed,seconds,skipped per suite
-        _emit("verify", params, lambda: [totals, *rows], args.format)
+        _emit(args, lambda: [totals, *rows])
     return 1 if failures else 0

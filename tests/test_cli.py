@@ -491,19 +491,18 @@ class TestFormats:
         ["grid", "--k", "2", "--n", "4", "--show", "all"],
         ["pnf", "--seq", "gauss", "--q", "2", "--n", "8", "--show", "whitney"],
         ["pnf", "--seq", "naturals", "--n", "9", "--show", "bell"],
+        # options out of declared order: params keep the declared order
+        ["seq", "--count", "5", "--q", "2", "--seq", "gauss"],
+        ["fbinom", "--rows", "4", "--seq", "naturals"],
+        ["pnf", "--degenerate", "exclude", "--n", "6", "--q", "2", "--seq", "gauss",
+         "--show", "whitney"],
     ]
 
     @staticmethod
     def argv_from_doc(doc):
-        params = doc["params"]
         argv = [doc["object"]]
-        flags = {
-            "seq": "--seq", "q": "--q", "count": "--count", "rows": "--rows",
-            "k": "--k", "n": "--n", "show": "--show", "degenerate": "--degenerate",
-            "max_n": "--max-n",
-        }
-        for key, value in params.items():
-            argv += [flags[key], value]
+        for key, value in doc["params"].items():  # every key names an option
+            argv += ["--" + key.replace("_", "-"), value]
         return argv + ["--format", "json"]
 
     @pytest.mark.parametrize("argv", ROUND_TRIP_COMMANDS, ids=" ".join)
