@@ -28,14 +28,14 @@ It never reuses a closed form it is meant to validate:
   sizes also fix its Bell-like numbers under both degenerate-level
   policies, since ``exclude`` drops level n/2 of an even n;
 * shipped sequence values (``recurrence_values``) come from each
-  sequence's defining recurrence, one step per value, never from its
-  closed form or factory;
+  sequence's defining recurrence ``F_{n+1} = s F_n + t F_{n-1}``, one
+  step per value, never from its closed form or factory;
 * maximal chains are counted two ways along cover edges: one by one by
   a batched depth-first walk (``enumerate_maximal_chains``), which
   extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
   in O(depth * batch) memory and with no recursion limit, and by dynamic
   programming in that sweep (``count_maximal_chains``), never by formula;
-* rank censuses of grid diagrams recount every vertex.
+* down-set censuses count the ranks that sweep reads once (``_sweep``).
 
 Grid diagrams store their O(V) vertices and cover edges; the sweep holds
 one path entry and one V-bit down-set per vertex.
@@ -159,21 +159,23 @@ def _combined(reports: list[ChainReport], step: int) -> ChainReport:
 
 def _sweep(
     diagram: HasseDiagram,
-) -> tuple[dict[Vertex, int], dict[Vertex, ChainReport], list[Vertex]]:
-    """Every vertex's down-set and cover paths, and the vertices with no upper cover.
+) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[Vertex, ChainReport], list[Vertex]]:
+    """Every vertex's rank, down-set and cover paths, and those with no upper cover.
 
-    The cover edges are read once, into a map of lower covers, and the
-    vertices are visited in ascending rank.  Vertex ``t`` gets ``{v <= t}``
-    as a bitset over the diagram's vertex order (its own bit OR the sets of
-    its lower covers) and the count and lengths of the cover paths from a
-    vertex with no lower cover up to ``t``, from those of its lower covers.
-    A cover whose rank does not increase raises ``ValueError``.
+    The one read of a diagram: ``rank_of`` once per vertex, and the cover
+    edges once, into lower covers and the set of vertices with an upper
+    cover.  In ascending rank, vertex ``t`` gets ``{v <= t}`` as a bitset
+    over the vertex order (its own bit OR its lower covers' sets) and, from
+    its lower covers', the count and lengths of the cover paths up to ``t``
+    from a vertex with no lower cover.  A cover whose rank does not increase
+    raises ``ValueError``.
     """
     rank = {v: diagram.rank_of(v) for v in diagram.vertices}
-    down = {v: 1 << i for i, v in enumerate(diagram.vertices)}
-    lower = {}
+    down = {v: 1 << i for i, v in enumerate(rank)}
+    lower, covered = {}, set()
     for a, b in diagram.cover_edges():
         lower.setdefault(b, []).append(a)
+        covered.add(a)
     paths = {}
     start = [ChainReport(1, 0, 0, True)]  # the one path of no elements
     for vertex in sorted(rank, key=rank.__getitem__):
@@ -183,7 +185,7 @@ def _sweep(
                 raise ValueError(f"rank does not increase along the cover {a} < {vertex}")
             down[vertex] |= down[a]
         paths[vertex] = _combined([paths[a] for a in below] or start, 1)
-    return down, paths, [v for v in diagram.vertices if not diagram.successors(v)]
+    return rank, down, paths, [v for v in rank if v not in covered]
 
 
 def principal_ideals(
@@ -191,18 +193,19 @@ def principal_ideals(
 ) -> Iterator[tuple[list[Vertex], list[int], ChainReport]]:
     """(vertices, rank census, chain report) of ``{v <= top}``, for each of ``tops``.
 
-    All come from one ``_sweep``; a down-set is convex, so its maximal
-    chains are the cover paths from a minimal vertex up to ``top``.  The
-    vertices keep the diagram's order, and a top's list is built only when
-    it is yielded.  A ``top`` that is not a vertex raises ``ValueError``.
+    All come from one ``_sweep``, the census from its rank table; a down-set
+    is convex, so its maximal chains are the cover paths from a minimal
+    vertex up to ``top``.  The vertices keep the diagram's order, and a top's
+    list is built only when it is yielded.  A ``top`` that is not a vertex
+    raises ``ValueError``.
     """
-    vertices = list(diagram.vertices)
-    down, paths, _ = _sweep(diagram)
+    rank, down, paths, _ = _sweep(diagram)
+    vertices = list(rank)
     for top in tops:
         if top not in down:
             raise ValueError(f"{top} is not a vertex of the diagram")
         below = [vertices[i] for i in _bits(down[top])]
-        yield below, _census(below, diagram.rank_of), paths[top]
+        yield below, _census(below, rank.__getitem__), paths[top]
 
 
 def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -242,17 +245,17 @@ def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
     """[F_n for n in indices] of a shipped sequence, from its defining recurrence.
 
     ``spec`` is a sequence spec: a name, then gauss's base q.  Every shipped
-    sequence has F_1 = 1 and, for n >= 1, F_{n+1} = a F_n + b F_{n-1} + c:
+    sequence has F_1 = 1 and, for n >= 1, F_{n+1} = s F_n + t F_{n-1}:
 
-        ==========  ===  ============  ==========================
-        sequence    F_0  (a, b, c)     recurrence
-        ==========  ===  ============  ==========================
-        fib         0    (1, 1, 0)     F_{n+1} = F_n + F_{n-1}
-        lucas       2    (1, 1, 0)     L_{n+1} = L_n + L_{n-1}
-        naturals    0    (1, 0, 1)     F_{n+1} = F_n + 1
-        ones        1    (1, 0, 0)     F_{n+1} = F_n
-        gauss<q>    0    (q, 0, 1)     F_{n+1} = q F_n + 1
-        ==========  ===  ============  ==========================
+        ==========  ===  ============  ==============================
+        sequence    F_0  (s, t)        recurrence
+        ==========  ===  ============  ==============================
+        fib         0    (1, 1)        F_{n+1} = F_n + F_{n-1}
+        lucas       2    (1, 1)        L_{n+1} = L_n + L_{n-1}
+        naturals    0    (2, -1)       F_{n+1} = 2 F_n - F_{n-1}
+        ones        1    (1, 0)        F_{n+1} = F_n
+        gauss<q>    0    (q + 1, -q)   F_{n+1} = (q + 1) F_n - q F_{n-1}
+        ==========  ===  ============  ==============================
 
     F_0 is each sequence's value at 0, so index 0 is answered too.  The
     recurrence runs one step per index up to the largest and keeps only the
@@ -263,19 +266,20 @@ def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
     below 0, raises ``KeyError``.
     """
     name = spec.rstrip("0123456789")
-    before, a, b, c = {
-        "fib": (0, 1, 1, 0),
-        "lucas": (2, 1, 1, 0),
-        "naturals": (0, 1, 0, 1),
-        "ones": (1, 1, 0, 0),
-        "gauss": (0, int(spec[len(name):] or 0), 0, 1),
+    q = int(spec[len(name):] or 0)
+    before, s, t = {
+        "fib": (0, 1, 1),
+        "lucas": (2, 1, 1),
+        "naturals": (0, 2, -1),
+        "ones": (1, 1, 0),
+        "gauss": (0, q + 1, -q),
     }[name]
     wanted = set(indices)
     values, value = {}, 1
     for n in range(max(wanted, default=0) + 1):
         if n in wanted:
             values[n] = before
-        before, value = value, a * value + b * before + c
+        before, value = value, s * value + t * before
     return [values[n] for n in indices]
 
 
@@ -344,7 +348,7 @@ def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
     the vertices with no upper cover.  There is no chain guard; the result
     equals ``enumerate_maximal_chains`` wherever that fits its guard.
     """
-    _, paths, ends = _sweep(diagram)
+    _, _, paths, ends = _sweep(diagram)
     return _combined([paths[v] for v in ends], 0) if ends else ChainReport(0, 0, 0, True)
 
 

@@ -137,6 +137,17 @@ def rank_raising_diagrams(draw):
     )
 
 
+def calls_per_vertex(diagram, read):
+    """How often ``read`` of ``diagram`` asks ``rank_of`` and ``successors``
+    about each vertex: two Counters, in that order."""
+    rank_of = mock.Mock(wraps=diagram.rank_of)
+    successors = mock.Mock(wraps=diagram.successors)
+    read(HasseDiagram(diagram.vertices, rank_of, successors, diagram.minimal_vertices))
+    return [
+        Counter(call.args[0] for call in asked.call_args_list) for asked in (rank_of, successors)
+    ]
+
+
 def layered(sizes):
     """The ordinal sum of antichains of the given sizes: every vertex of a
     level is covered by the whole level above."""
@@ -277,6 +288,14 @@ class TestPrincipalIdeal:
         sizes = [len(vertices) for vertices, _, _ in ideals]
         assert sizes == [grid_size(k, n) for k, n in tops]
         assert reads.call_count == 1
+
+    @given(rank_raising_diagrams())
+    @settings(max_examples=50, deadline=None)
+    def test_ranks_and_covers_are_read_once_per_vertex(self, drawn):
+        for diagram in (build_grid_hasse(7, 8), drawn):
+            once = Counter(diagram.vertices)
+            for read in (lambda d: list(principal_ideals(d, d.vertices)), count_maximal_chains):
+                assert calls_per_vertex(diagram, read) == [once, once]
 
     def test_two_minima_by_hand(self):
         # (0, 0) and (0, 1) are minimal; (1, 0) covers both, (1, 1) only (0, 1)

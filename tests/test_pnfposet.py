@@ -94,6 +94,10 @@ class TestBell:
         assert pnf_bell(0, NAT) == 1
         assert pnf_bell(0, FIB, "exclude") == 1
 
+    def test_negative_degree_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^poset degree must be >= 0, got -1$"):
+            pnf_bell(-1, FIB)
+
     def test_equals_whitney_sum(self):
         for seq in (FIB, NAT, ONES, gaussian(2)):
             for n in range(1, 31):

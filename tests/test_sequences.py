@@ -140,6 +140,10 @@ class TestFFactorial:
         shifted = FSequence("shifted", lambda n: n + 1)  # F_1 = 2
         assert [f_factorial(shifted, n) for n in range(4)] == [1, 2, 6, 24]
 
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^factorial index must be >= 0, got -1$"):
+            f_factorial(SHIPPED["fibonacci"], -1)
+
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_recurrence(self, name):
         seq = SHIPPED[name]
