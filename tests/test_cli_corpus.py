@@ -103,6 +103,16 @@ def corpus():
         ["seq", "--seq=fib", "--count=3"],
         ["grid", "--k", "2", "--n", "5", "seq"],
     ]
+    argvs += [  # argv shapes at the edge of what cli._read accepts
+        ["seq", "--seq", "fib", "--count", "3", "--count", "4"],
+        ["seq", "--seq", "fib", "--count"],
+        ["seq", "--seq", "fib", "--count", "1_0"],
+        ["seq", "--seq", "fib", "--count", "+3"],
+        ["seq", "--seq", "fib", "--count", "x"],
+        ["seq", "--seq", "fib", "--count", "3", "--format", "xml"],
+        ["fbinom", "--seq", "fib"],
+        ["export", "--what", "bell", "--seq", "fib", "--count", "3", "--bfile", "--count"],
+    ]
     argvs += [
         [*prefix, "fbinom", "--seq", "lucas", "--rows", "5"] for prefix in CHILD_PREFIXES
     ]
