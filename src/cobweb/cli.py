@@ -28,29 +28,35 @@ lazily: ``grid`` runs ``gridposet``; ``seq`` and ``fbinom`` ``sequences``;
 ``pnf`` and ``export`` ``sequences`` and ``pnfposet``; ``verify`` all five,
 and ``cmd_verify`` imports ``verify_command`` (the ``--max-n`` limit and the
 report) when it runs.  ``main`` takes the command from argv (the first
-argument that does not start with ``-``), runs its layers' bodies, and only
-then imports ``argparse`` and adds that command's options: compiling a
-layer after ``argparse`` left a larger heap behind, so ``fbinom --seq
-naturals --rows 124`` peaked at 14.61 MB of RSS against 14.34 MB with its
-layer compiled first (medians of 9, no bytecode cache).  Where that
-argument is not the command argparse parses (``-5 grid``), argparse
-rejects the argv at the command, before any option counts.  ``main``
-reads each handler, and each handler its layer functions, through their
-module bindings when called, so a rebinding (a test's, or the benchmark's
-tracing wrappers) takes effect.
+argument that does not start with ``-``) and runs its layers' bodies
+first: compiling a layer after ``argparse`` left a larger heap behind, so
+``fbinom --seq naturals --rows 124`` peaked at 14.61 MB of RSS against
+14.34 MB with its layer compiled first (medians of 9, no bytecode cache).
+A well-formed argv never imports ``argparse``: ``_read`` takes the
+command's options from ``SUBCOMMANDS``, accepts only the argv shape on
+which argparse's namespace is fully determined, and returns that
+namespace.  Any other argv, help and every usage error go to
+``_parser``, the parser built from the same ``SUBCOMMANDS``, which stays
+the one source of help, usage lines and error text; a handler's
+``ValueError`` or ``NonIntegralError`` builds it to report the error.  Where the command's
+argument is not the first (``-5 grid``), ``_read`` declines it, and
+argparse rejects the argv at the command, before any option counts.
+``main`` reads each handler, and each handler its layer functions,
+through their module bindings when called, so a rebinding (a test's, or
+the benchmark's tracing wrappers) takes effect.
 """
-
-from __future__ import annotations
 
 import os
 import sys
+from itertools import zip_longest
+from types import SimpleNamespace
 
 from . import gridposet, oracle, pnfposet, sequences, verify
 
 FORMATS = ("table", "csv", "json")
 
 
-def _emit(args, values, labels=None, params=None, **keys) -> None:
+def _emit(args, values, labels=None, params=None, **keys):
     """Write ``args.command``'s document in ``args.format``, one row at a time.
 
     ``values`` is one row, or a function that returns a fresh iterator over
@@ -68,13 +74,13 @@ def _emit(args, values, labels=None, params=None, **keys) -> None:
     widths = []  # a nested table's column maxima, then widths: no cell is negative
     for row in rows():
         if fmt == "table" and nested:
-            widths = [*map(max, widths, row), *widths[len(row) :], *row[len(widths) :]]
+            widths = [*map(max, zip_longest(widths, row, fillvalue=0))]
     widths = [len(str(x)) for x in widths]
     write = sys.stdout.write
     if fmt == "json":  # json.dumps(doc) + "\n", in pieces; keys follow values
         import json
 
-        if params is None:  # argparse sets every default first, so argv order is moot
+        if params is None:  # both parsers put options in declared order, whatever argv's
             params = {
                 dest: str(v)
                 for dest, v in vars(args).items()
@@ -96,7 +102,7 @@ def _emit(args, values, labels=None, params=None, **keys) -> None:
             write(" ".join([*label, *cells]).rstrip() + "\n")
 
 
-def cmd_seq(args) -> int:
+def cmd_seq(args):
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seq = sequences.make_sequence(args.seq, args.q)
@@ -105,7 +111,7 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def cmd_fbinom(args) -> int:
+def cmd_fbinom(args):
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     seq = sequences.make_sequence(args.seq, args.q)
@@ -133,23 +139,24 @@ GRID_QUANTITIES = {
 GRID_CENSUS_LIMIT = 300_000
 
 
-def cmd_grid(args) -> int:
-    gridposet.grid_size(args.k, args.n)  # bounds check: bad (k, n) is a usage error
-    if args.show != "size" and args.k + args.n > GRID_CENSUS_LIMIT:
+def cmd_grid(args):
+    k, n = args.k, args.n
+    gridposet.grid_size(k, n)  # bounds check: bad (k, n) is a usage error
+    if args.show != "size" and k + n > GRID_CENSUS_LIMIT:
         raise ValueError(
-            f"--show {args.show} takes k + n = {args.k + args.n}, over the limit "
+            f"--show {args.show} takes k + n = {k + n}, over the limit "
             f"of {GRID_CENSUS_LIMIT}; only --show size has no limit"
         )
     if args.show == "all":
         labels = list(GRID_QUANTITIES)
-        values = [GRID_QUANTITIES[name](args.k, args.n) for name in labels]
+        values = [GRID_QUANTITIES[name](k, n) for name in labels]
         _emit(args, lambda: values, labels)
     else:
-        _emit(args, GRID_QUANTITIES[args.show](args.k, args.n))
+        _emit(args, GRID_QUANTITIES[args.show](k, n))
     return 0
 
 
-def cmd_pnf(args) -> int:
+def cmd_pnf(args):
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     seq = sequences.make_sequence(args.seq, args.q)
@@ -161,13 +168,13 @@ def cmd_pnf(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .verify_command import run  # only verify compiles the report code
 
     return run(args)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args):
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seq = sequences.make_sequence(args.seq, args.q)
@@ -177,7 +184,7 @@ def cmd_export(args) -> int:
         values = sequences.f_binomial_diagonal(seq, (2, 1), (2, 1), args.count)
     try:
         with open(args.bfile, "w", encoding="ascii", newline="\n") as handle:
-            handle.writelines(f"{i} {v}\n" for i, v in enumerate(values, start=1))
+            handle.writelines(f"{i} {v}\n" for i, v in enumerate(values, 1))
     except OSError as exc:
         sys.stderr.write(f"cannot write b-file {args.bfile!r}: {exc}\n")
         return 3
@@ -188,10 +195,10 @@ REQUIRED_INT = {"type": int, "required": True}
 FORMAT_OPTION = ("--format", {"choices": FORMATS, "default": "table"})
 
 
-def _seq_options() -> list[tuple[str, dict]]:
+def _seq_options():
     return [
         ("--seq", {"required": True, "choices": sequences.SEQUENCE_NAMES}),
-        ("--q", {"type": int, "default": None, "help": "base for --seq gauss"}),
+        ("--q", {"type": int, "help": "base for --seq gauss"}),
     ]
 
 
@@ -235,7 +242,6 @@ SUBCOMMANDS = {
         lambda: [
             ("--max-n", REQUIRED_INT),
             ("--seq", {
-                "default": None,
                 "help": f"comma-separated subset of {','.join(sequences.GCD_MORPHIC_SPECS)}",
             }),
             FORMAT_OPTION,
@@ -254,11 +260,40 @@ SUBCOMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    for module in SUBCOMMANDS[command][1] if command in SUBCOMMANDS else ():
-        module.__name__  # the first attribute read runs a lazily registered body
+def _read(command, argv):
+    """The namespace argparse parses from ``argv``, read from ``SUBCOMMANDS``, or None.
+
+    Reads one shape only: ``command``, then distinct declared flags, each
+    exact and followed by a value that does not start with ``-``; each
+    value converts by its ``type`` and is one of its ``choices``, and every
+    required flag is given.  On that shape argparse's namespace is fully
+    determined: ``command``, then each option's dest in declared order,
+    holding the value given or its default.  Any other argv, including
+    every one that asks for help or has an error, is argparse's.
+    """
+    given = dict(zip(argv[1::2], argv[2::2]))
+    # the command first, then distinct flags, each followed by a value
+    if command not in SUBCOMMANDS or argv[0] != command or argv[1::2] != [*given]:
+        return None
+    args = SimpleNamespace(command=command)
+    try:
+        for flag, keywords in SUBCOMMANDS[command][2]():
+            value = keywords.get("default")
+            if flag in given:
+                text = given.pop(flag)
+                value = keywords.get("type", str)(text)
+                if text[:1] == "-" or value not in keywords.get("choices", [value]):
+                    raise ValueError
+            elif keywords.get("required"):
+                raise ValueError
+            setattr(args, flag[2:].replace("-", "_"), value)
+    except ValueError:  # declined: argparse words the error
+        return None
+    return None if given else args
+
+
+def _parser(command):
+    """The argparse parser, with ``command``'s options: help, usage and errors."""
     import argparse  # after the layers: see the module docstring
 
     parser = argparse.ArgumentParser(
@@ -271,7 +306,15 @@ def main(argv: list[str] | None = None) -> int:
         if name == command:
             for flag, keywords in options():
                 sub.add_argument(flag, **keywords)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    for module in SUBCOMMANDS[command][1] if command in SUBCOMMANDS else ():
+        module.__name__  # the first attribute read runs a lazily registered body
+    args = _read(command, argv) or _parser(command).parse_args(argv)
     if sys.stdout is None:  # fd 1 was closed at start: as a closed pipe, exit 3
         return 3
     digit_limit = sys.get_int_max_str_digits()
@@ -286,11 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 3
     except ValueError as exc:  # its own clause: a grid usage error never loads sequences
-        parser.error(str(exc))
+        error = exc
     except sequences.NonIntegralError as exc:
-        parser.error(str(exc))
+        error = exc
     finally:
         sys.set_int_max_str_digits(digit_limit)
+    _parser(command).error(str(error))  # every other path has returned
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CLI contract: commands, formats, exit codes, round trips, b-files."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,9 +12,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import cobweb
-from cobweb import verify, verify_command
+from cobweb import cli, verify, verify_command
 from cobweb.cli import FORMATS, GRID_CENSUS_LIMIT, main
 from cobweb.sequences import f_binomial_rows, make_sequence
 
@@ -712,3 +715,89 @@ class TestEntryPoints:
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
         assert code == 2
+
+
+def argparse_items(argv):
+    """The items of argparse's namespace for argv, in order; None where it exits."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return list(vars(cli._parser(command).parse_args(argv)).items())
+        except SystemExit:  # help, or a usage error
+            return None
+
+
+# values at the edge of argparse's grammar and of int()
+ODD_VALUES = ("-5", "-", "--", "", "1_0", "+2", "0x3", "\u0663")
+STRAY_TOKENS = (*cli.SUBCOMMANDS, "-h", "--help", "--", "-5", "--bogus", "fib", "3")
+
+
+@st.composite
+def perturbed_argvs(draw):
+    """A command's declared options in any order, then, one time in two, perturbed."""
+    command = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    perturbed = draw(st.booleans())
+    options = draw(st.permutations(cli.SUBCOMMANDS[command][2]()))
+    pairs = []
+    for flag, keywords in options:
+        if draw(st.integers(0, 7)) >= (7 if keywords.get("required") else 4):
+            continue  # a required option is left out 1 time in 8, any other one in 2
+        valid = keywords.get("choices") or (
+            ("0", "1", "4", "12") if keywords.get("type") is int else ("fib,ones", "b.txt")
+        )
+        odd = perturbed and draw(st.integers(0, 3)) == 3
+        pairs.append([flag, draw(st.sampled_from(ODD_VALUES if odd else valid))])
+    for _ in range(draw(st.integers(0, 2)) if perturbed else 0):
+        if not pairs:
+            break
+        pair = draw(st.sampled_from(pairs))
+        how = draw(st.sampled_from(("repeat", "drop", "abbreviate", "equals")))
+        if how == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), list(pair))
+        elif how == "drop":
+            del pair[1:]
+        elif how == "abbreviate" and len(pair[0]) > 3:
+            pair[0] = pair[0][: draw(st.integers(3, len(pair[0]) - 1))]
+        elif how == "equals" and len(pair) == 2:
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+    argv = [command, *(token for pair in pairs for token in pair)]
+    for _ in range(draw(st.integers(0, 2)) if perturbed else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY_TOKENS)))
+    return argv
+
+
+class TestReader:
+    """cli._read against argparse, the reference it must agree with."""
+
+    @given(perturbed_argvs())
+    @example(["-5", "--seq", "verify", "--max-n", "4"])  # the command is an option's value
+    @settings(max_examples=400, deadline=None)
+    def test_a_read_argv_is_what_argparse_parses(self, argv):
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
+        read = cli._read(command, argv)
+        event("declined" if read is None else "read")
+        if read is not None:
+            assert list(vars(read).items()) == argparse_items(argv)
+
+    # corpus argvs that argparse parses although _read declines their shape:
+    # an abbreviation, the --flag=value form, a repeated flag, a value with a dash
+    OUT_OF_SHAPE = {
+        "seq --seq fib --cou 3",
+        "seq --seq=fib --count=3",
+        "seq --seq fib --count 3 --count 4",
+        "fbinom --seq fib --rows -1",
+    }
+
+    def test_read_accepts_every_corpus_argv_of_plain_shape(self):
+        corpus = json.loads(Path(__file__).with_name("cli_corpus.json").read_text())
+        declined = set()
+        for key in corpus:
+            argv = key.split(" ")
+            if argv[0] not in cli.SUBCOMMANDS:
+                continue  # no command first, or a child process
+            read, parsed = cli._read(argv[0], argv), argparse_items(argv)
+            if read is not None:
+                assert list(vars(read).items()) == parsed, key
+            elif parsed is not None:
+                declined.add(key)
+        assert declined == self.OUT_OF_SHAPE
