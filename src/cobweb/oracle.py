@@ -18,15 +18,19 @@ It never reuses a closed form it is meant to validate:
   its maximal chains are the cover paths from a minimal vertex up to
   ``top``, and grid (k, n) is the down-set of (k, n) in every grid whose
   top is at least (k, n).  The tests pin both against direct builds;
-* F-binomials (``factorial_ratios``) come from ``seq_eval`` values
-  through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one running
-  product and one checked division per entry, never from the F-binomial
-  engine: whole triangle rows, the central column, and the level sizes
-  ``(n-k choose k)_F`` of P(n, F), k = 0..n // 2 (``layer_sizes``).
-  P(n, F) is an ordinal sum of antichains, so its level sizes fix its
-  covers, chains and census, and no layered diagram is built; the level
-  sizes also fix its Bell-like numbers under both degenerate-level
-  policies, since ``exclude`` drops level n/2 of an even n;
+* F-binomials never come from the F-binomial engine.  Whole triangle
+  rows of a shipped GCD-morphic sequence, and so its central column,
+  come one row at a time from the division-free Pascal-type recurrence
+  of Sagan and Savage over its recurrence values (``pascal_rows``).
+  Any other F-binomial, lucas's among them, comes from ``seq_eval``
+  values through the factorial ratio ``F_n! / (F_k! F_{n-k}!)``, one
+  running product and one checked division per entry
+  (``factorial_ratios``): so do the level sizes ``(n-k choose k)_F`` of
+  P(n, F), k = 0..n // 2 (``layer_sizes``).  P(n, F) is an ordinal sum
+  of antichains, so its level sizes fix its covers, chains and census,
+  and no layered diagram is built; the level sizes also fix its
+  Bell-like numbers under both degenerate-level policies, since
+  ``exclude`` drops level n/2 of an even n;
 * shipped sequence values (``recurrence_values``) come from each
   sequence's defining recurrence ``F_{n+1} = s F_n + t F_{n-1}``, one
   step per value, never from its closed form or factory;
@@ -44,8 +48,6 @@ Scale guards keep exhaustive work bounded: diagram construction refuses
 top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
 ``DEFAULT_MAX_CHAINS``.  Every guard takes an explicit override.
 """
-
-from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, islice
@@ -157,9 +159,7 @@ def _combined(reports: list[ChainReport], step: int) -> ChainReport:
     return ChainReport(count, shortest, longest, shortest == longest)
 
 
-def _sweep(
-    diagram: HasseDiagram,
-) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[Vertex, ChainReport], list[Vertex]]:
+def _sweep(diagram: HasseDiagram):
     """Every vertex's rank, down-set and cover paths, and those with no upper cover.
 
     The one read of a diagram: ``rank_of`` once per vertex, and the cover
@@ -188,9 +188,7 @@ def _sweep(
     return rank, down, paths, [v for v in rank if v not in covered]
 
 
-def principal_ideals(
-    diagram: HasseDiagram, tops: Iterable[Vertex]
-) -> Iterator[tuple[list[Vertex], list[int], ChainReport]]:
+def principal_ideals(diagram: HasseDiagram, tops: Iterable[Vertex]):
     """(vertices, rank census, chain report) of ``{v <= top}``, for each of ``tops``.
 
     All come from one ``_sweep``, the census from its rank table; a down-set
@@ -241,6 +239,19 @@ def layer_sizes(n: int, seq: FSequence) -> list[int]:
     return factorial_ratios(seq, [(n - k, k) for k in range(n // 2 + 1)])
 
 
+def _recurrence(spec):
+    """(F_0, s, t) of a shipped sequence spec, as ``recurrence_values`` tabulates it."""
+    name = spec.rstrip("0123456789")
+    q = int(spec[len(name):] or 0)
+    return {
+        "fib": (0, 1, 1),
+        "lucas": (2, 1, 1),
+        "naturals": (0, 2, -1),
+        "ones": (1, 1, 0),
+        "gauss": (0, q + 1, -q),
+    }[name]
+
+
 def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
     """[F_n for n in indices] of a shipped sequence, from its defining recurrence.
 
@@ -265,15 +276,7 @@ def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
     sum for gauss) against their definitions.  An unknown name, or an index
     below 0, raises ``KeyError``.
     """
-    name = spec.rstrip("0123456789")
-    q = int(spec[len(name):] or 0)
-    before, s, t = {
-        "fib": (0, 1, 1),
-        "lucas": (2, 1, 1),
-        "naturals": (0, 2, -1),
-        "ones": (1, 1, 0),
-        "gauss": (0, q + 1, -q),
-    }[name]
+    before, s, t = _recurrence(spec)
     wanted = set(indices)
     values, value = {}, 1
     for n in range(max(wanted, default=0) + 1):
@@ -281,6 +284,36 @@ def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
             values[n] = before
         before, value = value, s * value + t * before
     return [values[n] for n in indices]
+
+
+def pascal_rows(spec: str, last_row: int) -> Iterator[list[int]]:
+    """Yield rows 0..last_row of a shipped GCD-morphic sequence's F-binomial triangle.
+
+    Every such sequence is, from F_1 on, the fundamental Lucas sequence
+    ``U(s, t)`` of its row in ``recurrence_values``'s table: U_0 = 0,
+    U_1 = 1 and U_{n+1} = s U_n + t U_{n-1}.  Sagan and Savage
+    (Integers 10, 2010) give its F-binomials a Pascal-type recurrence,
+
+        {n, k} = U_{k+1} {n-1, k} + t U_{n-k-1} {n-1, k-1},  0 < k < n,
+
+    with {n, 0} = {n, n} = 1: sums of products, no division.  Each row is
+    built from the one before it, and U_0..U_last_row come from
+    ``recurrence_values``, never from ``seq_eval`` or the F-binomial engine.
+    U_0 meets only t, so ones (F_0 = 1, t = 0) qualifies; a spec whose F_0
+    and t are both nonzero, lucas, is no ``U`` and raises ``ValueError``,
+    as does a ``last_row`` below 0.  An unknown name raises ``KeyError``.
+    """
+    before, _, t = _recurrence(spec)
+    if before * t or last_row < 0:
+        raise ValueError(
+            f"pascal_rows needs U(s, t) and last_row >= 0, got ({spec!r}, {last_row})"
+        )
+    u = recurrence_values(spec, range(last_row + 1))
+    row = [1]
+    yield row
+    for n in range(1, last_row + 1):
+        row = [1, *[u[k + 1] * row[k] + t * u[n - k - 1] * row[k - 1] for k in range(1, n)], 1]
+        yield row
 
 
 def enumerate_maximal_chains(

@@ -8,9 +8,10 @@ sweep of it as the principal down-set of (k, n), with its rank census
 and chain report; the one layered suite asks the oracle for the whole
 census of each (n, F), levels 0..n // 2, and takes its Bell-like numbers
 under both policies from it; the one F-binomial suite asks it for one
-factorial-ratio table per shipped sequence; the GCD-morphism gate asks
-it for each shipped sequence's values by recurrence; and every check of
-a suite reads the result for its inputs.  Every identity is recorded one
+stream of division-free Pascal rows per shipped sequence and holds one
+row at a time; the GCD-morphism gate asks it for each shipped
+sequence's values by recurrence; and every check of a suite reads the
+result for its inputs.  Every identity is recorded one
 way, by ``SuiteResult.check``: the closed form runs inside the check,
 and a mismatch, or an exception it raises, is a failure of that identity
 naming its inputs and both values.  No library function computes an
@@ -20,8 +21,8 @@ are checked: none compares a function with itself, a copy of itself, or
 a value another check already pins.  Poset suites scale with ``max_n``
 over the given sequences; the F-binomial suite and the GCD-morphism gate
 always run over the whole shipped family at fixed bounds, a fixed cost
-of every run: about 10-16 ms for the F-binomial suite and 6 ms for the
-gate in process (2-vCPU VM, Python 3.11).
+of every run: about 7 ms for the F-binomial suite and 6 ms for the gate
+in process (2-vCPU VM, Python 3.11).
 
 No suite skips a check, because none reaches an oracle guard: the grid
 diagram is built with ``max_index=max_n``, the grid chain checks read
@@ -32,11 +33,8 @@ because the JSON ``skipped`` key and the CSV column report it.
 Every suite's wall time is kept in ``SuiteResult.seconds``.
 """
 
-from __future__ import annotations
-
 import time
 from functools import cache
-from itertools import islice
 from typing import Callable, Optional
 
 from . import _Record, gridposet, oracle, pnfposet
@@ -257,40 +255,42 @@ def _non_integral_text(compute: Callable[[], object]) -> object:
 
 
 def check_fbinom_algebra() -> SuiteResult:
-    """Row engine and central column walk vs one oracle table per F; lucas fails.
+    """Row engine and central column walk vs streamed oracle rows per F; lucas fails.
 
     The one F-binomial suite.  It runs over the shipped GCD-morphic family,
     whatever sequences ``verify`` is given, at fixed bounds.  Each F asks
-    ``oracle.factorial_ratios`` once, for rows 0..``FBINOM_BOUND``, and the
-    row engine is checked against that table row by row; the central
-    column walk (2m choose m)_F for m = 1..``FBINOM_BOUND // 2`` is checked
-    against entries of the same table.  lucas, the negative control, must
-    fail first at (4 choose 2) in the rows and the central column.  For
-    each n <= ``FBINOM_BOUND``, its Whitney line of P(n, F) (the walk) and
-    its per-level Whitney numbers (the per-entry product) must give the
-    oracle's whole census, levels 0..n // 2, or fail at the same first
-    non-integral level.
+    ``oracle.pascal_rows`` once, for rows 0..``FBINOM_BOUND`` by the
+    division-free Pascal-type recurrence, and the row engine is checked
+    against each row as it is yielded; the central column walk
+    (2m choose m)_F for m = 1..``FBINOM_BOUND // 2`` is checked against the
+    middle entries of the even rows, collected on the way.  lucas, the
+    negative control, must fail first at (4 choose 2) in the rows and the
+    central column.  For each n <= ``FBINOM_BOUND``, its Whitney line of
+    P(n, F) (the walk) and its per-level Whitney numbers (the per-entry
+    product) must give the oracle's whole census, levels 0..n // 2, or fail
+    at the same first non-integral level.
     """
     suite = SuiteResult("F-binomial algebra")
-    triangle = [(n, k) for n in range(FBINOM_BOUND + 1) for k in range(n + 1)]
     count = FBINOM_BOUND // 2  # (2m choose m) lies in the rows for m <= count
-    for seq in gcd_morphic_family():
-        ratios = iter(oracle.factorial_ratios(seq, triangle))
-        table = [list(islice(ratios, n + 1)) for n in range(FBINOM_BOUND + 1)]
+    for spec in GCD_MORPHIC_SPECS:
+        seq = sequence_from_spec(spec)
         # kept from the first call that returns; a call that raises caches
         # nothing, so each row's check fails
         rows = cache(lambda: list(f_binomial_rows(seq, FBINOM_BOUND)))
-        for n in range(FBINOM_BOUND + 1):
+        central = []  # (2m choose m)_F, m = 1..count
+        for n, row in enumerate(oracle.pascal_rows(spec, FBINOM_BOUND)):
+            if n and n % 2 == 0:
+                central.append(row[n // 2])
             suite.check(
                 "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
                 f"(F, n) = ({seq.name}, {n})",
-                table[n],
+                row,
                 lambda: rows()[n],
             )
         suite.check(
             "central column walk = F_{2m}!/(F_m! F_m!)",
             f"(F, count) = ({seq.name}, {count})",
-            [table[2 * m][m] for m in range(1, count + 1)],
+            central,
             lambda: f_binomial_diagonal(seq, (2, 1), (2, 1), count),
         )
     suite.check(

@@ -30,6 +30,7 @@ from cobweb.oracle import (
     enumerate_maximal_chains,
     factorial_ratios,
     layer_sizes,
+    pascal_rows,
     principal_ideals,
     rank_level_counts,
     recurrence_values,
@@ -39,6 +40,7 @@ from cobweb.sequences import (
     GCD_MORPHIC_SPECS,
     FSequence,
     NonIntegralError,
+    f_binomial_rows,
     fibonacci,
     gaussian,
     lucas,
@@ -415,8 +417,28 @@ class TestRecurrenceValues:
             recurrence_values("fib", [3, -1])
 
 
+class TestPascalRows:
+    """``pascal_rows``: the shipped family's division-free F-binomial rows."""
+
+    @pytest.mark.parametrize("spec", GCD_MORPHIC_SPECS)
+    def test_equal_to_factorial_ratios_and_the_row_engine_to_100(self, spec):
+        seq = sequence_from_spec(spec)
+        rows = list(pascal_rows(spec, 100))
+        ratios = iter(factorial_ratios(seq, [(n, k) for n in range(101) for k in range(n + 1)]))
+        assert rows == [[next(ratios) for _ in range(n + 1)] for n in range(101)]
+        assert rows == list(f_binomial_rows(seq, 100))
+
+    def test_row_zero_alone(self):
+        assert list(pascal_rows("fib", 0)) == [[1]]
+
+    @pytest.mark.parametrize("spec, last_row", [("lucas", 4), ("fib", -1)])
+    def test_lucas_and_a_negative_last_row_are_rejected(self, spec, last_row):
+        with pytest.raises(ValueError, match=re.escape(f"got ({spec!r}, {last_row})")):
+            next(pascal_rows(spec, last_row))
+
+
 class TestFactorialRatios:
-    """``factorial_ratios``: the oracle's one F-binomial reference."""
+    """``factorial_ratios``: the oracle's F-binomial reference for any sequence."""
 
     def test_naturals_give_ordinary_binomials_to_30(self):
         pairs = [(n, k) for n in range(31) for k in range(n + 1)]

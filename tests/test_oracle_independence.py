@@ -69,6 +69,31 @@ def environment_reads(tree: ast.AST) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+def reached_functions(tree: ast.AST, function: str) -> list[ast.FunctionDef]:
+    """``function`` and every module-level function it reads, transitively."""
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, [function]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached[name] = defined[name]
+            todo += referenced_names(defined[name]) & defined.keys()
+    return list(reached.values())
+
+
+def divisions(tree: ast.AST) -> list[str]:
+    """``line N: op`` for each ``/``, ``//``, ``%`` or ``divmod`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, (ast.Div, ast.FloorDiv, ast.Mod)
+        ):
+            found.append(f"line {node.lineno}: {type(node.op).__name__}")
+        elif isinstance(node, ast.Name) and node.id == "divmod":
+            found.append(f"line {node.lineno}: divmod")
+    return found
+
+
 def is_checked_closed_form(name: str) -> bool:
     return name in CHECKED_CLOSED_FORMS or name.startswith(CHECKED_PREFIXES)
 
@@ -132,6 +157,38 @@ def test_oracle_reads_sequence_values_only_through_seq_eval():
     assert "value_at" not in referenced_names(module_tree(cobweb.oracle))
 
 
+def test_pascal_rows_reads_no_sequence_value_and_no_engine():
+    functions = reached_functions(module_tree(cobweb.oracle), "pascal_rows")
+    names = set().union(*map(referenced_names, functions))
+    # the walk does follow pascal_rows into the oracle functions it calls
+    assert {"recurrence_values", "_recurrence"} <= names
+    found = sorted(
+        name for name in names
+        if name in ("seq_eval", "value_at", "_checked_step", "_ValueTable")
+        or name.startswith("f_binomial")
+    )
+    assert found == [], f"pascal_rows reads what it is a reference for: {found}"
+    assert divisions(ast.Module(functions, [])) == []
+
+
+def test_reached_functions_follow_module_functions_only():
+    tree = ast.parse(
+        "def top(x):\n"
+        "    return helper(x) + seq.value_at(1) + top(x)\n"
+        "def helper(x):\n"
+        "    return seq_eval(x, 2) // 3\n"
+        "def unused():\n"
+        "    return f_binomial(1, 2) / 2 + divmod(3, 2)[0]\n"
+    )
+    functions = reached_functions(tree, "top")
+    assert [function.name for function in functions] == ["top", "helper"]
+    assert set().union(*map(referenced_names, functions)) == {
+        "top", "helper", "x", "seq", "value_at", "seq_eval"
+    }
+    assert divisions(tree) == ["line 4: FloorDiv", "line 6: Div", "line 6: divmod"]
+    assert divisions(ast.Module(functions, [])) == ["line 4: FloorDiv"]
+
+
 def test_oracle_imports_only_allowed_package_names():
     imports = package_imports(module_tree(cobweb.oracle))
     assert "pnfposet" not in imports
@@ -193,7 +250,7 @@ def test_verify_enumerates_no_grid():
 
 def test_verify_takes_every_f_binomial_reference_from_the_oracle():
     names = referenced_names(module_tree(cobweb.verify))
-    assert "factorial_ratios" in names  # the walk does see verify's oracle calls
+    assert "pascal_rows" in names  # the walk does see verify's oracle calls
     # the per-entry product is only ever under test, never a reference
     found = sorted(names & {"seq_eval", "f_factorial", "f_binomial"})
     assert found == [], f"verify.py computes F-binomial references itself: {found}"

@@ -88,21 +88,24 @@ class TestSuites:
         monkeypatch.setattr(oracle, "layer_sizes", census)
         ratios = mock.Mock(wraps=oracle.factorial_ratios)
         monkeypatch.setattr(oracle, "factorial_ratios", ratios)
+        pascal = mock.Mock(wraps=oracle.pascal_rows)
+        monkeypatch.setattr(oracle, "pascal_rows", pascal)
         suites = {s.name: s for s in verify.run_verify(12)}
         # one oracle census per (n, F): 12 n for each of the 4 sequences,
         # and one per n = 1..40 for lucas in the F-binomial suite
         asked = [(c.args[0], c.args[1].name) for c in census.call_args_list]
         assert len(asked) == len(set(asked)) == 48 + 40
         assert asked[48:] == [(n, "lucas") for n in range(1, 41)]
-        # each census of the layered suite asks for at most 7 levels; the
-        # F-binomial suite asks once for rows 0..40 (861 entries) per shipped
-        # F, whatever --seq says
+        # every factorial-ratio table is one census of at most 7 levels; the
+        # F-binomial suite streams rows 0..40 once per shipped F, whatever
+        # --seq says
         tables = [(c.args[0].name, len(c.args[1])) for c in ratios.call_args_list]
-        assert [table for table in tables[:53] if table[1] > 7] == [
-            (name, 861)
-            for name in ("fibonacci", "naturals", "ones", "gauss(q=2)", "gauss(q=3)")
+        assert len(tables) == 48 + 40
+        assert max(size for _, size in tables[:48]) == 7
+        assert tables[48:] == [("lucas", n // 2 + 1) for n in range(1, 41)]
+        assert pascal.call_args_list == [
+            mock.call(spec, 40) for spec in sequences.GCD_MORPHIC_SPECS
         ]
-        assert tables[53:] == [("lucas", n // 2 + 1) for n in range(1, 41)]
         assert {name: s.cases for name, s in suites.items()} == {
             "grid poset vs oracle": 432,
             "layered poset vs oracle": 212,
@@ -183,6 +186,19 @@ class TestSuites:
             # 4 checks per n, the Bell sequence under 2 policies, 12 for naturals
             assert (suite.cases, suite.skipped, suite.failures) == (62, 0, [])
             assert peak < 8 * 2**20
+
+    def test_f_binomial_suite_holds_one_reference_row_at_a_time(self):
+        verify.check_fbinom_algebra()  # warm-up: first-call caches are no part of the peak
+        tracemalloc.start()
+        try:
+            suite = verify.check_fbinom_algebra()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (suite.cases, suite.failures) == (292, [])
+        # a whole 861-entry reference table per F peaks at about 163 KiB;
+        # streamed rows, at about 65 KiB
+        assert peak < 120 * 2**10
 
 
 class TestFaultInjection:
