@@ -11,9 +11,9 @@ It never reuses a closed form it is meant to validate:
   of a vertex are peeled off its up-set lowest bit first, one step per
   cover; this assumes no gradedness, so the gradedness check stays
   meaningful;
-* every principal down-set ``{v <= top}`` of a built diagram, with its
-  census and cover paths, comes from one sweep of its cover edges in
-  ascending rank (``principal_ideals``).  This keeps the oracle
+* every principal down-set ``{v <= top}`` of a built diagram, a bitset,
+  with its census and cover paths, comes from one sweep of its cover
+  edges in ascending rank (``principal_ideals``).  This keeps the oracle
   independent, because it uses only two facts: a down-set is convex, so
   its maximal chains are the cover paths from a minimal vertex up to
   ``top``, and grid (k, n) is the down-set of (k, n) in every grid whose
@@ -39,19 +39,19 @@ It never reuses a closed form it is meant to validate:
   extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
   in O(depth * batch) memory and with no recursion limit, and by dynamic
   programming in that sweep (``count_maximal_chains``), never by formula;
-* down-set censuses count the ranks that sweep reads once (``_sweep``).
+* down-set censuses are popcounts against one bitset per rank, built
+  once from the ranks that sweep reads once (``_sweep``).
 
 Grid diagrams store their O(V) vertices and cover edges; the sweep holds
-one path entry and one V-bit down-set per vertex.
+one path entry and one V-bit down-set per vertex, and one V-bit mask per rank.
 
 Scale guards keep exhaustive work bounded: diagram construction refuses
 top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
 ``DEFAULT_MAX_CHAINS``.  Every guard takes an explicit override.
 """
 
-from collections import Counter
 from itertools import chain, islice
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _Record
 from .gridposet import grid_elements, grid_rank
@@ -100,14 +100,6 @@ class ChainReport(_Record):
     __slots__ = ("chain_count", "min_length", "max_length", "graded")
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def build_grid_hasse(k: int, n: int, max_index: int | None = None) -> HasseDiagram:
     """Explicit Hasse diagram of the interval poset with top (k, n).
 
@@ -138,13 +130,13 @@ def build_grid_hasse(k: int, n: int, max_index: int | None = None) -> HasseDiagr
     covered = 0
     for j, a in enumerate(elements):
         if up[j] & ((1 << j) - 1):
-            before = elements[next(_bits(up[j]))]
+            before = elements[(up[j] & -up[j]).bit_length() - 1]
             raise ValueError(f"{before} >= {a} comes before {a} in the vertex order")
         rest = up[j] ^ 1 << j
         covered |= rest
         successors[a] = covers = []
         while rest:
-            cover = next(_bits(rest))
+            cover = (rest & -rest).bit_length() - 1
             covers.append(elements[cover])
             rest &= ~up[cover]
     minimals = tuple(v for j, v in enumerate(elements) if not covered >> j & 1)
@@ -188,22 +180,34 @@ def _sweep(diagram: HasseDiagram):
     return rank, down, paths, [v for v in rank if v not in covered]
 
 
-def principal_ideals(diagram: HasseDiagram, tops: Iterable[Vertex]):
-    """(vertices, rank census, chain report) of ``{v <= top}``, for each of ``tops``.
+def _rank_masks(rank):
+    """Entry j is the bitset, over the order of ``rank`` (vertex -> rank), of
+    the vertices of rank j, densely from 0.  A negative rank raises ``ValueError``."""
+    masks = []
+    for i, (vertex, j) in enumerate(rank.items()):
+        if j < 0:
+            raise ValueError(f"vertex {vertex} has negative rank {j}")
+        masks += [0] * (j + 1 - len(masks))
+        masks[j] |= 1 << i
+    return masks
 
-    All come from one ``_sweep``, the census from its rank table; a down-set
-    is convex, so its maximal chains are the cover paths from a minimal
-    vertex up to ``top``.  The vertices keep the diagram's order, and a top's
-    list is built only when it is yielded.  A ``top`` that is not a vertex
-    raises ``ValueError``.
+
+def principal_ideals(diagram: HasseDiagram, tops: Iterable[Vertex]):
+    """(down-set, rank census, chain report) of ``{v <= top}``, for each of ``tops``.
+
+    All come from one ``_sweep``: the down-set is its bitset over the vertex
+    order, and census entry j its popcount against the mask of rank j, built
+    once from the rank table.  A down-set is convex, so its maximal chains
+    are the cover paths from a minimal vertex up to ``top``.  A ``top`` that
+    is not a vertex, or a negative rank, raises ``ValueError``.
     """
     rank, down, paths, _ = _sweep(diagram)
-    vertices = list(rank)
+    masks = _rank_masks(rank)
     for top in tops:
         if top not in down:
             raise ValueError(f"{top} is not a vertex of the diagram")
-        below = [vertices[i] for i in _bits(down[top])]
-        yield below, _census(below, rank.__getitem__), paths[top]
+        census = [(down[top] & mask).bit_count() for mask in masks[: rank[top] + 1]]
+        yield down[top], census, paths[top]
 
 
 def factorial_ratios(seq: FSequence, pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -240,16 +244,16 @@ def layer_sizes(n: int, seq: FSequence) -> list[int]:
 
 
 def _recurrence(spec):
-    """(F_0, s, t) of a shipped sequence spec, as ``recurrence_values`` tabulates it."""
+    """(F_0, s, t) of a shipped sequence spec, as ``recurrence_values`` tabulates it.
+
+    The specs are those ``sequence_from_spec`` builds: a name, then for
+    gauss a base q >= 2.  Any other spec raises ``KeyError(spec)``.
+    """
     name = spec.rstrip("0123456789")
     q = int(spec[len(name):] or 0)
-    return {
-        "fib": (0, 1, 1),
-        "lucas": (2, 1, 1),
-        "naturals": (0, 2, -1),
-        "ones": (1, 1, 0),
-        "gauss": (0, q + 1, -q),
-    }[name]
+    if name == "gauss" and q > 1:
+        return 0, q + 1, -q
+    return {"fib": (0, 1, 1), "lucas": (2, 1, 1), "naturals": (0, 2, -1), "ones": (1, 1, 0)}[spec]
 
 
 def recurrence_values(spec: str, indices: Sequence[int]) -> list[int]:
@@ -385,15 +389,7 @@ def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
     return _combined([paths[v] for v in ends], 0) if ends else ChainReport(0, 0, 0, True)
 
 
-def _census(vertices: Collection[Vertex], rank_of: Callable[[Vertex], int]) -> list[int]:
-    """Entry j counts ``vertices`` of rank j, densely from 0."""
-    census = Counter(map(rank_of, vertices))
-    if min(census, default=0) < 0:
-        vertex = next(v for v in vertices if rank_of(v) < 0)
-        raise ValueError(f"vertex {vertex} has negative rank {rank_of(vertex)}")
-    return [census[j] for j in range(max(census, default=-1) + 1)]
-
-
 def rank_level_counts(diagram: HasseDiagram) -> list[int]:
     """Rank census: entry j counts vertices of rank j, densely from 0."""
-    return _census(diagram.vertices, diagram.rank_of)
+    masks = _rank_masks({v: diagram.rank_of(v) for v in diagram.vertices})
+    return [mask.bit_count() for mask in masks]

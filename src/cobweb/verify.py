@@ -4,14 +4,14 @@ Each suite walks an input range and compares a closed form with an
 independently computed value.  Enumeration and every reference value
 come from the oracle: the one grid suite builds one oracle diagram, with
 top (max_n - 1, max_n), and reads each grid (k, n) from one bottom-up
-sweep of it as the principal down-set of (k, n), with its rank census
-and chain report; the one layered suite asks the oracle for the whole
-census of each (n, F), levels 0..n // 2, and takes its Bell-like numbers
-under both policies from it; the one F-binomial suite asks it for one
-stream of division-free Pascal rows per shipped sequence and holds one
-row at a time; the GCD-morphism gate asks it for each shipped
-sequence's values by recurrence; and every check of a suite reads the
-result for its inputs.  Every identity is recorded one
+sweep of it as the principal down-set of (k, n), a bitset, with its
+rank census and chain report; the one layered suite asks the oracle for
+the whole census of each (n, F), levels 0..n // 2, and takes its
+Bell-like numbers under both policies from it; the one F-binomial
+suite asks it for one stream of division-free Pascal rows per shipped
+sequence and holds one row at a time; the GCD-morphism gate asks it for
+each shipped sequence's values by recurrence; and every check of a
+suite reads the result for its inputs.  Every identity is recorded one
 way, by ``SuiteResult.check``: the closed form runs inside the check,
 and a mismatch, or an exception it raises, is a failure of that identity
 naming its inputs and both values.  No library function computes an
@@ -107,13 +107,13 @@ def check_grid_chains(max_n: int) -> SuiteResult:
 
     The one grid suite.  It builds ``oracle.build_grid_hasse`` once, at top
     (max_n - 1, max_n), and reads each grid (k, n) with k < n <= max_n as
-    the principal down-set of (k, n) in it, all from one sweep of its cover
-    edges (``oracle.principal_ideals``).  Every check of a (k, n) reads
-    that down-set: size and Bell-like number against its vertex count, the
-    Whitney vector against its rank census, the ballot form and gradedness
-    against the DP chain report over its cover edges, and for
-    n <= ``ORDER_LAW_BOUND`` ``grid_leq`` on its vertices against the
-    oracle's order: ``a <= b`` iff ``a`` lies in the down-set of ``b``.
+    the principal down-set of (k, n) in it, a bitset over its vertex order,
+    all from one sweep of its cover edges (``oracle.principal_ideals``).
+    Every check of a (k, n) reads that bitset: size and Bell-like number
+    against its popcount, the Whitney vector against its rank census, the
+    ballot form and gradedness against the DP chain report, and for
+    n <= ``ORDER_LAW_BOUND`` ``grid_leq`` on its vertices, listed only
+    here, against the oracle's order: ``a <= b`` iff ``b``'s bitset has ``a``.
     Last, the Catalan numbers C_{n-1} are checked against the DP count of
     the near-diagonal (n - 1, n), n = 1..max_n.  The
     oracle orders by reachability over covers that raise the rank, a
@@ -125,23 +125,23 @@ def check_grid_chains(max_n: int) -> SuiteResult:
     whole = oracle.build_grid_hasse(max_n - 1, max_n, max_index=max_n)
     tops = [(k, n) for n in range(2, max_n + 1) for k in range(n)]
     ideals = oracle.principal_ideals(whole, [(0, 1), *tops])
-    vertices, _, report = next(ideals)
-    downs = {(0, 1): set(vertices)}  # {v <= top}, for tops with n <= ORDER_LAW_BOUND
+    down, _, report = next(ideals)
+    downs = {(0, 1): down}  # bitset {v <= top}, for tops with n <= ORDER_LAW_BOUND
     near_diagonal = [report.chain_count]  # DP count for top (n - 1, n), n = 1..max_n
-    for (k, n), (vertices, census, report) in zip(tops, ideals):
+    for (k, n), (down, census, report) in zip(tops, ideals):
         inputs = f"(k, n) = ({k}, {n})"
         if k == n - 1:
             near_diagonal.append(report.chain_count)
         suite.check(
             "grid size closed form = enumerated cardinality",
             inputs,
-            len(vertices),
+            down.bit_count(),
             lambda: gridposet.grid_size(k, n),
         )
         suite.check(
             "Bell-like number = size",
             inputs,
-            len(vertices),
+            down.bit_count(),
             lambda: gridposet.grid_bell(k, n),
         )
         suite.check(
@@ -163,12 +163,13 @@ def check_grid_chains(max_n: int) -> SuiteResult:
             lambda: (report.min_length, report.max_length, report.graded),
         )
         if n <= ORDER_LAW_BOUND:
-            downs[k, n] = set(vertices)
+            downs[k, n] = down
+            bits = {v: i for i, v in enumerate(whole.vertices) if down >> i & 1}
             suite.check(
                 "grid_leq = oracle order",
                 inputs,
-                {a: [b for b in vertices if a in downs[b]] for a in vertices},
-                lambda: {a: [b for b in vertices if gridposet.grid_leq(a, b)] for a in vertices},
+                {a: [b for b in bits if downs[b] >> i & 1] for a, i in bits.items()},
+                lambda: {a: [b for b in bits if gridposet.grid_leq(a, b)] for a in bits},
             )
     for n, count in enumerate(near_diagonal, 1):
         suite.check(

@@ -163,6 +163,11 @@ def layered(sizes):
     )
 
 
+def members(diagram, down):
+    """The vertices whose bits are set in the bitset ``down``, in diagram order."""
+    return [v for i, v in enumerate(diagram.vertices) if down >> i & 1]
+
+
 def reachable(diagram, start):
     seen, stack = set(), [start]
     while stack:
@@ -255,7 +260,7 @@ class TestPrincipalIdeal:
         for top in range(1, 13):
             whole = build_grid_hasse(top - 1, top, max_index=top)
             ideals = principal_ideals(whole, whole.vertices)
-            for (k, n), ideal in zip(whole.vertices, ideals, strict=True):
+            for (k, n), (down, census, report) in zip(whole.vertices, ideals, strict=True):
                 if (k, n) not in direct:
                     grid = build_grid_hasse(k, n)
                     direct[k, n] = (
@@ -263,20 +268,22 @@ class TestPrincipalIdeal:
                         rank_level_counts(grid),
                         enumerate_maximal_chains(grid),  # the walk, not the sweep's DP
                     )
-                assert ideal == direct[k, n]
+                assert (members(whole, down), census, report) == direct[k, n]
         assert len(direct) == grid_size(11, 12)
 
     @given(rank_raising_diagrams())
     @settings(max_examples=100, deadline=None)
     def test_each_down_set_equals_the_diagram_built_on_it(self, diagram):
         ideals = principal_ideals(diagram, diagram.vertices)
-        for top, (vertices, census, report) in zip(diagram.vertices, ideals, strict=True):
+        for top, (down, census, report) in zip(diagram.vertices, ideals, strict=True):
             inside = [v for v in diagram.vertices if v == top or top in reachable(diagram, v)]
             covers = {v: [b for b in diagram.successors(v) if b in inside] for v in inside}
             minimals = tuple(v for v in diagram.minimal_vertices if v in inside)
             ideal = HasseDiagram(inside, diagram.rank_of, covers.__getitem__, minimals)
-            assert vertices == inside
+            assert members(diagram, down) == inside
             assert census == rank_level_counts(ideal)
+            ranks = [diagram.rank_of(v) for v in inside]
+            assert census == [ranks.count(j) for j in range(diagram.rank_of(top) + 1)]
             assert report == recursive_chain_report(ideal)
 
     def test_cover_edges_are_read_once_per_diagram(self):
@@ -287,7 +294,7 @@ class TestPrincipalIdeal:
             HasseDiagram, "cover_edges", autospec=True, side_effect=read
         ) as reads:
             ideals = list(principal_ideals(whole, tops))
-        sizes = [len(vertices) for vertices, _, _ in ideals]
+        sizes = [down.bit_count() for down, _, _ in ideals]
         assert sizes == [grid_size(k, n) for k, n in tops]
         assert reads.call_count == 1
 
@@ -311,11 +318,12 @@ class TestPrincipalIdeal:
         diagram = HasseDiagram(
             list(covers), itemgetter(0), covers.__getitem__, ((0, 0), (0, 1))
         )
+        # bit i of a down-set stands for the i-th vertex of list(covers)
         expected = {
-            (2, 0): (list(covers), [2, 2, 1], ChainReport(3, 3, 3, True)),
-            (1, 0): ([(0, 0), (0, 1), (1, 0)], [2, 1], ChainReport(2, 2, 2, True)),
-            (1, 1): ([(0, 1), (1, 1)], [1, 1], ChainReport(1, 2, 2, True)),
-            (0, 1): ([(0, 1)], [1], ChainReport(1, 1, 1, True)),
+            (2, 0): (0b11111, [2, 2, 1], ChainReport(3, 3, 3, True)),
+            (1, 0): (0b00111, [2, 1], ChainReport(2, 2, 2, True)),
+            (1, 1): (0b01010, [1, 1], ChainReport(1, 2, 2, True)),
+            (0, 1): (0b00010, [1], ChainReport(1, 1, 1, True)),
         }
         assert list(principal_ideals(diagram, expected)) == list(expected.values())
 
@@ -416,6 +424,19 @@ class TestRecurrenceValues:
         with pytest.raises(KeyError):
             recurrence_values("fib", [3, -1])
 
+    @pytest.mark.parametrize("spec", ["fib7", "lucas2", "gauss", "gauss0", "gauss1"])
+    @pytest.mark.parametrize(
+        "read",
+        [lambda spec: recurrence_values(spec, [5, 6]), lambda spec: next(pascal_rows(spec, 3))],
+        ids=["recurrence_values", "pascal_rows"],
+    )
+    def test_a_spec_sequence_from_spec_refuses_is_rejected(self, spec, read):
+        with pytest.raises(ValueError):
+            sequence_from_spec(spec)
+        with pytest.raises(KeyError) as raised:
+            read(spec)
+        assert raised.value.args == (spec,)
+
 
 class TestPascalRows:
     """``pascal_rows``: the shipped family's division-free F-binomial rows."""
@@ -498,6 +519,8 @@ class TestChainEnumeration:
         diagram = HasseDiagram(list(ranks), ranks.__getitem__, covers.__getitem__, ((0, 0),))
         with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
             rank_level_counts(diagram)
+        with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
+            next(principal_ideals(diagram, [(1, 0)]))
 
     def test_chain_guard_trips(self):
         with pytest.raises(ScaleLimitError, match="chains"):

@@ -169,7 +169,7 @@ class TestSuites:
         assert [spy.call_count for spy in spies] == [0, 0]
 
     def test_grid_suite_at_24_and_32(self):
-        for max_n, cases in ((24, 1554), (32, 2702)):
+        for max_n, cases in ((24, 1554), (32, 2702), (48, 5958)):
             suite = verify.check_grid_chains(max_n)
             assert (suite.cases, suite.skipped, suite.failures) == (cases, 0, [])
 
