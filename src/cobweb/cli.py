@@ -24,18 +24,19 @@ so re-running them reproduces the bytes; only ``verify`` passes its own
 ``params``, which name the sequences it ran.
 
 Each command runs only its own layer modules, which the package registers
-lazily: ``grid`` runs ``gridposet``; ``seq`` and ``fbinom`` ``sequences``;
-``pnf`` and ``export`` ``sequences`` and ``pnfposet``; ``verify`` all five,
-and ``cmd_verify`` imports ``verify_command`` (the ``--max-n`` limit and the
-report) when it runs.  ``main`` takes the command from argv (the first
-argument that does not start with ``-``) and runs its layers' bodies
-first: compiling a layer after ``argparse`` left a larger heap behind, so
-``fbinom --seq naturals --rows 124`` peaked at 14.61 MB of RSS against
-14.34 MB with its layer compiled first (medians of 9, no bytecode cache).
-A well-formed argv never imports ``argparse``: ``_read`` takes the
-command's options from ``SUBCOMMANDS``, accepts only the argv shape on
-which argparse's namespace is fully determined, and returns that
-namespace.  Any other argv, help and every usage error go to
+lazily, and a layer's body runs where the command's code first reads it:
+``_read`` reads ``sequences`` and ``pnfposet`` as it builds a command's
+options, and each handler reads its other layers on first use.  So
+``grid`` runs ``gridposet``; ``seq``, ``fbinom`` and ``export --what
+fbinom-diagonal`` ``sequences``; ``pnf`` and ``export --what bell``
+``sequences`` and ``pnfposet``; ``verify`` all five, and ``cmd_verify``
+imports ``verify_command`` (the ``--max-n`` limit and the report) when it
+runs.
+``main`` takes the command from argv (the first argument that does not
+start with ``-``).  A well-formed argv never imports ``argparse``:
+``_read`` takes the command's options from ``SUBCOMMANDS``, accepts only
+the argv shape on which argparse's namespace is fully determined, and
+returns that namespace.  Any other argv, help and every usage error go to
 ``_parser``, the parser built from the same ``SUBCOMMANDS``, which stays
 the one source of help, usage lines and error text; a handler's
 ``ValueError`` or ``NonIntegralError`` builds it to report the error.  Where the command's
@@ -51,7 +52,7 @@ import sys
 from itertools import zip_longest
 from types import SimpleNamespace
 
-from . import gridposet, oracle, pnfposet, sequences, verify
+from . import gridposet, pnfposet, sequences
 
 FORMATS = ("table", "csv", "json")
 
@@ -202,22 +203,19 @@ def _seq_options():
     ]
 
 
-# command -> (help, the layer modules it runs, its options); main builds
-# the options of the command given only, after its layers have run
+# command -> (help, its options); main builds the options of the command
+# given only
 SUBCOMMANDS = {
     "seq": (
         "print F_1..F_N for a shipped sequence",
-        (sequences,),
         lambda: [*_seq_options(), ("--count", REQUIRED_INT), FORMAT_OPTION],
     ),
     "fbinom": (
         "print F-binomial triangle rows 0..R",
-        (sequences,),
         lambda: [*_seq_options(), ("--rows", REQUIRED_INT), FORMAT_OPTION],
     ),
     "grid": (
         "interval-poset quantities for (k, n)",
-        (gridposet,),
         lambda: [
             ("--k", REQUIRED_INT),
             ("--n", REQUIRED_INT),
@@ -227,7 +225,6 @@ SUBCOMMANDS = {
     ),
     "pnf": (
         "layered-poset quantities for (n, F)",
-        (sequences, pnfposet),
         lambda: [
             *_seq_options(),
             ("--n", REQUIRED_INT),
@@ -238,7 +235,6 @@ SUBCOMMANDS = {
     ),
     "verify": (
         "run every closed-form-vs-oracle suite up to a scale",
-        (sequences, pnfposet, gridposet, oracle, verify),
         lambda: [
             ("--max-n", REQUIRED_INT),
             ("--seq", {
@@ -249,7 +245,6 @@ SUBCOMMANDS = {
     ),
     "export": (
         "write a sequence as an OEIS b-file",
-        (sequences, pnfposet),
         lambda: [
             ("--what", {"choices": ("bell", "fbinom-diagonal"), "required": True}),
             *_seq_options(),
@@ -277,7 +272,7 @@ def _read(command, argv):
         return None
     args = SimpleNamespace(command=command)
     try:
-        for flag, keywords in SUBCOMMANDS[command][2]():
+        for flag, keywords in SUBCOMMANDS[command][1]():
             value = keywords.get("default")
             if flag in given:
                 text = given.pop(flag)
@@ -294,14 +289,14 @@ def _read(command, argv):
 
 def _parser(command):
     """The argparse parser, with ``command``'s options: help, usage and errors."""
-    import argparse  # after the layers: see the module docstring
+    import argparse  # only help, usage errors and argv _read declines get here
 
     parser = argparse.ArgumentParser(
         prog="cobweb",
         description="Exact layer combinatorics of cobweb posets.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (about, _, options) in SUBCOMMANDS.items():
+    for name, (about, options) in SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=about)
         if name == command:
             for flag, keywords in options():
@@ -312,8 +307,6 @@ def _parser(command):
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    for module in SUBCOMMANDS[command][1] if command in SUBCOMMANDS else ():
-        module.__name__  # the first attribute read runs a lazily registered body
     args = _read(command, argv) or _parser(command).parse_args(argv)
     if sys.stdout is None:  # fd 1 was closed at start: as a closed pipe, exit 3
         return 3

@@ -25,8 +25,6 @@ against the brute-force oracle (see ``cobweb.oracle`` and the test suite)
 rather than trusted.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 
@@ -89,7 +87,7 @@ def grid_chain_count(k: int, n: int) -> int:
 
 
 def catalan(i: int) -> int:
-    """The i-th Catalan number C(2i, i)/(i + 1)."""
+    """The i-th Catalan number C(2i, i)/(i + 1) = C(2i, i) - C(2i, i + 1)."""
     if i < 0:
         raise ValueError(f"catalan index must be >= 0, got {i}")
-    return comb(2 * i, i) // (i + 1)
+    return comb(2 * i, i) - comb(2 * i, i + 1)

@@ -25,8 +25,6 @@ fails at the first level that is not an integer, with the same error as
 that level's ``pnf_whitney``.
 """
 
-from __future__ import annotations
-
 from .sequences import FSequence, f_binomial, f_binomial_diagonal, f_binomial_rows
 
 POLICIES = ("include", "exclude")

@@ -42,8 +42,6 @@ Every function here is pure: no shared mutable state (no table outlives its
 call), safe to call from multiple threads, deterministic for equal inputs.
 """
 
-from __future__ import annotations
-
 from math import gcd, prod
 from typing import Iterator, Optional
 
@@ -89,16 +87,21 @@ class GcdMorphicReport(_Record):
         super().__init__(checked_bound, holds, counterexample)
 
 
+def _index(n: int) -> int:
+    """``n``, once it is a sequence index: a negative one raises ``ValueError``."""
+    if n < 0:
+        raise ValueError(f"sequence index must be >= 0, got {n}")
+    return n
+
+
 def seq_eval(seq: FSequence, n: int) -> int:
     """Return F_n, enforcing admissibility at the queried index.
 
-    F_n must be an ``int`` (exactly: a float, a ``Fraction`` or a ``bool``
-    is rejected, the last because ``True`` would print as a word, not 1)
-    and, for n >= 1, at least 1.
+    n must be >= 0.  F_n must be an ``int`` (exactly: a float, a
+    ``Fraction`` or a ``bool`` is rejected, the last because ``True`` would
+    print as a word, not 1) and, for n >= 1, at least 1.
     """
-    if n < 0:
-        raise ValueError(f"sequence index must be >= 0, got {n}")
-    value = seq.value_at(n)
+    value = seq.value_at(_index(n))
     if type(value) is not int:
         raise AdmissibilityError(
             f"{seq.name}: F_{n} = {value!r} is a {type(value).__name__}, not an int"
@@ -310,12 +313,12 @@ def _fib_pair(n: int) -> tuple[int, int]:
 
 
 def _fib_value(n: int) -> int:
-    return _fib_pair(n)[0]
+    return _fib_pair(_index(n))[0]
 
 
 def _lucas_value(n: int) -> int:
     # L_n = 2*F_{n+1} - F_n
-    a, b = _fib_pair(n)
+    a, b = _fib_pair(_index(n))
     return 2 * b - a
 
 
@@ -326,19 +329,19 @@ def fibonacci() -> FSequence:
 
 def naturals() -> FSequence:
     """F_n = n."""
-    return FSequence("naturals", lambda n: n)
+    return FSequence("naturals", _index)
 
 
 def ones() -> FSequence:
-    """F_n = 1 for all n."""
-    return FSequence("ones", lambda n: 1)
+    """F_n = 1 for all n >= 0."""
+    return FSequence("ones", lambda n: _index(n) ** 0)  # 1 at every index, 0 ** 0 too
 
 
 def gaussian(q: int) -> FSequence:
     """F_n = (q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) for integer q >= 2."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"gaussian base must be an integer >= 2, got {q!r}")
-    return FSequence(f"gauss(q={q})", lambda n: (q**n - 1) // (q - 1))
+    return FSequence(f"gauss(q={q})", lambda n: (q ** _index(n) - 1) // (q - 1))
 
 
 def lucas() -> FSequence:

@@ -8,8 +8,6 @@ line per suite, then a ``FAIL`` line per failure and the totals; csv and
 json go through ``cli._emit``.
 """
 
-from __future__ import annotations
-
 import sys
 
 from . import verify

@@ -121,6 +121,11 @@ def test_each_subcommand_runs_only_its_layers(argv):
     assert layer_check.layers_run(argv) == layer_check.EXPECTED[argv]
 
 
+def test_the_central_column_export_runs_only_sequences():
+    argv = "export --what fbinom-diagonal --seq fib --count 5 --bfile {bfile}"
+    assert layer_check.layers_run(argv) == (0, ["sequences"], False)
+
+
 @pytest.mark.parametrize(
     "value, text",
     [

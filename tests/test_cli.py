@@ -737,7 +737,7 @@ def perturbed_argvs(draw):
     """A command's declared options in any order, then, one time in two, perturbed."""
     command = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
     perturbed = draw(st.booleans())
-    options = draw(st.permutations(cli.SUBCOMMANDS[command][2]()))
+    options = draw(st.permutations(cli.SUBCOMMANDS[command][1]()))
     pairs = []
     for flag, keywords in options:
         if draw(st.integers(0, 7)) >= (7 if keywords.get("required") else 4):

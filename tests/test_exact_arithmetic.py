@@ -26,16 +26,15 @@ FLOOR_REASONS = {
         "exact: k (k + 1) is a product of two consecutive integers, so it is even",
     ("gridposet", "grid_whitney", "j // 2"):
         "floors on purpose: an element (l, m) of rank j = l + m - 1 has l < m, so l <= j // 2",
-    ("gridposet", "catalan", "comb(2 * i, i) // (i + 1)"):
-        "exact: C(2i, i) / (i + 1) = C(2i, i) - C(2i, i + 1), a difference of integers",
     ("oracle", "layer_sizes", "n // 2"):
         "floors on purpose: P(n, F) has levels k = 0..floor(n / 2)",
     ("pnfposet", "pnf_max_rank", "n // 2"):
         "floors on purpose: the top level is floor(n / 2) when the degenerate level is included",
     ("pnfposet", "pnf_max_rank", "(n - 1) // 2"):
         "floors on purpose: the top level is floor((n - 1) / 2) when it is excluded",
-    ("sequences", "gaussian", "(q**n - 1) // (q - 1)"):
-        "exact: q^n - 1 = (q - 1)(1 + q + ... + q^(n-1)) for every index n >= 0",
+    ("sequences", "gaussian", "(q ** _index(n) - 1) // (q - 1)"):
+        "exact: q^n - 1 = (q - 1)(1 + q + ... + q^(n-1)) for every index n >= 0, "
+        "and _index refuses n < 0",
     ("verify", "check_pnf_census", "n % 2"):
         "parity on purpose: an even n has the degenerate level n / 2",
     ("verify", "check_fbinom_algebra", "FBINOM_BOUND // 2"):

@@ -85,6 +85,13 @@ class TestSeqEval:
         with pytest.raises(ValueError):
             seq_eval(SHIPPED["fibonacci"], -1)
 
+    @pytest.mark.parametrize("name", SEQUENCE_NAMES)
+    def test_value_at_refuses_a_negative_index_as_seq_eval_does(self, name):
+        seq = make_sequence(name, 2 if name == "gauss" else None)
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=rf"^sequence index must be >= 0, got {n}$"):
+                seq.value_at(n)
+
     def test_admissibility_violation_names_index(self):
         bad = FSequence("bad", lambda n: 0 if n == 3 else n)
         assert seq_eval(bad, 2) == 2
