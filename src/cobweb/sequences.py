@@ -27,10 +27,11 @@ incremental product; ``f_binomial_rows`` yields whole rows by the
 recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
 step k of that product.  ``f_binomial_diagonal`` walks a line of entries
 (the Whitney line of P(n, F), the central column) by the ratio of
-neighbours: about N steps for N entries instead of N^2/2.  All three share
-one checked multiply-and-divide step and one meaning of (n choose k)_F,
-the factorial ratio: each raises only at an entry that is not an integer,
-with the per-entry product's error, or at an inadmissible value.
+neighbours: about N steps for N entries instead of N^2/2, and holds only
+those entries and the value table.  All three share one checked
+multiply-and-divide step and one meaning of (n choose k)_F, the factorial
+ratio: each raises only at an entry that is not an integer, with the
+per-entry product's error, or at an inadmissible value.
 
 The shipped sequences are listed once, in a CLI name -> factory registry.
 Each is spelled two ways, with the same result and errors: by name and
@@ -208,14 +209,14 @@ def f_binomial_diagonal(
 ) -> list[int]:
     """[(n choose k)_F for (n, k) = start + i * step, i = 0 .. count-1].
 
-    Neighbouring entries on a line differ by a ratio of a few sequence
-    values (``_ratio_factors``), so each entry costs one checked
-    multiply-and-divide instead of k: the Whitney line of P(n, F),
-    start (n, 0) and step (-1, 1), and the central column (2m choose m)_F,
-    start (2, 1) and step (2, 1), each take about ``count`` steps.  An
-    entry with k = 0 or k = n is 1 and reads no value, and the entry after
-    it is computed by the per-entry product, so the Whitney line starts
-    from (n-1 choose 1)_F = F_{n-1}/F_1 and never reads F_n.
+    Neighbouring entries on a line differ by a ratio of a few sequence values
+    (``_ratio_factors``), so each entry costs one checked multiply-and-divide
+    instead of k: the Whitney line of P(n, F), start (n, 0) and step (-1, 1),
+    and the central column (2m choose m)_F, start (2, 1) and step (2, 1),
+    each take about ``count`` steps and hold only the entries and the value
+    table.  An entry with k = 0 or k = n is 1 and reads no value, and the
+    entry after it is computed by the per-entry product, so the Whitney line
+    starts from (n-1 choose 1)_F = F_{n-1}/F_1 and never reads F_n.
 
     Each step gives the next entry exactly as a rational, so a step that
     leaves a remainder marks an entry that is not an integer: it raises the
@@ -226,13 +227,11 @@ def f_binomial_diagonal(
     if count < 0:
         raise ValueError(f"diagonal length must be >= 0, got {count}")
     (n, k), (dn, dk) = start, step
-    pairs = [(n + i * dn, k + i * dk) for i in range(count)]
     values = _ValueTable(seq)
     entries = []
-    previous = None  # the last entry, while it is interior (0 < k < n)
-    for i, (n, k) in enumerate(pairs):
-        if previous and 0 < k < n:
-            up, down = _ratio_factors(*previous, n, k)
+    for i in range(count):
+        if i and 0 < k - dk < n - dn and 0 < k < n:  # this and the last are interior
+            up, down = _ratio_factors(n - dn, k - dk, n, k)
             product, divisor = entries[-1], 1
             for j in up:
                 product *= values[j]
@@ -248,7 +247,7 @@ def f_binomial_diagonal(
             entries.append(entry)
         else:
             entries.append(_binomial(values, n, k))
-        previous = (n, k) if 0 < k < n else None
+        n, k = n + dn, k + dk
     return entries
 
 

@@ -1,5 +1,7 @@
 """Layered poset P(n, F): levels, Whitney census, Bell-like numbers."""
 
+import tracemalloc
+
 import pytest
 
 from cobweb.oracle import layer_sizes
@@ -124,6 +126,20 @@ class TestBell:
         bells = [pnf_bell(n, NAT) for n in range(0, 31)]
         for n in range(2, 31):
             assert bells[n] == bells[n - 1] + bells[n - 2]
+
+    def test_work_memory_holds_no_index_list(self):
+        # the walk holds its n/2 + 1 entries and its value table, about 65 B
+        # per n at n = 20000; a list of every (n, k) on the line takes 124
+        n = 20000
+        pnf_bell(10, ONES)  # warm-up: first-call caches are no part of the peak
+        tracemalloc.start()
+        try:
+            bell = pnf_bell(n, ONES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bell == n // 2 + 1
+        assert peak < 96 * n
 
 
 class TestBellSequence:

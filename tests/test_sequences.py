@@ -435,7 +435,21 @@ class TestDiagonalWalk:
         with pytest.raises(AdmissibilityError, match="F_6 = 0"):
             f_binomial(bad56, 6, 2)
 
-    def test_general_lines_and_validation(self):
+    @given(
+        spec=st.sampled_from((*GCD_MORPHIC_SPECS, "lucas")),
+        start=st.tuples(st.integers(-4, 40), st.integers(-4, 40)),
+        step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        count=st.integers(0, 24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_general_lines_and_validation(self, spec, start, step, count):
+        # any line, steps with negative components included: the walk gives
+        # the per-entry products, or raises the first error they raise
+        drawn = sequence_from_spec(spec)
+        pairs = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(count)]
+        assert outcome(lambda: f_binomial_diagonal(drawn, start, step, count)) == outcome(
+            lambda: per_entry(drawn, pairs)
+        )
         seq = SHIPPED["gauss2"]
         lines = [
             ((0, 0), (1, 0)), ((9, 0), (0, 1)), ((3, 5), (1, -1)), ((5, 2), (3, 2)),
