@@ -14,14 +14,16 @@ the subcommand runs with Python's int-to-str digit limit lifted, while
 integers parsed from the command line keep the interpreter's default limit.
 
 ``_emit`` writes every document but verify's table one row at a time, and
-converts each cell to decimal as its row is written: it reads the rows of
-a nested document twice, first to raise any error before a byte is written
-and to size the table's columns, then to write.  So ``fbinom`` holds one
-row of the F-binomial triangle, never the whole triangle.  Only
-``--format json`` loads ``json``.  A document takes its object and format
-from the parsed command, and its json ``params`` from the parsed options,
-so re-running them reproduces the bytes; only ``verify`` passes its own
-``params``, which name the sequences it ran.
+converts each cell to decimal as its row is written; a nested table sizes
+its columns from the row of column maxima its caller passes.  So
+``fbinom`` holds one row of the F-binomial triangle, never the whole
+triangle, and runs the row engine once: every shipped sequence but lucas
+is GCD-morphic, so its F-binomials are integers, and only ``--seq lucas``
+first runs every row, so that its error comes before a byte is written.
+Only ``--format json`` loads ``json``.  A document takes its object and
+format from the parsed command, and its json ``params`` from the parsed
+options, so re-running them reproduces the bytes; only ``verify`` passes
+its own ``params``, which name the sequences it ran.
 
 Each command runs only its own layer modules, which the package registers
 lazily, and a layer's body runs where the command's code first reads it:
@@ -57,26 +59,23 @@ from . import gridposet, pnfposet, sequences
 FORMATS = ("table", "csv", "json")
 
 
-def _emit(args, values, labels=None, params=None, **keys):
+def _emit(args, values, labels=None, params=None, top=(), **keys):
     """Write ``args.command``'s document in ``args.format``, one row at a time.
 
-    ``values`` is one row, or a function that returns a fresh iterator over
-    the rows of a nested document.  A cell is an int, or a str where it is
-    text (only in csv).  json adds ``keys`` after ``values``; its ``params``
-    default to the parsed options, in declared order, without ``command``,
-    ``format`` and the unset ones.  The rows are read twice: the first pass
-    raises any error of the rows before a byte is written and finds each
-    table column's width, the second converts each cell to decimal as its
-    row is written, so one row's digits are held at a time.
+    ``values`` is one row, or a function that returns an iterator over the
+    rows of a nested document, read once: each cell is converted to decimal
+    as its row is written, so one row's digits are held at a time, and an
+    error of a row is raised after the rows before it are written.  A cell
+    is an int, or a str where it is text (only in csv).  A nested table
+    pads column k to the width of ``top[k]``, the column's maximum.  json
+    adds ``keys`` after ``values``; its ``params`` default to the parsed
+    options, in declared order, without ``command``, ``format`` and the
+    unset ones.
     """
     fmt = args.format
     nested = callable(values)
     rows = values if nested else lambda: [values]
-    widths = []  # a nested table's column maxima, then widths: no cell is negative
-    for row in rows():
-        if fmt == "table" and nested:
-            widths = [*map(max, zip_longest(widths, row, fillvalue=0))]
-    widths = [len(str(x)) for x in widths]
+    widths = [len(str(x)) for x in top]  # no cell is negative
     write = sys.stdout.write
     if fmt == "json":  # json.dumps(doc) + "\n", in pieces; keys follow values
         import json
@@ -116,7 +115,13 @@ def cmd_fbinom(args):
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     seq = sequences.make_sequence(args.seq, args.q)
-    _emit(args, lambda: sequences.f_binomial_rows(seq, args.rows))
+    if args.seq == "lucas":  # not GCD-morphic: raise its error before any byte
+        for _ in sequences.f_binomial_rows(seq, args.rows):
+            pass
+    # the last row holds each column's maximum: every shipped F is
+    # nondecreasing from F_1, so each column is too, down the triangle
+    top = sequences.f_binomial_diagonal(seq, (args.rows, 0), (0, 1), args.rows + 1)
+    _emit(args, lambda: sequences.f_binomial_rows(seq, args.rows), top=top)
     return 0
 
 
@@ -151,7 +156,7 @@ def cmd_grid(args):
     if args.show == "all":
         labels = list(GRID_QUANTITIES)
         values = [GRID_QUANTITIES[name](k, n) for name in labels]
-        _emit(args, lambda: values, labels)
+        _emit(args, lambda: values, labels, top=map(max, zip_longest(*values, fillvalue=0)))
     else:
         _emit(args, GRID_QUANTITIES[args.show](k, n))
     return 0

@@ -25,8 +25,10 @@ therefore evaluates exactly the indices its entries need, never F_0, and
 each of them once.  ``f_binomial`` reads an entry from the table by the
 incremental product; ``f_binomial_rows`` yields whole rows by the
 recurrence (n choose k)_F = (n choose k-1)_F * F_{n-k+1} / F_k, which is
-step k of that product.  ``f_binomial_diagonal`` walks a line of entries
-(the Whitney line of P(n, F), the central column) by the ratio of
+step k of that product, taken for k <= n // 2 only: the rest of the row
+is its mirror image, (n choose k)_F = (n choose n-k)_F, so a row costs
+half its length in steps.  ``f_binomial_diagonal`` walks a line of
+entries (the Whitney line of P(n, F), the central column) by the ratio of
 neighbours: about N steps for N entries instead of N^2/2, and holds only
 those entries and the value table.  All three share one checked
 multiply-and-divide step and one meaning of (n choose k)_F, the factorial
@@ -256,11 +258,14 @@ def f_binomial_rows(
 ) -> Iterator[list[int]]:
     """Yield the F-binomial triangle rows 0..last_row, one list per row.
 
-    Entry k of row n comes from entry k-1 by one checked step, so a row of
-    length n+1 costs n-1 multiplications and divisions.  With ``diagonal``
-    set, row n keeps only the entries with k <= diagonal - n (those that
-    sum into the diagonal sums up to that index); by default every row is
-    whole.  A row that cannot be completed raises before it is yielded.
+    Entry k of row n comes from entry k-1 by one checked step for
+    k <= n // 2, and entry k > n // 2 is entry n - k, so a row of length
+    n+1 costs n // 2 multiplications and divisions.  With ``diagonal`` set,
+    row n keeps only the entries with k <= diagonal - n (those that sum
+    into the diagonal sums up to that index); by default every row is
+    whole.  A row that cannot be completed raises before it is yielded,
+    at its first non-integral entry: that entry's mirror image is not an
+    integer either, so it lies in the half that is stepped.
     """
     if last_row < 0:
         raise ValueError(f"last row must be >= 0, got {last_row}")
@@ -271,10 +276,9 @@ def f_binomial_rows(
     values = _ValueTable(seq)
     for n in range(last_row + 1):
         row = [1]
-        for k in range(1, min(n - 1, diagonal - n) + 1):
+        for k in range(1, min(n // 2, diagonal - n) + 1):
             row.append(_checked_step(values, n, k, k, row[-1] * values[n - k + 1]))
-        if 0 < n <= diagonal - n:
-            row.append(1)
+        row += [row[n - k] for k in range(len(row), min(n, diagonal - n) + 1)]
         yield row
 
 

@@ -21,8 +21,9 @@ are checked: none compares a function with itself, a copy of itself, or
 a value another check already pins.  Poset suites scale with ``max_n``
 over the given sequences; the F-binomial suite and the GCD-morphism gate
 always run over the whole shipped family at fixed bounds, a fixed cost
-of every run: about 7 ms for the F-binomial suite and 6 ms for the gate
-in process (2-vCPU VM, Python 3.11).
+of every run: about 6 ms for the F-binomial suite and 3 ms for the gate
+in process (2-vCPU VM, Python 3.11; about twice that when the VM runs
+slow).
 
 No suite skips a check, because none reaches an oracle guard: the grid
 diagram is built with ``max_index=max_n``, the grid chain checks read

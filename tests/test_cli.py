@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import cobweb
 from cobweb import cli, verify, verify_command
 from cobweb.cli import FORMATS, GRID_CENSUS_LIMIT, main
-from cobweb.sequences import f_binomial_rows, make_sequence
+from cobweb.sequences import SEQUENCE_NAMES, FSequence, f_binomial_rows, make_sequence
 
 SRC = str(Path(cobweb.__file__).resolve().parent.parent)  # for child processes
 
@@ -205,6 +205,59 @@ class TestFbinomCommand:
         assert peaks["table"] <= 1.1 * peaks["csv"]
         assert peaks["json"] <= 1.1 * peaks["csv"]
         assert all(peaks[fmt] < sizes[fmt] / 4 for fmt in FORMATS), (peaks, sizes)
+
+
+class TestFbinomSinglePass:
+    """Every shipped sequence but lucas is GCD-morphic, so its F-binomials are
+    integers and ``fbinom`` writes each row as the row engine yields it."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", SEQUENCE_NAMES)
+    def test_row_engine_runs_once_but_for_lucas(self, name, fmt, capsys, monkeypatch):
+        engine, calls = cobweb.sequences.f_binomial_rows, []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return engine(*args)
+
+        monkeypatch.setattr("cobweb.sequences.f_binomial_rows", counted)
+        base = ["--q", "3"] if name == "gauss" else []
+        for rows in (3, 9):  # lucas's rows 0..3 are integral, row 4 is not
+            calls.clear()
+            argv = ["fbinom", "--seq", name, *base, "--rows", str(rows), "--format", fmt]
+            code, out, err = run_cli(argv, capsys)
+            if name == "lucas" and rows > 3:  # the check pass raises
+                assert (calls, code, out) == ([(rows,)], 2, "")
+                assert "(4 choose 2)_F is not an integer for F = lucas" in err
+                continue
+            # lucas alone runs a check pass, then the written one
+            assert calls == [(rows,)] * (2 if name == "lucas" else 1)
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == (1 if fmt == "json" else rows + 1)
+
+    def test_non_integral_entry_under_a_name_that_skips_the_check_ends_mid_document(
+        self, capsys, monkeypatch
+    ):
+        # a sequence that is not GCD-morphic under a name that skips the
+        # check pass: the rows before its first non-integral entry are
+        # written, then the error, exit 2 (its last row is integral)
+        skipped = FSequence("skipped", lambda n: 2 if n % 3 == 2 else 1)
+        monkeypatch.setattr("cobweb.sequences.make_sequence", lambda name, q: skipped)
+        written = {
+            "table": "1\n1 1\n1 2 1\n1 1 1 1\n",
+            "csv": "1\n1,1\n1,2,1\n1,1,1,1\n",
+            "json": '{"object": "fbinom", "params": {"seq": "naturals", "rows": "5"}, '
+            '"values": [["1"], ["1", "1"], ["1", "2", "1"], ["1", "1", "1", "1"]',
+        }
+        for fmt in FORMATS:
+            argv = ["fbinom", "--seq", "naturals", "--rows", "5", "--format", fmt]
+            assert run_cli(argv, capsys) == (
+                2,
+                written[fmt],
+                "usage: cobweb [-h] command ...\n"
+                "cobweb: error: (4 choose 2)_F is not an integer for F = skipped: "
+                "step 2 leaves remainder 1 after dividing by F_2 = 2\n",
+            )
 
 
 class TestGridCommand:

@@ -32,6 +32,8 @@ FLOOR_REASONS = {
         "floors on purpose: the top level is floor(n / 2) when the degenerate level is included",
     ("pnfposet", "pnf_max_rank", "(n - 1) // 2"):
         "floors on purpose: the top level is floor((n - 1) / 2) when it is excluded",
+    ("sequences", "f_binomial_rows", "n // 2"):
+        "floors on purpose: entries k <= floor(n / 2) fix row n by symmetry",
     ("sequences", "gaussian", "(q ** _index(n) - 1) // (q - 1)"):
         "exact: q^n - 1 = (q - 1)(1 + q + ... + q^(n-1)) for every index n >= 0, "
         "and _index refuses n < 0",

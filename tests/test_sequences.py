@@ -239,6 +239,18 @@ LUCAS_4_2 = (
 )
 
 
+def rows_or_error(rows):
+    """The rows an iterator yields before it raises ``NonIntegralError``, and
+    that error's text (``None`` if it yields every row)."""
+    done = []
+    try:
+        for row in rows:
+            done.append(row)
+    except NonIntegralError as exc:
+        return done, str(exc)
+    return done, None
+
+
 class TestRowEngine:
     @given(name=st.sampled_from(sorted(SHIPPED)), last_row=st.integers(0, 45))
     @settings(max_examples=60, deadline=None)
@@ -270,17 +282,65 @@ class TestRowEngine:
             assert rows[n] == [1] + [rule(above, n, k) for k in range(1, n)] + [1]
 
     @given(
-        name=st.sampled_from(sorted(SHIPPED)),
-        last_row=st.integers(0, 30),
-        extra=st.integers(0, 30),
+        name=st.sampled_from(SEQUENCE_NAMES),
+        q=st.integers(2, 9),
+        last_row=st.integers(0, 40),
+        extra=st.one_of(st.none(), st.integers(0, 40)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_diagonal_keeps_row_prefixes(self, name, q, last_row, extra):
+        # the rows step k <= n // 2 and mirror the rest; lucas raises where
+        # the per-entry product first finds a non-integral entry, with its text
+        seq = make_sequence(name, q if name == "gauss" else None)
+        diagonal = None if extra is None else last_row + extra
+        cut = 2 * last_row if diagonal is None else diagonal
+        per_entry = (
+            [f_binomial(seq, n, k) for k in range(min(n, cut - n) + 1)]
+            for n in range(last_row + 1)
+        )
+        assert rows_or_error(f_binomial_rows(seq, last_row, diagonal)) == rows_or_error(
+            per_entry
+        )
+
+    @given(
+        values=st.lists(st.integers(1, 12), max_size=24),
+        extra=st.integers(0, 24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_row_fails_first_in_its_left_half(self, values, extra):
+        # (n choose k)_F = (n choose n-k)_F, so the first non-integral entry
+        # of a row has k <= n // 2: an arbitrary admissible F raises where
+        # the per-entry product does, with the same text
+        seq = FSequence("drawn", lambda n: values[n - 1] if n else 0)
+        last_row = len(values)
+        per_entry = (
+            [f_binomial(seq, n, k) for k in range(min(n, last_row + extra - n) + 1)]
+            for n in range(last_row + 1)
+        )
+        assert rows_or_error(
+            f_binomial_rows(seq, last_row, diagonal=last_row + extra)
+        ) == rows_or_error(per_entry)
+
+    @given(
+        name=st.sampled_from(SEQUENCE_NAMES),
+        q=st.integers(2, 9),
+        last_row=st.integers(0, 60),
     )
     @settings(max_examples=60, deadline=None)
-    def test_diagonal_keeps_row_prefixes(self, name, last_row, extra):
-        seq, diagonal = SHIPPED[name], last_row + extra
-        rows = list(f_binomial_rows(seq, last_row, diagonal=diagonal))
-        for n, row in enumerate(rows):
-            width = min(n, diagonal - n)
-            assert row == [f_binomial(seq, n, k) for k in range(width + 1)]
+    def test_the_last_row_holds_each_column_maximum(self, name, q, last_row):
+        # every shipped F is nondecreasing from F_1, so each column is
+        # nondecreasing down the triangle: a table sizes its columns from
+        # the last row, walked along its k
+        seq = make_sequence(name, q if name == "gauss" else None)
+        assert all(
+            seq_eval(seq, i) <= seq_eval(seq, i + 1) for i in range(1, last_row + 1)
+        )
+        if name == "lucas":  # its rows stop at row 4
+            return
+        rows = list(f_binomial_rows(seq, last_row))
+        assert f_binomial_diagonal(seq, (last_row, 0), (0, 1), last_row + 1) == rows[-1]
+        for above, row in zip(rows, rows[1:]):
+            assert all(a <= b for a, b in zip(above, row))
 
     def test_entries_equal_the_factorial_ratio(self):
         seq = SHIPPED["gauss3"]
@@ -314,12 +374,15 @@ class TestRowEngine:
         with pytest.raises(AdmissibilityError, match="F_10 = 0"):
             list(f_binomial_rows(seq, 10))
 
-    def test_lucas_rows_fail_first_at_4_2(self):
-        rows = f_binomial_rows(lucas(), 40)
-        assert [next(rows) for _ in range(4)][3] == [1, 4, 4, 1]
-        with pytest.raises(NonIntegralError) as caught:
-            next(rows)
-        assert str(caught.value) == LUCAS_4_2
+    @given(last_row=st.integers(4, 40), extra=st.one_of(st.none(), st.integers(2, 40)))
+    @settings(max_examples=30, deadline=None)
+    def test_lucas_rows_fail_first_at_4_2(self, last_row, extra):
+        # under every cut that keeps (4 choose 2)
+        diagonal = None if extra is None else last_row + extra
+        assert rows_or_error(f_binomial_rows(lucas(), last_row, diagonal)) == (
+            [[1], [1, 1], [1, 3, 1], [1, 4, 4, 1]],
+            LUCAS_4_2,
+        )
         with pytest.raises(NonIntegralError) as caught:
             f_binomial(lucas(), 4, 2)
         assert str(caught.value) == LUCAS_4_2

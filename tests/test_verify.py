@@ -502,17 +502,47 @@ class TestFaultInjection:
 
         monkeypatch.setattr("cobweb.sequences._checked_step", off_by_one_at_5_2)
         failures = [f for suite in verify.run_verify(6) for f in suite.failures]
-        raised = {f.identity for f in failures if f.actual.startswith("raised ")}
+        # the row engine steps k <= n // 2 and mirrors the rest, so the wrong
+        # (5 choose 2) is also (5 choose 3) and row 5 is wrong, raising nothing
+        engine = "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder"
+        wrong_rows = [
+            ("fibonacci", [1, 5, 15, 15, 5, 1], [1, 5, 16, 16, 5, 1]),
+            ("naturals", [1, 5, 10, 10, 5, 1], [1, 5, 11, 11, 5, 1]),
+            ("ones", [1, 1, 1, 1, 1, 1], [1, 1, 2, 2, 1, 1]),
+            ("gauss(q=2)", [1, 31, 155, 155, 31, 1], [1, 31, 156, 156, 31, 1]),
+            ("gauss(q=3)", [1, 121, 1210, 1210, 121, 1], [1, 121, 1211, 1211, 121, 1]),
+        ]
         # lucas's walk leaves a remainder at (5 choose 2), where the per-entry
         # product now returns 29
-        assert raised == {
-            "row engine = F_n!/(F_k! F_{n-k}!) with zero remainder",
-            "lucas Whitney line = oracle census, or its first non-integral level",
-        }
-        assert not any(f.actual.startswith("'") for f in failures)
+        lucas_line = "lucas Whitney line = oracle census, or its first non-integral level"
+        lucas_levels = (
+            "lucas per-level Whitney numbers = oracle census, or its first non-integral level"
+        )
+        not_integral = "'(5 choose 2)_F is not an integer'"
+        walk_error = (
+            "raised RuntimeError: walk step 2 gives (5 choose 2)_F = 1386/54 for F = lucas, "
+            "but the per-entry product gives 29"
+        )
+        assert [(f.identity, f.inputs, f.expected, f.actual) for f in failures] == [
+            (engine, f"(F, n) = ({name}, 5)", repr(right), repr(wrong))
+            for name, right, wrong in wrong_rows
+        ] + [
+            (lucas_line, "(F, n) = (lucas, 7)", not_integral, walk_error),
+            (lucas_levels, "(F, n) = (lucas, 7)", not_integral, "[1, 18, 29, 7]"),
+        ]
         assert cli.main(["verify", "--max-n", "6"]) == 1
         captured = capsys.readouterr()
-        assert "got raised NonIntegralError: (5 choose 4)_F is not an integer" in captured.out
+        assert captured.out.count("\nFAIL ") == len(failures)
+        for name, right, wrong in wrong_rows:
+            assert (
+                f"FAIL {engine} at (F, n) = ({name}, 5): expected {right}, got {wrong}\n"
+                in captured.out
+            )
+        assert (
+            f"FAIL {lucas_line} at (F, n) = (lucas, 7): expected {not_integral}, got {walk_error}\n"
+            in captured.out
+        )
+        assert captured.out.endswith(f"checks 540\nfailures {len(failures)}\n")
         assert captured.err == ""
 
     def test_raising_walk_renders_unquoted(self, monkeypatch):
