@@ -1,6 +1,16 @@
+import gc
 import sys
 
-from .cli import main
+from . import cli
+
+
+def main():
+    try:
+        code = cli.main()
+    finally:
+        gc.freeze()  # exit then skips collecting what site and the layers loaded (~6 ms)
+    sys.exit(code)
+
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -2,12 +2,16 @@
 
 import contextlib
 import csv
+import gc
+import importlib
 import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -672,7 +676,64 @@ class TestFormats:
         assert int(middle) > 2**64  # far beyond machine words, still exact
 
 
+# runs `python -m cobweb` as runpy runs it, with an atexit hook that reports whether the
+# heap was frozen since start-up (3.12 starts with some objects frozen, 3.11 and 3.13 none)
+ATEXIT_PROBE = """
+import atexit, gc, runpy, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: print("at exit, frozen:", gc.get_freeze_count() > start, file=sys.stderr))
+runpy.run_module("cobweb", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestEntryPoints:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["seq", "--seq", "fib", "--count", "5"], 0),
+            (["seq", "--seq", "gauss", "--count", "3"], 2),  # a usage error
+        ],
+        ids=["success", "usage-error"],
+    )
+    def test_the_entry_point_freezes_the_heap_and_runs_atexit_hooks(self, argv, code):
+        def child(*args):
+            return subprocess.run(
+                [sys.executable, *args, *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=SRC),
+                timeout=60,
+            )
+
+        plain, hooked = child("-m", "cobweb"), child("-c", ATEXIT_PROBE)
+        assert plain.returncode == hooked.returncode == code
+        assert hooked.stdout == plain.stdout
+        assert hooked.stderr == plain.stderr + "at exit, frozen: True\n"
+
+    def test_cli_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert run_cli(["seq", "--seq", "fib", "--count", "5"], capsys)[0] == 0
+        assert run_cli(["seq", "--seq", "gauss", "--count", "3"], capsys)[0] == 2
+        assert gc.get_freeze_count() == before
+
+    def test_the_console_script_is_what_python_m_cobweb_runs(self, monkeypatch):
+        callers = []
+
+        def cli_main():
+            callers.append(sys._getframe(1).f_code)
+            return 0
+
+        monkeypatch.setattr(cli, "main", cli_main)
+        monkeypatch.setattr(gc, "freeze", lambda: None)  # this process keeps collecting
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("cobweb", run_name="__main__")
+        assert exit_.value.code == 0
+        pyproject = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())
+        module, _, name = pyproject["project"]["scripts"]["cobweb"].partition(":")
+        script = getattr(importlib.import_module(module), name).__code__
+        where = (script.co_filename, script.co_firstlineno, script.co_name)
+        assert [(c.co_filename, c.co_firstlineno, c.co_name) for c in callers] == [where]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cobweb", "seq", "--seq", "fib", "--count", "5"],
