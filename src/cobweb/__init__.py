@@ -116,8 +116,6 @@ _HOMES = {  # each exported name -> the submodule that defines it, in ASCII sort
     "ScaleLimitError": oracle,
     "build_grid_hasse": oracle,
     "catalan": gridposet,
-    "count_maximal_chains": oracle,
-    "enumerate_maximal_chains": oracle,
     "f_binomial": sequences,
     "f_binomial_rows": sequences,
     "f_factorial": sequences,
@@ -141,7 +139,6 @@ _HOMES = {  # each exported name -> the submodule that defines it, in ASCII sort
     "pnf_max_rank": pnfposet,
     "pnf_whitney": pnfposet,
     "pnf_whitney_vector": pnfposet,
-    "rank_level_counts": oracle,
     "seq_eval": sequences,
 }
 __all__ = list(_HOMES)

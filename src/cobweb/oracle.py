@@ -34,23 +34,16 @@ It never reuses a closed form it is meant to validate:
 * shipped sequence values (``recurrence_values``) come from each
   sequence's defining recurrence ``F_{n+1} = s F_n + t F_{n-1}``, one
   step per value, never from its closed form or factory;
-* maximal chains are counted two ways along cover edges: one by one by
-  a batched depth-first walk (``enumerate_maximal_chains``), which
-  extends up to ``_CHAIN_BATCH`` open chains per step with C iterators
-  in O(depth * batch) memory and with no recursion limit, and by dynamic
-  programming in that sweep (``count_maximal_chains``), never by formula;
 * down-set censuses are popcounts against one bitset per rank, built
   once from the ranks that sweep reads once (``_sweep``).
 
 Grid diagrams store their O(V) vertices and cover edges; the sweep holds
 one path entry and one V-bit down-set per vertex, and one V-bit mask per rank.
 
-Scale guards keep exhaustive work bounded: diagram construction refuses
-top indices above ``DEFAULT_MAX_INDEX``; chain enumeration aborts beyond
-``DEFAULT_MAX_CHAINS``.  Every guard takes an explicit override.
+A scale guard keeps exhaustive work bounded: diagram construction refuses
+top indices above ``DEFAULT_MAX_INDEX``, unless given an explicit override.
 """
 
-from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from . import _Record
@@ -60,12 +53,10 @@ from .sequences import FSequence, NonIntegralError, seq_eval
 Vertex = tuple[int, int]
 
 DEFAULT_MAX_INDEX = 12
-DEFAULT_MAX_CHAINS = 100_000
-_CHAIN_BATCH = 512  # open chains extended per step of enumerate_maximal_chains
 
 
 class ScaleLimitError(RuntimeError):
-    """Construction or enumeration would exceed a scale guard."""
+    """Diagram construction would exceed the scale guard."""
 
 
 class HasseDiagram(_Record):
@@ -81,9 +72,6 @@ class HasseDiagram(_Record):
     __slots__ = ("vertices", "rank_of", "successors", "minimal_vertices")
     __eq__ = object.__eq__  # two diagrams are equal only if they are one
     __hash__ = object.__hash__
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     def cover_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         """All (lower, upper) cover pairs, lexicographic by lower then upper."""
@@ -143,31 +131,21 @@ def build_grid_hasse(k: int, n: int, max_index: int | None = None) -> HasseDiagr
     return HasseDiagram(elements, grid_rank, successors.__getitem__, minimals)
 
 
-def _combined(reports: list[ChainReport], step: int) -> ChainReport:
-    """The chains counted by any of ``reports``, each ``step`` elements longer."""
-    shortest = min(report.min_length for report in reports) + step
-    longest = max(report.max_length for report in reports) + step
-    count = sum(report.chain_count for report in reports)
-    return ChainReport(count, shortest, longest, shortest == longest)
-
-
 def _sweep(diagram: HasseDiagram):
-    """Every vertex's rank, down-set and cover paths, and those with no upper cover.
+    """Every vertex's rank, down-set and cover paths.
 
     The one read of a diagram: ``rank_of`` once per vertex, and the cover
-    edges once, into lower covers and the set of vertices with an upper
-    cover.  In ascending rank, vertex ``t`` gets ``{v <= t}`` as a bitset
-    over the vertex order (its own bit OR its lower covers' sets) and, from
-    its lower covers', the count and lengths of the cover paths up to ``t``
-    from a vertex with no lower cover.  A cover whose rank does not increase
-    raises ``ValueError``.
+    edges once, into lower covers.  In ascending rank, vertex ``t`` gets
+    ``{v <= t}`` as a bitset over the vertex order (its own bit OR its lower
+    covers' sets) and, from its lower covers', the count and lengths of the
+    cover paths up to ``t`` from a vertex with no lower cover.  A cover
+    whose rank does not increase raises ``ValueError``.
     """
     rank = {v: diagram.rank_of(v) for v in diagram.vertices}
     down = {v: 1 << i for i, v in enumerate(rank)}
-    lower, covered = {}, set()
+    lower = {}
     for a, b in diagram.cover_edges():
         lower.setdefault(b, []).append(a)
-        covered.add(a)
     paths = {}
     start = [ChainReport(1, 0, 0, True)]  # the one path of no elements
     for vertex in sorted(rank, key=rank.__getitem__):
@@ -176,20 +154,12 @@ def _sweep(diagram: HasseDiagram):
             if rank[a] >= rank[vertex]:
                 raise ValueError(f"rank does not increase along the cover {a} < {vertex}")
             down[vertex] |= down[a]
-        paths[vertex] = _combined([paths[a] for a in below] or start, 1)
-    return rank, down, paths, [v for v in rank if v not in covered]
-
-
-def _rank_masks(rank):
-    """Entry j is the bitset, over the order of ``rank`` (vertex -> rank), of
-    the vertices of rank j, densely from 0.  A negative rank raises ``ValueError``."""
-    masks = []
-    for i, (vertex, j) in enumerate(rank.items()):
-        if j < 0:
-            raise ValueError(f"vertex {vertex} has negative rank {j}")
-        masks += [0] * (j + 1 - len(masks))
-        masks[j] |= 1 << i
-    return masks
+        reports = [paths[a] for a in below] or start
+        shortest = min(report.min_length for report in reports) + 1
+        longest = max(report.max_length for report in reports) + 1
+        count = sum(report.chain_count for report in reports)
+        paths[vertex] = ChainReport(count, shortest, longest, shortest == longest)
+    return rank, down, paths
 
 
 def principal_ideals(diagram: HasseDiagram, tops: Iterable[Vertex]):
@@ -201,8 +171,13 @@ def principal_ideals(diagram: HasseDiagram, tops: Iterable[Vertex]):
     are the cover paths from a minimal vertex up to ``top``.  A ``top`` that
     is not a vertex, or a negative rank, raises ``ValueError``.
     """
-    rank, down, paths, _ = _sweep(diagram)
-    masks = _rank_masks(rank)
+    rank, down, paths = _sweep(diagram)
+    masks = []  # entry j: the bitset of the vertices of rank j, densely from 0
+    for i, (vertex, j) in enumerate(rank.items()):
+        if j < 0:
+            raise ValueError(f"vertex {vertex} has negative rank {j}")
+        masks += [0] * (j + 1 - len(masks))
+        masks[j] |= 1 << i
     for top in tops:
         if top not in down:
             raise ValueError(f"{top} is not a vertex of the diagram")
@@ -319,77 +294,3 @@ def pascal_rows(spec: str, last_row: int) -> Iterator[list[int]]:
         row = [1, *[u[k + 1] * row[k] + t * u[n - k - 1] * row[k - 1] for k in range(1, n)], 1]
         yield row
 
-
-def enumerate_maximal_chains(
-    diagram: HasseDiagram, max_chains: int | None = None
-) -> ChainReport:
-    """Count every maximal chain exactly once by a batched depth-first walk.
-
-    Every chain starts at a minimal vertex and is extended one cover edge
-    at a time until no upper cover remains; chains through a shared vertex
-    are never merged, so each one is a separate step of the walk.  An open
-    chain is held only by its last vertex.  The walk keeps a stack of
-    (depth, iterator over open chain ends) entries and takes batches of
-    at most ``_CHAIN_BATCH`` ends from the top entry; a batch is extended
-    with C iterators (``map`` over ``successors``, ``filter``,
-    ``chain.from_iterable``), its ends without an upper cover count as
-    finished chains of that depth, and its extension is pushed as a new
-    entry.  Memory is O(depth * batch) references beyond the diagram, and
-    there is no recursion limit on the chain length.  Each open chain ends
-    in at least one maximal chain of its own, so the guard, finished plus
-    open chains above ``max_chains``, fires before the next batch is taken
-    exactly when the number of maximal chains exceeds the guard.  A batch
-    that would extend chains past ``len(diagram)`` vertices raises
-    ``ValueError``, since such a chain repeats a vertex: a cyclic diagram
-    is rejected rather than walked forever.
-    """
-    limit = DEFAULT_MAX_CHAINS if max_chains is None else max_chains
-    size = len(diagram)
-    count = 0  # finished chains
-    pending = len(diagram.minimal_vertices)  # open chains on the stack
-    lengths = set()
-    stack = [(1, iter(diagram.minimal_vertices))]
-    while stack:
-        depth, chain_ends = stack[-1]
-        batch = list(islice(chain_ends, _CHAIN_BATCH))
-        if len(batch) < _CHAIN_BATCH:
-            stack.pop()
-        pending -= len(batch)
-        uppers = list(filter(None, map(diagram.successors, batch)))
-        if len(uppers) < len(batch):
-            count += len(batch) - len(uppers)
-            lengths.add(depth)
-        width = sum(map(len, uppers))
-        if count + pending + width > limit:
-            raise ScaleLimitError(
-                f"maximal-chain enumeration exceeded the guard of {limit} "
-                f"chains; pass an explicit max_chains to go further"
-            )
-        if width:
-            if depth >= size:
-                raise ValueError(
-                    f"the cover edges have a cycle: a chain grows past "
-                    f"the diagram's {size} vertices"
-                )
-            pending += width
-            stack.append((depth + 1, chain.from_iterable(uppers)))
-    # no lengths only for a diagram with no vertices, which no builder makes
-    return ChainReport(count, min(lengths, default=0), max(lengths, default=0), len(lengths) <= 1)
-
-
-def count_maximal_chains(diagram: HasseDiagram) -> ChainReport:
-    """Count maximal chains by dynamic programming over cover edges.
-
-    ``_sweep`` counts the cover paths from a minimal vertex up to each
-    vertex, with their shortest and longest lengths; the totals run over
-    the vertices with no upper cover.  There is no chain guard; the result
-    equals ``enumerate_maximal_chains`` wherever that fits its guard.
-    """
-    _, _, paths, ends = _sweep(diagram)
-    return _combined([paths[v] for v in ends], 0) if ends else ChainReport(0, 0, 0, True)
-
-
-def rank_level_counts(diagram: HasseDiagram) -> list[int]:
-    """Rank census: entry j counts vertices of rank j, densely from 0."""
-    masks = _rank_masks({v: diagram.rank_of(v) for v in diagram.vertices})
-    return [mask.bit_count() for mask in masks]

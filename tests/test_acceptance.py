@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from chain_walk import recursive_chain_report
 from cobweb.cli import main
 from cobweb.gridposet import (
     catalan,
@@ -19,11 +20,7 @@ from cobweb.gridposet import (
     grid_size,
     grid_whitney,
 )
-from cobweb.oracle import (
-    build_grid_hasse,
-    enumerate_maximal_chains,
-    layer_sizes,
-)
+from cobweb.oracle import build_grid_hasse, layer_sizes
 from cobweb.pnfposet import pnf_bell
 from cobweb.sequences import (
     NonIntegralError,
@@ -94,7 +91,7 @@ def test_criterion_3_chain_count_oracle_equivalence():
     with criterion(3, "DFS chain count = ballot form, k < n <= 12; Catalan diagonal"):
         for n in range(2, 13):
             for k in range(n):
-                report = enumerate_maximal_chains(build_grid_hasse(k, n))
+                report = recursive_chain_report(build_grid_hasse(k, n))
                 ballot = (n - k) * comb(n + k - 1, k) // n
                 assert report.chain_count == ballot == grid_chain_count(k, n)
         for n in range(1, 13):
@@ -103,7 +100,7 @@ def test_criterion_3_chain_count_oracle_equivalence():
         # the tempting alternative closed form is wrong, two failure modes:
         assert (2 + 1 - 0) * comb(2, 2) % 2 != 0  # non-integral at (0, 2)
         wrong_1_2 = (2 + 1 - 1) * comb(3, 2) // 2  # = 3 at (1, 2) ...
-        truth_1_2 = enumerate_maximal_chains(build_grid_hasse(1, 2)).chain_count
+        truth_1_2 = recursive_chain_report(build_grid_hasse(1, 2)).chain_count
         assert wrong_1_2 == 3 and truth_1_2 == 1  # ... vs one actual chain
 
 
@@ -111,7 +108,7 @@ def test_criterion_4_gradedness():
     with criterion(4, "all maximal chains have k+n elements; rank k+n-1; k < n <= 10"):
         for n in range(2, 11):
             for k in range(n):
-                report = enumerate_maximal_chains(build_grid_hasse(k, n))
+                report = recursive_chain_report(build_grid_hasse(k, n))
                 assert report.graded
                 assert report.min_length == report.max_length == k + n
                 assert len(grid_whitney(k, n)) - 1 == k + n - 1

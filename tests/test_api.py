@@ -1,12 +1,14 @@
 """The package namespace: ``__all__`` is exactly what a star import binds,
 each subcommand runs only its own layer modules (a subcommand other than
-``verify`` starts without the oracle or the verify command's module), and
-no command loads ``dataclasses``."""
+``verify`` starts without the oracle or the verify command's module), no
+command loads ``dataclasses``, and README's library example holds."""
 
+import ast
 import copy
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,14 +23,11 @@ ORACLE_NAMES = {
     "HasseDiagram",
     "ScaleLimitError",
     "build_grid_hasse",
-    "count_maximal_chains",
-    "enumerate_maximal_chains",
-    "rank_level_counts",
 }
 
 
 def test_all_has_no_duplicates():
-    assert len(cobweb.__all__) == len(set(cobweb.__all__)) == 39
+    assert len(cobweb.__all__) == len(set(cobweb.__all__)) == 36
     assert cobweb.__all__ == sorted(cobweb.__all__)
     assert ORACLE_NAMES <= set(cobweb.__all__)
 
@@ -53,6 +52,31 @@ def test_dir_lists_every_exported_name():
 def test_unknown_attribute_error_names_it():
     with pytest.raises(AttributeError, match="'cobweb' has no attribute 'no_such_name'"):
         cobweb.no_such_name
+
+
+def test_the_removed_chain_counters_are_not_exported():
+    namespace = {}
+    exec("from cobweb import *", namespace)
+    for name in ("count_maximal_chains", "enumerate_maximal_chains", "rank_level_counts"):
+        with pytest.raises(AttributeError, match=f"'cobweb' has no attribute '{name}'$"):
+            getattr(cobweb, name)
+        assert name not in namespace and name not in dir(cobweb)
+
+
+def test_readme_library_example_evaluates_to_its_comments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)[1]
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        _, commented, value = lines[node.end_lineno - 1].partition("  # ")
+        if isinstance(node, ast.Expr) and commented:
+            assert eval(source, namespace) == ast.literal_eval(value.strip()), source
+            checked += 1
+        else:
+            exec(source, namespace)
+    assert checked == sum(bool(re.search(r"\S  +# ", line)) for line in lines) > 0
 
 
 # Runs in a fresh interpreter: every subcommand but verify through

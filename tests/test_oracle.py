@@ -1,4 +1,4 @@
-"""Brute-force oracle: Hasse construction, chain enumeration, censuses."""
+"""Brute-force oracle: Hasse construction, chain counts, censuses."""
 
 import re
 from collections import Counter
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_walk import dp_chain_report, recursive_chain_report
 from cobweb import oracle
 from cobweb.gridposet import (
     catalan,
@@ -21,18 +22,14 @@ from cobweb.gridposet import (
     grid_whitney,
 )
 from cobweb.oracle import (
-    DEFAULT_MAX_CHAINS,
     ChainReport,
     HasseDiagram,
     ScaleLimitError,
     build_grid_hasse,
-    count_maximal_chains,
-    enumerate_maximal_chains,
     factorial_ratios,
     layer_sizes,
     pascal_rows,
     principal_ideals,
-    rank_level_counts,
     recurrence_values,
 )
 from cobweb.pnfposet import POLICIES, pnf_max_rank, pnf_whitney_vector
@@ -98,24 +95,6 @@ def with_extra_edge(diagram, lower, upper):
     return HasseDiagram(
         diagram.vertices, diagram.rank_of, successors_of, diagram.minimal_vertices
     )
-
-
-def recursive_chain_report(diagram):
-    """Reference walk: one recursive call per chain prefix."""
-    lengths = []
-
-    def extend(vertex, depth):
-        uppers = diagram.successors(vertex)
-        if not uppers:
-            lengths.append(depth)
-        for upper in uppers:
-            extend(upper, depth + 1)
-
-    for minimal in diagram.minimal_vertices:
-        extend(minimal, 1)
-    if not lengths:
-        return ChainReport(0, 0, 0, True)
-    return ChainReport(len(lengths), min(lengths), max(lengths), len(set(lengths)) == 1)
 
 
 @st.composite
@@ -263,11 +242,10 @@ class TestPrincipalIdeal:
             for (k, n), (down, census, report) in zip(whole.vertices, ideals, strict=True):
                 if (k, n) not in direct:
                     grid = build_grid_hasse(k, n)
-                    direct[k, n] = (
-                        grid.vertices,
-                        rank_level_counts(grid),
-                        enumerate_maximal_chains(grid),  # the walk, not the sweep's DP
-                    )
+                    ranks = [grid.rank_of(v) for v in grid.vertices]
+                    levels = [ranks.count(j) for j in range(k + n)]
+                    # a direct rank count and the walk, not the sweep
+                    direct[k, n] = (grid.vertices, levels, recursive_chain_report(grid))
                 assert (members(whole, down), census, report) == direct[k, n]
         assert len(direct) == grid_size(11, 12)
 
@@ -281,7 +259,6 @@ class TestPrincipalIdeal:
             minimals = tuple(v for v in diagram.minimal_vertices if v in inside)
             ideal = HasseDiagram(inside, diagram.rank_of, covers.__getitem__, minimals)
             assert members(diagram, down) == inside
-            assert census == rank_level_counts(ideal)
             ranks = [diagram.rank_of(v) for v in inside]
             assert census == [ranks.count(j) for j in range(diagram.rank_of(top) + 1)]
             assert report == recursive_chain_report(ideal)
@@ -303,7 +280,7 @@ class TestPrincipalIdeal:
     def test_ranks_and_covers_are_read_once_per_vertex(self, drawn):
         for diagram in (build_grid_hasse(7, 8), drawn):
             once = Counter(diagram.vertices)
-            for read in (lambda d: list(principal_ideals(d, d.vertices)), count_maximal_chains):
+            for read in (lambda d: list(principal_ideals(d, d.vertices)), dp_chain_report):
                 assert calls_per_vertex(diagram, read) == [once, once]
 
     def test_two_minima_by_hand(self):
@@ -351,10 +328,10 @@ class TestLayerSizes:
 
     def test_single_vertex(self):
         diagram = layered(layer_sizes(1, FIB))
-        assert len(diagram) == 1
+        assert len(diagram.vertices) == 1
         assert list(diagram.cover_edges()) == []
-        assert count_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
-        assert enumerate_maximal_chains(diagram) == ChainReport(1, 1, 1, True)
+        assert dp_chain_report(diagram) == ChainReport(1, 1, 1, True)
+        assert recursive_chain_report(diagram) == ChainReport(1, 1, 1, True)
 
     def test_complete_bipartite_between_consecutive_levels(self):
         diagram = layered(layer_sizes(5, NAT))  # levels 1, 4, 3
@@ -487,127 +464,66 @@ class TestFactorialRatios:
 
 
 class TestChainEnumeration:
+    """The sweep's DP chain counts, against hand counts, closed forms and
+    the recursive walk."""
+
     def test_hand_enumerated_grid_chains(self):
-        assert enumerate_maximal_chains(build_grid_hasse(1, 2)) == ChainReport(1, 3, 3, True)
-        assert enumerate_maximal_chains(build_grid_hasse(2, 3)) == ChainReport(2, 5, 5, True)
+        assert dp_chain_report(build_grid_hasse(1, 2)) == ChainReport(1, 3, 3, True)
+        assert dp_chain_report(build_grid_hasse(2, 3)) == ChainReport(2, 5, 5, True)
 
     def test_ordinal_sum_chains_are_level_products(self):
-        report = enumerate_maximal_chains(layered(layer_sizes(4, NAT)))
+        report = dp_chain_report(layered(layer_sizes(4, NAT)))
         assert report == ChainReport(3, 3, 3, True)
 
     def test_gradedness_across_grid_family(self):
         for n in range(2, 9):
             for k in range(n):
-                report = enumerate_maximal_chains(build_grid_hasse(k, n))
+                report = dp_chain_report(build_grid_hasse(k, n))
                 assert report.graded
                 assert report.min_length == report.max_length == k + n
 
     def test_matches_closed_form(self):
         for n in range(2, 10):
             for k in range(n):
-                report = enumerate_maximal_chains(build_grid_hasse(k, n))
+                report = dp_chain_report(build_grid_hasse(k, n))
                 assert report.chain_count == grid_chain_count(k, n)
 
     def test_census_matches_whitney(self):
         for n in range(2, 10):
             for k in range(n):
-                assert rank_level_counts(build_grid_hasse(k, n)) == grid_whitney(k, n)
+                _, census, _ = next(principal_ideals(build_grid_hasse(k, n), [(k, n)]))
+                assert census == grid_whitney(k, n)
 
     def test_census_rejects_a_negative_rank(self):
         ranks = {(0, 0): -1, (1, 0): 0}
         covers = {(0, 0): [(1, 0)], (1, 0): []}
         diagram = HasseDiagram(list(ranks), ranks.__getitem__, covers.__getitem__, ((0, 0),))
         with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
-            rank_level_counts(diagram)
-        with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
             next(principal_ideals(diagram, [(1, 0)]))
-
-    def test_chain_guard_trips(self):
-        with pytest.raises(ScaleLimitError, match="chains"):
-            enumerate_maximal_chains(build_grid_hasse(5, 6), max_chains=10)
-
-    @pytest.mark.parametrize(
-        "diagram, chains",
-        [
-            (build_grid_hasse(5, 6), catalan(5)),
-            (layered((1, 7, 15, 10, 1)), 1 * 7 * 15 * 10 * 1),  # 1050 open at depth 4
-        ],
-        ids=["grid-5-6", "naturals-8"],
-    )
-    def test_chain_guard_boundary(self, diagram, chains):
-        report = enumerate_maximal_chains(diagram, max_chains=chains)
-        assert report.chain_count == chains
-        below = f"exceeded the guard of {chains - 1} chains; pass an explicit"
-        with pytest.raises(ScaleLimitError, match=below):
-            enumerate_maximal_chains(diagram, max_chains=chains - 1)
 
     def test_chain_longer_than_the_recursion_limit(self):
         diagram = build_grid_hasse(0, 1100, max_index=1100)
-        report = enumerate_maximal_chains(diagram)
-        assert report == ChainReport(1, 1100, 1100, True)
-        assert report == count_maximal_chains(diagram)
+        assert dp_chain_report(diagram) == ChainReport(1, 1100, 1100, True)
 
-    @given(
-        rank_raising_diagrams(),
-        st.sampled_from([1, 2, 3, 512, 1 << 16]),  # the last exceeds any level
-    )
+    @given(rank_raising_diagrams())
     @settings(max_examples=200, deadline=None)
-    def test_batched_walk_equals_recursive_walk_and_dp(self, diagram, batch):
-        expected = recursive_chain_report(diagram)
-        assert expected == count_maximal_chains(diagram)
-        with mock.patch.object(oracle, "_CHAIN_BATCH", batch):
-            assert enumerate_maximal_chains(diagram) == expected
-            count = expected.chain_count
-            assert enumerate_maximal_chains(diagram, max_chains=count) == expected
-            with pytest.raises(ScaleLimitError):
-                enumerate_maximal_chains(diagram, max_chains=count - 1)
+    def test_recursive_walk_equals_dp(self, diagram):
+        assert recursive_chain_report(diagram) == dp_chain_report(diagram)
 
-    def test_walk_and_guard_on_layered_shapes(self):
+    def test_walk_and_dp_on_layered_shapes(self):
         sizes = (3, 4, 5, 6)
         diagram = layered(sizes)
         expected = recursive_chain_report(diagram)
-        assert expected == count_maximal_chains(diagram)
+        assert expected == dp_chain_report(diagram)
         assert expected == ChainReport(prod(sizes), len(sizes), len(sizes), True)
-        count = expected.chain_count
-        assert enumerate_maximal_chains(diagram, max_chains=count) == expected
-        below = f"exceeded the guard of {count - 1} chains; pass an explicit"
-        with pytest.raises(ScaleLimitError, match=below):
-            enumerate_maximal_chains(diagram, max_chains=count - 1)
-
-    @pytest.mark.parametrize(
-        "build, limit",
-        [
-            # level 2 of P(12, gauss2) alone
-            (lambda: layered(layer_sizes(12, gaussian(2))[:3]), DEFAULT_MAX_CHAINS),
-            (lambda: layered((1, 1000, 1000)), 10_000),  # only a batch of level 1 is over
-        ],
-        ids=["gauss2-12", "batch-over"],
-    )
-    def test_guard_asks_each_vertex_once_and_none_of_the_refused_level(self, build, limit):
-        base = build()
-        asked = Counter()
-
-        def successors(vertex):
-            asked[vertex] += 1
-            return base.successors(vertex)
-
-        diagram = HasseDiagram(base.vertices, base.rank_of, successors, base.minimal_vertices)
-        with pytest.raises(ScaleLimitError) as guard:
-            enumerate_maximal_chains(diagram, max_chains=limit)
-        assert str(guard.value) == (
-            f"maximal-chain enumeration exceeded the guard of {limit} "
-            f"chains; pass an explicit max_chains to go further"
-        )
-        assert base.minimal_vertices[0] in asked and set(asked.values()) == {1}
-        assert max(map(base.rank_of, asked)) == 1  # level 2 was refused
 
     def test_dp_equals_dfs_on_every_grid_to_12(self):
         for n in range(1, 13):
             for k in range(n):
                 diagram = build_grid_hasse(k, n)
-                assert count_maximal_chains(diagram) == enumerate_maximal_chains(diagram)
+                assert dp_chain_report(diagram) == recursive_chain_report(diagram)
 
-    def test_dp_equals_dfs_on_layered_diagrams_under_the_chain_guard(self):
+    def test_dp_equals_dfs_on_layered_diagrams_to_100000_chains(self):
         compared = 0
         for seq in LAYERED_SEQS:
             for policy in POLICIES:
@@ -615,28 +531,28 @@ class TestChainEnumeration:
                     product = 1
                     for size in pnf_whitney_vector(n, seq, policy):
                         product *= size
-                    if product > DEFAULT_MAX_CHAINS:
+                    if product > 100_000:  # the walk takes one call per chain prefix
                         continue
                     diagram = layered(layer_sizes(n, seq)[: pnf_max_rank(n, policy) + 1])
-                    report = count_maximal_chains(diagram)
-                    assert report == enumerate_maximal_chains(diagram)
+                    report = dp_chain_report(diagram)
+                    assert report == recursive_chain_report(diagram)
                     assert report.chain_count == product
                     compared += 1
         assert compared > 60
 
-    def test_dp_reaches_catalan_far_beyond_the_chain_guard(self):
+    def test_dp_reaches_catalan_far_beyond_the_walk(self):
         for n in (30, 40):
-            report = count_maximal_chains(build_grid_hasse(n - 1, n, max_index=n))
+            report = dp_chain_report(build_grid_hasse(n - 1, n, max_index=n))
             assert report == ChainReport(catalan(n - 1), 2 * n - 1, 2 * n - 1, True)
 
     def test_dp_reports_an_extra_transitive_edge_as_ungraded(self):
         diagram = with_extra_edge(build_grid_hasse(1, 2), (0, 1), (1, 2))
-        assert count_maximal_chains(diagram) == ChainReport(2, 2, 3, False)
-        assert enumerate_maximal_chains(diagram) == ChainReport(2, 2, 3, False)
+        assert dp_chain_report(diagram) == ChainReport(2, 2, 3, False)
+        assert recursive_chain_report(diagram) == ChainReport(2, 2, 3, False)
         longer = with_extra_edge(build_grid_hasse(3, 5), (0, 2), (1, 3))
-        report = count_maximal_chains(longer)
+        report = dp_chain_report(longer)
         assert not report.graded
-        assert report == enumerate_maximal_chains(longer)
+        assert report == recursive_chain_report(longer)
 
     def test_dp_rejects_a_rank_that_does_not_increase(self):
         base = build_grid_hasse(2, 3)
@@ -644,12 +560,12 @@ class TestChainEnumeration:
             base.vertices, lambda v: -grid_rank(v), base.successors, base.minimal_vertices
         )
         with pytest.raises(ValueError, match="rank does not increase"):
-            count_maximal_chains(flipped)
+            dp_chain_report(flipped)
 
     def test_empty_diagram_has_no_chains(self):
         empty = HasseDiagram([], itemgetter(0), {}.__getitem__, ())
-        assert enumerate_maximal_chains(empty) == ChainReport(0, 0, 0, True)
-        assert count_maximal_chains(empty) == ChainReport(0, 0, 0, True)
+        assert recursive_chain_report(empty) == ChainReport(0, 0, 0, True)
+        assert dp_chain_report(empty) == ChainReport(0, 0, 0, True)
 
     @pytest.mark.parametrize(
         "covers",
@@ -659,31 +575,21 @@ class TestChainEnumeration:
         ],
         ids=["self-loop", "2-cycle"],
     )
-    def test_walk_and_dp_reject_a_cyclic_diagram(self, covers):
-        asked = Counter()
-
-        def successors(vertex):
-            asked[vertex] += 1
-            return covers[vertex]
-
-        diagram = HasseDiagram(list(covers), itemgetter(0), successors, ((0, 0),))
-        cycle = f"cover edges have a cycle: a chain grows past the diagram's {len(covers)} "
-        with pytest.raises(ValueError, match=cycle):
-            enumerate_maximal_chains(diagram)
-        assert asked == Counter(covers.keys())  # it stops before a vertex repeats
+    def test_dp_rejects_a_cyclic_diagram(self, covers):
+        diagram = HasseDiagram(list(covers), itemgetter(0), covers.__getitem__, ((0, 0),))
         with pytest.raises(ValueError, match="rank does not increase"):
-            count_maximal_chains(diagram)
+            dp_chain_report(diagram)
 
-    def test_product_rule_with_explicit_overrides(self):
-        # the products exceed the default guard at the top of these ranges
+    def test_product_rule_beyond_100000_chains(self):
+        # the products exceed 100 000 at the top of these ranges
         cases = [(NAT, range(1, 11)), (FIB, range(1, 10)), (ONES, range(1, 11))]
         for seq, degrees in cases:
             for n in degrees:
                 product = 1
                 for size in pnf_whitney_vector(n, seq):
                     product *= size
-                report = enumerate_maximal_chains(
-                    layered(layer_sizes(n, seq)), max_chains=product
-                )
+                diagram = layered(layer_sizes(n, seq))
+                report = recursive_chain_report(diagram)
+                assert report == dp_chain_report(diagram)
                 assert report.chain_count == product
                 assert report.graded
