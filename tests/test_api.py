@@ -54,13 +54,15 @@ def test_unknown_attribute_error_names_it():
         cobweb.no_such_name
 
 
-def test_the_removed_chain_counters_are_not_exported():
+@pytest.mark.parametrize(
+    "name", ["count_maximal_chains", "enumerate_maximal_chains", "rank_level_counts"]
+)
+def test_the_removed_chain_counters_are_not_exported(name):
     namespace = {}
     exec("from cobweb import *", namespace)
-    for name in ("count_maximal_chains", "enumerate_maximal_chains", "rank_level_counts"):
-        with pytest.raises(AttributeError, match=f"'cobweb' has no attribute '{name}'$"):
-            getattr(cobweb, name)
-        assert name not in namespace and name not in dir(cobweb)
+    with pytest.raises(AttributeError, match=f"'cobweb' has no attribute '{name}'$"):
+        getattr(cobweb, name)
+    assert name not in namespace and name not in dir(cobweb)
 
 
 def test_readme_library_example_evaluates_to_its_comments():
@@ -77,6 +79,13 @@ def test_readme_library_example_evaluates_to_its_comments():
         else:
             exec(source, namespace)
     assert checked == sum(bool(re.search(r"\S  +# ", line)) for line in lines) > 0
+
+
+def test_readme_states_the_number_of_exported_names():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert re.findall(r"The (\d+) names exported from `cobweb`", readme) == [
+        str(len(cobweb.__all__))
+    ]
 
 
 # Runs in a fresh interpreter: every subcommand but verify through

@@ -501,6 +501,12 @@ class TestChainEnumeration:
         with pytest.raises(ValueError, match=r"^vertex \(0, 0\) has negative rank -1$"):
             next(principal_ideals(diagram, [(1, 0)]))
 
+    def test_the_sweep_takes_no_chain_guard(self):
+        assert not hasattr(oracle, "DEFAULT_MAX_CHAINS")
+        assert not hasattr(oracle, "_CHAIN_BATCH")
+        with pytest.raises(TypeError, match="max_chains"):
+            principal_ideals(build_grid_hasse(1, 2), [(1, 2)], max_chains=1)
+
     def test_chain_longer_than_the_recursion_limit(self):
         diagram = build_grid_hasse(0, 1100, max_index=1100)
         assert dp_chain_report(diagram) == ChainReport(1, 1100, 1100, True)
